@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+import evpricing.competition as competition
 from evpricing import (
+    BoundedPower,
+    ConvergenceError,
     DivergenceError,
     DomainError,
     Exponential,
@@ -116,6 +120,88 @@ class TestExtendPolicy:
     def test_divergent_model_rejected(self):
         with pytest.raises(DivergenceError):
             PolicySequence(Pareto(0.9))
+
+
+def closed_recurrence(tail, steps: int) -> list[float]:
+    """G_0..G_steps from G <- G + I(G) with a closed-form tail I."""
+    values = [0.0]
+    for _ in range(steps):
+        values.append(values[-1] + tail(values[-1]))
+    return values
+
+
+def pareto_tail(alpha: float):
+    mean = alpha / (alpha - 1.0)
+    return lambda g: mean - g if g < 1.0 else g ** (1.0 - alpha) / (alpha - 1.0)
+
+
+def frechet_tail(alpha: float):
+    # int_g^inf (1 - exp(-u^-alpha)) du
+    #   = Gamma(s) P(s, g^-alpha) - g (1 - exp(-g^-alpha)),  s = 1 - 1/alpha
+    s = 1.0 - 1.0 / alpha
+
+    def tail(g: float) -> float:
+        if g == 0.0:
+            return math.gamma(s)
+        x = g ** -alpha
+        return math.gamma(s) * float(special.gammainc(s, x)) + g * math.expm1(-x)
+    return tail
+
+
+class TestRunningTail:
+    @pytest.fixture
+    def anchors(self, monkeypatch):
+        """Points at which extend_policy runs a semi-infinite anchor."""
+        seen = []
+        step = competition._policy_step
+        monkeypatch.setattr(competition, "_policy_step",
+                            lambda d, g: seen.append(g) or step(d, g))
+        return seen
+
+    @pytest.mark.parametrize("d, tail, steps", [
+        (Pareto(2.0), pareto_tail(2.0), 5000),
+        (Pareto(3.0), pareto_tail(3.0), 5000),
+        (Exponential(1.0), lambda g: math.exp(-g), 5000),
+        (Uniform(0.0, 1.0), lambda g: (1.0 - g) ** 2 / 2.0, 5000),
+        (BoundedPower(1.0, 2.0), lambda g: (1.0 - g) ** 3 / 3.0, 5000),
+        (Frechet(0.0, 1.0, 2.5), frechet_tail(2.5), 2000),
+    ], ids=["pareto2", "pareto3", "exp1", "uniform", "bpower2", "frechet2.5"])
+    def test_against_closed_recurrence(self, d, tail, steps):
+        seq = extend_policy(PolicySequence(d), steps)
+        oracle = closed_recurrence(tail, steps)
+        assert len(seq.values) == steps + 1
+        np.testing.assert_allclose(seq.values[1:], oracle[1:], rtol=1e-11, atol=0.0)
+
+    def test_uniform_reanchors(self, anchors):
+        # (1 - G_n)^2 / 2 falls by far more than the re-anchor fraction
+        extend_policy(PolicySequence(Uniform(0.0, 1.0)), 5000)
+        assert anchors[0] == 0.0
+        assert len(anchors) >= 2
+
+    def test_stepwise_extension_is_bitwise_identical(self):
+        d = Pareto(2.0)
+        stepwise = PolicySequence(d)
+        for m in range(1, 301):
+            stepwise.value(m)
+        batch = extend_policy(PolicySequence(d), 300)
+        assert stepwise.values == batch.values
+
+    def test_preset_prefix_reanchors_and_continues(self):
+        for d in (Pareto(2.0), Exponential(1.0), Uniform(0.0, 1.0)):
+            fresh = extend_policy(PolicySequence(d), 300)
+            resumed = extend_policy(PolicySequence(d, values=fresh.values[:50]), 300)
+            assert resumed.values[:50] == fresh.values[:50]
+            assert resumed.values[300] == pytest.approx(fresh.values[300], rel=1e-13)
+
+    def test_shared_sequence_resumes_without_anchor(self, anchors):
+        seq = extend_policy(PolicySequence(Exponential(1.0)), 100)
+        anchors.clear()
+        extend_policy(seq, 120)
+        assert anchors == []
+
+    def test_heavy_tail_anchor_still_raises(self):
+        with pytest.raises(ConvergenceError):
+            extend_policy(PolicySequence(Pareto(1.4)), 3)
 
 
 class TestExpectedMax:
