@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
@@ -146,38 +146,79 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def integrate(f: Callable[[float], float], domain: Interval,
-              tol: float = DEFAULT_TOL, max_intervals: int = 2048) -> float:
+              tol: float = DEFAULT_TOL, max_intervals: int = 2048,
+              tail_gamma: float = 0.0, points: Sequence[float] = ()) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over domain.
 
     Semi-infinite domains [lo, inf) are mapped to [0, 1) through
-    x = lo + t/(1-t); the Kronrod nodes are interior, so the (possibly
-    singular) endpoint t = 1 is never evaluated.
+    x = lo + (1-t)^(-q) - 1, with Jacobian q (1-t)^(-q-1) and
+    q = max(1, gamma/(1-gamma)) for the extreme-value index
+    ``tail_gamma`` of the integrand.  A tail x^(-1/gamma) then becomes a
+    bounded integrand near t = 1 (exactly constant for Pareto), where the
+    plain map x = lo + t/(1-t) (q = 1) would leave the endpoint singularity
+    (1-t)^(1/gamma - 2) for gamma > 1/2.  Tails with gamma <= 1/2, Gumbel
+    (gamma = 0) among them, keep q = 1.  The Kronrod nodes are interior, so
+    the endpoint t = 1 is never evaluated.
+
+    ``points`` are interior abscissae where f may have a kink (the support's
+    lower end, for instance); the domain is split there from the start, as
+    no Gauss-Kronrod error estimate can see a kink that falls between its
+    outermost node and the panel edge.
 
     Raises ConvergenceError, with the best estimate attached, if the
     estimated absolute error cannot be brought below ``tol`` within
-    ``max_intervals`` panels.
+    ``max_intervals`` panels, and with estimate NaN and error inf if the
+    map leaves the double range before the tail is resolved (gamma close
+    to 1: Pareto maxima at alpha = 1.01).
     """
     if not tol > 0:
         raise DomainError(f"integrate requires tol > 0, got {tol}")
     if domain.unbounded:
         base = domain.lo
-
-        def g(t: float) -> float:
-            om = 1.0 - t
-            if om <= 0.0:
-                return 0.0
-            return f(base + t / om) / (om * om)
+        if not tail_gamma < 1:
+            raise DomainError(
+                f"integrate over [lo, inf) requires tail_gamma < 1, got {tail_gamma}")
+        q = max(1.0, tail_gamma / (1.0 - tail_gamma))
+        if q == 1.0:
+            def g(t: float) -> float:
+                om = 1.0 - t
+                if om <= 0.0:
+                    return 0.0
+                return f(base + t / om) / (om * om)
+        else:
+            def g(t: float) -> float:
+                om = 1.0 - t
+                if om <= 0.0:
+                    return 0.0
+                try:
+                    w = om ** -q
+                except OverflowError:
+                    w = math.inf
+                jac = q * w / om
+                if jac == math.inf:
+                    raise ConvergenceError(
+                        f"tail map overflows the double range before a tail "
+                        f"of index gamma={tail_gamma:.6g} is resolved",
+                        math.nan, math.inf)
+                return f(base + w - 1.0) * jac
 
         a, b = 0.0, 1.0
+        cuts = [1.0 - (1.0 + p - base) ** (-1.0 / q) for p in points if p > base]
     else:
         g, a, b = f, domain.lo, domain.hi
+        cuts = points
 
-    val, err = _gk15(g, a, b)
+    edges = [a, *sorted({c for c in cuts if a < c < b}), b] if cuts else (a, b)
     # Heap entries: (-error, id, a, b, value, error).  Entries with key 0.0
     # are panels too narrow to split further; their error is kept in the sum.
-    heap: list[tuple[float, int, float, float, float, float]] = [(-err, 0, a, b, val, err)]
-    next_id = 1
-    total_err = err
+    heap: list[tuple[float, int, float, float, float, float]] = []
+    total_err = 0.0
+    for a0, b0 in zip(edges, edges[1:]):
+        v0, e0 = _gk15(g, a0, b0)
+        heap.append((-e0, len(heap), a0, b0, v0, e0))
+        total_err += e0
+    heapq.heapify(heap)
+    next_id = len(heap)
     while total_err > tol and next_id < max_intervals:
         key, _, a0, b0, v0, e0 = heapq.heappop(heap)
         mid = 0.5 * (a0 + b0)
@@ -195,6 +236,9 @@ def integrate(f: Callable[[float], float], domain: Interval,
         heapq.heappush(heap, (-e2, next_id + 1, mid, b0, v2, e2))
         next_id += 2
         total_err += e1 + e2 - e0
+        if total_err <= tol:
+            # The running sum drifts by rounding; confirm with an exact one.
+            total_err = math.fsum(entry[5] for entry in heap)
 
     total_val = math.fsum(entry[4] for entry in heap)
     total_err = math.fsum(entry[5] for entry in heap)

@@ -165,7 +165,16 @@ class TestRunningTail:
         (Uniform(0.0, 1.0), lambda g: (1.0 - g) ** 2 / 2.0, 5000),
         (BoundedPower(1.0, 2.0), lambda g: (1.0 - g) ** 3 / 3.0, 5000),
         (Frechet(0.0, 1.0, 2.5), frechet_tail(2.5), 2000),
-    ], ids=["pareto2", "pareto3", "exp1", "uniform", "bpower2", "frechet2.5"])
+        # shapes near and below the worst single-unit shape 1.657, where the
+        # plain map left an endpoint singularity the quadrature could not
+        # resolve
+        (Pareto(1.2), pareto_tail(1.2), 300),
+        (Pareto(1.3), pareto_tail(1.3), 300),
+        (Pareto(1.4), pareto_tail(1.4), 300),
+        (Pareto(1.656), pareto_tail(1.656), 300),
+        (Frechet(0.0, 1.0, 1.5), frechet_tail(1.5), 300),
+    ], ids=["pareto2", "pareto3", "exp1", "uniform", "bpower2", "frechet2.5",
+            "pareto1.2", "pareto1.3", "pareto1.4", "pareto1.656", "frechet1.5"])
     def test_against_closed_recurrence(self, d, tail, steps):
         seq = extend_policy(PolicySequence(d), steps)
         oracle = closed_recurrence(tail, steps)
@@ -199,10 +208,6 @@ class TestRunningTail:
         extend_policy(seq, 120)
         assert anchors == []
 
-    def test_heavy_tail_anchor_still_raises(self):
-        with pytest.raises(ConvergenceError):
-            extend_policy(PolicySequence(Pareto(1.4)), 3)
-
 
 class TestExpectedMax:
     def test_uniform(self):
@@ -222,6 +227,18 @@ class TestExpectedMax:
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             expected_max(Pareto(1.0), 5)
+
+    @pytest.mark.parametrize("n", [3, 100, 10 ** 4])
+    @pytest.mark.parametrize("alpha", [1.2, 1.3, 1.5, 1.656])
+    def test_heavy_pareto_beta_closed_form(self, alpha, n):
+        # E max_n = n B(n, 1 - 1/alpha)
+        exact = n * math.exp(math.lgamma(n) + math.lgamma(1.0 - 1.0 / alpha)
+                             - math.lgamma(n + 1.0 - 1.0 / alpha))
+        assert expected_max(Pareto(alpha), n) == pytest.approx(exact, rel=1e-10)
+
+    def test_overflowing_tail_map_is_typed(self):
+        with pytest.raises(ConvergenceError):
+            expected_max(Pareto(1.001), 3)
 
 
 class TestTheoreticalCc:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpricing import (
     BracketError,
@@ -155,6 +157,14 @@ class TestIntegrate:
         assert info.value.best_estimate == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
         assert info.value.estimated_error > 1e-18
 
+    def test_converged_error_sum_is_confirmed(self):
+        # the running error sum drifts by rounding over ~2000 panel updates;
+        # here it fell below tol while the exact sum had not, which raised
+        alpha, lo = 2.1789295087231055, 591.625
+        exact = lo ** (1.0 - alpha) / (alpha - 1.0)
+        val = integrate(lambda x: x ** -alpha, Interval(lo, math.inf), tol=5e-13 * exact)
+        assert val == pytest.approx(exact, rel=1e-13)
+
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, Interval(0.0, 1.0), tol=0.0)
@@ -177,6 +187,76 @@ class TestIntegrate:
         expected, _ = quad(f, lo, hi if math.isfinite(hi) else np.inf, limit=200)
         got = integrate(f, Interval(lo, hi), tol=1e-10)
         assert got == pytest.approx(expected, abs=1e-8)
+
+
+def pareto_sf(alpha: float):
+    return lambda x: 1.0 if x < 1.0 else x ** -alpha
+
+
+def pareto_tail_integral(alpha: float, lo: float) -> float:
+    """Closed form of int_lo^inf of the Pareto(alpha) survival function."""
+    if lo < 1.0:
+        return 1.0 - lo + 1.0 / (alpha - 1.0)
+    return lo ** (1.0 - alpha) / (alpha - 1.0)
+
+
+def pareto_tail_quadrature(alpha: float, lo: float) -> float:
+    # the kink of the survival function at the support's lower end 1 is
+    # declared; no panel can see it between its outermost node and its edge
+    exact = pareto_tail_integral(alpha, lo)
+    return integrate(pareto_sf(alpha), Interval(lo, math.inf), tol=1e-13 * exact,
+                     tail_gamma=1.0 / alpha, points=(1.0,))
+
+
+class TestTailMap:
+    @pytest.mark.parametrize("lo", [0.0, 0.5, 1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.2, 1.3, 1.4, 1.5, 1.656, 1.9])
+    def test_pareto_tail_closed_form(self, alpha, lo):
+        assert pareto_tail_quadrature(alpha, lo) == pytest.approx(
+            pareto_tail_integral(alpha, lo), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(1.05, 3.0), lo=st.floats(0.0, 1e3))
+    def test_pareto_tail_property(self, alpha, lo):
+        assert pareto_tail_quadrature(alpha, lo) == pytest.approx(
+            pareto_tail_integral(alpha, lo), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.656, 1.9])
+    def test_pareto_mapped_integrand_is_constant(self, alpha):
+        # from the support's lower end the mapped Pareto integrand is exactly
+        # q = 1/(alpha - 1): one 15-point panel meets a 1e-13 relative target
+        sf = pareto_sf(alpha)
+        calls = []
+        val = integrate(lambda x: calls.append(x) or sf(x), Interval(1.0, math.inf),
+                        tol=1e-13 / (alpha - 1.0), tail_gamma=1.0 / alpha)
+        assert len(calls) == 15
+        assert val == pytest.approx(1.0 / (alpha - 1.0), rel=1e-14)
+
+    def test_light_tail_keeps_plain_map(self):
+        # q = 1 for every gamma <= 1/2: the same panels as without tail_gamma
+        f = pareto_sf(2.0)
+        dom = Interval(0.5, math.inf)
+        plain = integrate(f, dom, tol=1e-12)
+        for gamma in (-1.0, 0.0, 0.3, 0.5):
+            assert integrate(f, dom, tol=1e-12, tail_gamma=gamma) == plain
+
+    @pytest.mark.parametrize("lo", [0.0, 1.0, 2.0])
+    def test_overflow_is_a_typed_error(self, lo):
+        # q = 1000: (1-t)^(-q) leaves the double range at the first panel
+        with pytest.raises(ConvergenceError) as info:
+            integrate(pareto_sf(1.001), Interval(lo, math.inf),
+                      tail_gamma=1.0 / 1.001)
+        assert info.value.estimated_error == math.inf
+
+    def test_divergent_tail_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(pareto_sf(0.9), Interval(1.0, math.inf), tail_gamma=1.0 / 0.9)
+
+    def test_points_split_finite_domain(self):
+        # |x - 1/3| has its kink off every dyadic panel edge
+        val = integrate(lambda x: abs(x - 1.0 / 3.0), Interval(0.0, 1.0),
+                        tol=1e-14, points=(1.0 / 3.0, 5.0))
+        assert val == pytest.approx(5.0 / 18.0, rel=1e-14)
 
 
 class TestMaximize1d:

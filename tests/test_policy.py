@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from evpricing import (
     BoundedPower,
@@ -147,6 +148,37 @@ class TestBestFixedPrice:
         assert oracle == pytest.approx(recorded, abs=1e-12)
         res = best_fixed_price(Exponential(1.0), n, 1)
         assert res.ratio == pytest.approx(oracle, abs=1e-9)
+
+
+def pareto_top_k_mean(alpha: float, n: int, k: int) -> float:
+    """Closed-form sum of the top-k Pareto order-statistic means."""
+    return sum(math.exp(math.lgamma(j - 1 / alpha) + math.lgamma(n + 1)
+                        - math.lgamma(j) - math.lgamma(n + 1 - 1 / alpha))
+               for j in range(1, k + 1))
+
+
+def pareto_fixed_price_value(alpha: float, n: int, k: int, T: float) -> float:
+    """Closed-form alpha T/(alpha-1) times E min(k, Bin(n, T^-alpha))."""
+    p = min(1.0, max(T, 1.0) ** -alpha)
+    tails = sum(float(special.betainc(j, n - j + 1, p)) for j in range(1, k + 1))
+    return alpha / (alpha - 1.0) * max(T, 1.0) * tails
+
+
+class TestHeavyTailThresholdSearch:
+    """Shapes below 1.5, where the plain quadrature map raised ConvergenceError."""
+
+    @pytest.mark.parametrize("n", [100, 10 ** 4])
+    def test_pareto_1_3_against_closed_forms(self, n):
+        alpha, k = 1.3, 3
+        res = best_fixed_price(Pareto(alpha), n, k)
+        assert res.prophet_value == pytest.approx(pareto_top_k_mean(alpha, n, k), rel=1e-9)
+        assert res.fp_value == pytest.approx(
+            pareto_fixed_price_value(alpha, n, k, res.threshold), rel=1e-9)
+        # no threshold on a quantile grid does better
+        for q in np.linspace(0.0, 1.0 - 1e-6, 121):
+            T = (1.0 - q) ** (-1.0 / alpha)
+            assert pareto_fixed_price_value(alpha, n, k, T) <= res.fp_value * (1 + 1e-9)
+        assert 0.0 < res.ratio < 1.0
 
 
 class TestTheoryThreshold:
