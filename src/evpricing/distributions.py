@@ -14,13 +14,13 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy import special
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import DEFAULT_TOL, Interval, find_root, integrate
+from .kernel import DEFAULT_TOL, ArrayLike, Interval, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -41,8 +41,6 @@ __all__ = [
     "virtual_valuation",
     "virtual_tail_ratio",
 ]
-
-ArrayLike = Union[float, np.ndarray]
 
 # Binomial tails switch to the incomplete-beta identity above this sample
 # size; direct log-space summation would be slow and gains nothing there.
@@ -167,8 +165,7 @@ class DistributionModel(ABC):
             raise DivergenceError(f"{self!r} has an infinite mean (gamma >= 1)")
         if self.support.lo < 0:
             raise DomainError("mean() supports nonnegative-support models only")
-        return _moment_integral(self, lambda t: float(self.sf(t)),
-                                self.support.hi, None, ev.gamma)
+        return _moment_integral(self, self.sf, self.support.hi, None, ev.gamma)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -497,27 +494,36 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
     return float(special.betainc(j, n - j + 1, p))
 
 
-def _tail_options(d: DistributionModel, lo: float, gamma: float) -> dict:
+def _tail_options(d: DistributionModel, lo: float, gamma: float,
+                  n: int = 1) -> dict:
     """Keyword arguments of ``integrate`` over [lo, omega_1) for an integrand
-    with tail index gamma that equals 1 below the support of d.
+    with tail index gamma that equals 1 below the support of d; n is the
+    sample size when the integrand is the tail of an order statistic.
 
     Where the tail-adapted map is in use (gamma > 1/2), the support's lower
     end is a breakpoint: its kink can fall between a panel's outermost node
     and the panel edge, where the error estimate cannot see it.  For
-    gamma <= 1/2 the map and the panels are the plain ones.
+    gamma <= 1/2 the map and the panels are the plain ones, except that on
+    a bounded support (gamma < 0) the top order statistics of n draws fall
+    from 1 to 0 in a layer of quantile width about 1/n below omega_1.  A
+    large n hides that layer between the outermost node of a panel and its
+    edge, so the domain is split at the quantiles 1 - c/n, c in {1, 30}.
     """
     if gamma > 0.5 and lo < d.support.lo:
         return {"tail_gamma": gamma, "points": (d.support.lo,)}
+    if gamma < 0:
+        return {"tail_gamma": gamma,
+                "points": tuple(float(d.quantile(1.0 - c / n)) for c in (1, 30) if c < n)}
     return {"tail_gamma": gamma}
 
 
 def _moment_integral(d: DistributionModel, integrand, hi: float,
-                     tol: float | None, gamma: float) -> float:
+                     tol: float | None, gamma: float, n: int = 1) -> float:
     """Tail integral from 0; without a caller tolerance, a result whose
     absolute 1e-10 target lies below its rounding level is accepted at 1e-7
     relative."""
     dom = Interval(0.0, hi)
-    opts = _tail_options(d, 0.0, gamma)
+    opts = _tail_options(d, 0.0, gamma, n)
     if tol is not None:
         return integrate(integrand, dom, tol=tol, **opts)
     try:
@@ -539,9 +545,12 @@ def order_statistic_mean(d: DistributionModel, n: int, j: int,
     if ev.gamma > 0 and j <= ev.gamma:
         raise DivergenceError(
             f"E(M_n^{j}) diverges for gamma={ev.gamma:.4g} (alpha*j <= 1)")
+
+    def tail(t: np.ndarray) -> np.ndarray:
+        return np.array([order_statistic_tail(d, n, j, x) for x in t.tolist()])
+
     # P(M_n^j > t) falls like sf(t)^j: the tail index is gamma / j.
-    return _moment_integral(d, lambda t: order_statistic_tail(d, n, j, t),
-                            _upper_endpoint(d), tol, ev.gamma / j)
+    return _moment_integral(d, tail, _upper_endpoint(d), tol, ev.gamma / j, n)
 
 
 def conditional_mean_above(d: DistributionModel, T: float,
@@ -557,7 +566,7 @@ def conditional_mean_above(d: DistributionModel, T: float,
     if tol is None:
         tol = 1e-12 * max(1.0, abs(T))
     try:
-        tail = integrate(lambda s: float(d.sf(s)), Interval(T, hi), tol=tol,
+        tail = integrate(d.sf, Interval(T, hi), tol=tol,
                          **_tail_options(d, T, ev.gamma))
     except ConvergenceError as exc:
         # With the tail-adapted map no shape the tests cover lands here; a

@@ -3,6 +3,10 @@
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.  Default tolerances are absolute 1e-10 unless the caller
 overrides them.
+
+``integrate`` takes a vectorized integrand, called once per 15-node panel
+with an array of abscissae; ``maximize_1d`` and ``find_root`` stay scalar,
+as their objectives are evaluated one point at a time.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -26,6 +30,8 @@ __all__ = [
     "maximize_1d",
     "find_root",
 ]
+
+ArrayLike = Union[float, np.ndarray]
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -104,32 +110,38 @@ _WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
         0.204432940075298, 0.209482141084728)
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
+_XGK7 = np.array(_XGK[:7])
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (integral, error estimate)."""
+def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
+          b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod panel: returns (integral, error estimate).
+
+    f is called once, on the 15 nodes (c, c - h*x_i, c + h*x_i).
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
+    dx = h * _XGK7
+    vals = f(np.concatenate(((c,), c - dx, c + dx)))
+    if np.ndim(vals) == 0:
+        vals = [float(vals)] * 15
+    else:
+        vals = np.asarray(vals, dtype=float).reshape(15).tolist()
+    fc = vals[0]
+    fv1 = vals[1:8]
+    fv2 = vals[8:]
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     resabs = _WGK[7] * abs(fc)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        fv1[i] = f1
-        fv2[i] = f2
-        resk += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
+    for w, f1, f2 in zip(_WGK, fv1, fv2):
+        resk += w * (f1 + f2)
+        resabs += w * (abs(f1) + abs(f2))
     for i in (1, 3, 5):
         resg += _WG[i // 2] * (fv1[i] + fv2[i])
     mean = 0.5 * resk
     resasc = _WGK[7] * abs(fc - mean)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fv1[i] - mean) + abs(fv2[i] - mean))
+    for w, f1, f2 in zip(_WGK, fv1, fv2):
+        resasc += w * (abs(f1 - mean) + abs(f2 - mean))
     resk *= h
     resg *= h
     resabs *= abs(h)
@@ -145,10 +157,15 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return resk, err
 
 
-def integrate(f: Callable[[float], float], domain: Interval,
+def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
               tol: float = DEFAULT_TOL, max_intervals: int = 2048,
               tail_gamma: float = 0.0, points: Sequence[float] = ()) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over domain.
+
+    f is vectorized: it receives the 15 nodes of one panel as a float array
+    of shape (15,) and returns their values, an array of the same shape (a
+    scalar return, as from ``lambda x: 1.0``, is taken as constant over the
+    panel).  Each panel is one call of f.
 
     Semi-infinite domains [lo, inf) are mapped to [0, 1) through
     x = lo + (1-t)^(-q) - 1, with Jacobian q (1-t)^(-q-1) and
@@ -179,28 +196,29 @@ def integrate(f: Callable[[float], float], domain: Interval,
             raise DomainError(
                 f"integrate over [lo, inf) requires tail_gamma < 1, got {tail_gamma}")
         q = max(1.0, tail_gamma / (1.0 - tail_gamma))
+        # A node that rounds to t = 1 contributes 0; om = 1 stands in for it
+        # so that f sees only finite abscissae.
         if q == 1.0:
-            def g(t: float) -> float:
+            def g(t: np.ndarray) -> np.ndarray:
                 om = 1.0 - t
-                if om <= 0.0:
-                    return 0.0
-                return f(base + t / om) / (om * om)
+                inside = om > 0.0
+                om = np.where(inside, om, 1.0)
+                return np.where(inside, f(base + t / om) / (om * om), 0.0)
         else:
-            def g(t: float) -> float:
+            def g(t: np.ndarray) -> np.ndarray:
                 om = 1.0 - t
-                if om <= 0.0:
-                    return 0.0
-                try:
+                inside = om > 0.0
+                om = np.where(inside, om, 1.0)
+                with np.errstate(over="ignore"):
                     w = om ** -q
-                except OverflowError:
-                    w = math.inf
-                jac = q * w / om
-                if jac == math.inf:
+                    jac = q * w / om
+                if np.isinf(jac).any():
                     raise ConvergenceError(
                         f"tail map overflows the double range before a tail "
                         f"of index gamma={tail_gamma:.6g} is resolved",
                         math.nan, math.inf)
-                return f(base + w - 1.0) * jac
+                with np.errstate(over="ignore"):
+                    return np.where(inside, f(base + w - 1.0) * jac, 0.0)
 
         a, b = 0.0, 1.0
         cuts = [1.0 - (1.0 + p - base) ** (-1.0 / q) for p in points if p > base]

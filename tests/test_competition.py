@@ -220,7 +220,7 @@ class TestExpectedMax:
     def test_pareto_quadrature_oracle(self):
         # oracle: the defining integral evaluated independently
         oracle = integrate(
-            lambda t: 1.0 - (1.0 - min(1.0, t ** -2.0)) ** 2,
+            lambda t: 1.0 - (1.0 - np.minimum(1.0, t ** -2.0)) ** 2,
             Interval(0.0, math.inf), tol=1e-8)
         assert expected_max(Pareto(2.0), 2) == pytest.approx(oracle, abs=1e-7)
 
@@ -235,6 +235,31 @@ class TestExpectedMax:
         exact = n * math.exp(math.lgamma(n) + math.lgamma(1.0 - 1.0 / alpha)
                              - math.lgamma(n + 1.0 - 1.0 / alpha))
         assert expected_max(Pareto(alpha), n) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [5000, 10 ** 4, 10 ** 5, 10 ** 6])
+    def test_uniform_boundary_layer(self, n):
+        # the integrand falls from 1 to 0 within 1/n of the upper end
+        assert expected_max(Uniform(0.0, 1.0), n) == pytest.approx(n / (n + 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 10, 5000, 10 ** 5, 10 ** 6])
+    def test_bounded_power_mpmath_oracle(self, n):
+        # int_0^1 1 - (1 - (1-t)^2)^n dt at 40 digits, split at the layer
+        # width n^(-1/2) below the upper end
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            w = 1 / mp.sqrt(n)
+            cuts = sorted({mp.mpf(0), *(c * w for c in (1, 30) if c * w < 1), mp.mpf(1)})
+            oracle = mp.quad(lambda u: 1 - (1 - u ** 2) ** n, cuts)
+        assert expected_max(BoundedPower(1.0, 2.0), n) == pytest.approx(float(oracle),
+                                                                        rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 10 ** 6])
+    def test_survival_power_vectorized(self, n):
+        s = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
+        got = competition._survival_power(s, n)
+        for si, gi in zip(s.tolist(), got.tolist()):
+            expected = 1.0 if si == 1.0 else -math.expm1(n * math.log1p(-si))
+            assert gi == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_overflowing_tail_map_is_typed(self):
         with pytest.raises(ConvergenceError):

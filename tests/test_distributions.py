@@ -67,8 +67,7 @@ class TestModelBasics:
         ts = np.asarray(d.quantile(qs))
         assert np.all(np.asarray(d.pdf(ts)) >= 0.0)
         lo = d.support.lo if math.isfinite(d.support.lo) else float(d.quantile(1e-9))
-        mass = integrate(lambda t: float(d.pdf(t)), Interval(lo, d.support.hi),
-                         tol=1e-9)
+        mass = integrate(d.pdf, Interval(lo, d.support.hi), tol=1e-9)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_support_endpoints_consistent(self, d):
@@ -246,7 +245,7 @@ class TestOrderStatisticMean:
 
     def test_exponential_harmonic_oracle(self):
         # oracle: quadrature of 1 - (1 - e^-t)^2, which is the harmonic sum H_2
-        oracle = integrate(lambda t: 1.0 - (1.0 - math.exp(-t)) ** 2,
+        oracle = integrate(lambda t: 1.0 - (1.0 - np.exp(-t)) ** 2,
                            Interval(0.0, math.inf), tol=1e-12)
         assert oracle == pytest.approx(1.5, abs=1e-10)
         assert order_statistic_mean(Exponential(1.0), 2, 1) == pytest.approx(oracle, abs=1e-8)
@@ -263,7 +262,7 @@ class TestOrderStatisticMean:
         for d in nonneg_models:
             n = 7
             direct = integrate(
-                lambda t: 1.0 - float(d.cdf(t)) ** n,
+                lambda t: 1.0 - d.cdf(t) ** n,
                 Interval(0.0, d.support.hi), tol=1e-10)
             assert order_statistic_mean(d, n, 1) == pytest.approx(direct, abs=1e-6)
 
@@ -282,6 +281,13 @@ class TestOrderStatisticMean:
         # j-th largest of n uniforms has mean (n + 1 - j)/(n + 1)
         got = order_statistic_mean(Uniform(0.0, 1.0), n, j)
         assert got == pytest.approx((n + 1.0 - j) / (n + 1.0), abs=1e-8)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5000, 10 ** 4, 10 ** 5, 10 ** 6])
+    def test_uniform_top_order_statistics_large_n(self, n, j):
+        # P(M_n^j > t) falls from 1 to 0 within a few 1/n of the upper end
+        got = order_statistic_mean(Uniform(0.0, 1.0), n, j)
+        assert got == pytest.approx((n + 1.0 - j) / (n + 1.0), rel=1e-13)
 
     @pytest.mark.parametrize("n,j", [(3, 1), (6, 2), (6, 5)])
     def test_pareto_beta_moment_closed_form(self, n, j):
@@ -327,7 +333,7 @@ class TestConditionalMean:
     def test_pareto_closed_form(self):
         # alpha T/(alpha - 1), cross-checked by the numeric tail integral
         d = Pareto(2.0)
-        tail = integrate(lambda s: float(d.sf(s)), Interval(3.0, math.inf), tol=1e-12)
+        tail = integrate(d.sf, Interval(3.0, math.inf), tol=1e-12)
         oracle = 3.0 + tail / float(d.sf(3.0))
         assert oracle == pytest.approx(6.0, abs=1e-9)
         assert conditional_mean_above(d, 3.0) == pytest.approx(6.0, abs=1e-8)

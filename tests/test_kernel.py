@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evpricing.kernel as kernel
 from evpricing import (
+    BoundedPower,
     BracketError,
     ConvergenceError,
     DomainError,
+    Exponential,
     FlatObjectiveError,
+    Frechet,
+    Gumbel,
     Interval,
+    Pareto,
+    Uniform,
     find_root,
     integrate,
     lambert_w_minus1,
@@ -126,10 +133,11 @@ class TestLambertW:
 
 class TestIntegrate:
     def test_exponential_tail(self):
-        val = integrate(lambda x: math.exp(-x), Interval(0.0, math.inf), tol=1e-10)
+        val = integrate(lambda x: np.exp(-x), Interval(0.0, math.inf), tol=1e-10)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_constant(self):
+        # a scalar return is taken as constant over the panel
         assert integrate(lambda x: 1.0, Interval(0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_square_tail(self):
@@ -153,7 +161,7 @@ class TestIntegrate:
     def test_nonconvergence_carries_best_estimate(self):
         # a tolerance below the machine error floor can never be reached
         with pytest.raises(ConvergenceError) as info:
-            integrate(lambda x: math.exp(-x), Interval(0.0, 1.0), tol=1e-18)
+            integrate(lambda x: np.exp(-x), Interval(0.0, 1.0), tol=1e-18)
         assert info.value.best_estimate == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
         assert info.value.estimated_error > 1e-18
 
@@ -174,11 +182,11 @@ class TestIntegrate:
             integrate(lambda x: float("nan"), Interval(0.0, 1.0))
 
     @pytest.mark.parametrize("f,lo,hi", [
-        (lambda x: math.exp(-0.7 * x) * (1 + math.sin(x) ** 2), 0.0, math.inf),
+        (lambda x: np.exp(-0.7 * x) * (1 + np.sin(x) ** 2), 0.0, math.inf),
         (lambda x: x ** -1.8, 2.0, math.inf),
         (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf),
-        (lambda x: math.sqrt(x) * math.exp(-x), 0.0, math.inf),
-        (lambda x: math.cos(3 * x) * math.exp(x), -1.0, 2.0),
+        (lambda x: np.sqrt(x) * np.exp(-x), 0.0, math.inf),
+        (lambda x: np.cos(3 * x) * np.exp(x), -1.0, 2.0),
         (lambda x: 1.0 / (1.0 + abs(x - 0.3)), 0.0, 1.0),
     ])
     def test_parity_with_library_quadrature(self, f, lo, hi):
@@ -189,8 +197,54 @@ class TestIntegrate:
         assert got == pytest.approx(expected, abs=1e-8)
 
 
+class TestVectorizedIntegrand:
+    @pytest.mark.parametrize("hi,tail_gamma", [(3.0, 0.0), (math.inf, 0.0),
+                                               (math.inf, 0.6)])
+    def test_one_call_per_panel(self, monkeypatch, hi, tail_gamma):
+        panels = []
+        gk15 = kernel._gk15
+
+        def counting_gk15(f, a, b):
+            panels.append((a, b))
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(kernel, "_gk15", counting_gk15)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / (1.0 + (x - 0.3) ** 2) ** 2
+
+        integrate(f, Interval(0.0, hi), tol=1e-13, tail_gamma=tail_gamma)
+        assert len(panels) > 1
+        assert len(calls) == len(panels)
+        for x in calls:
+            assert isinstance(x, np.ndarray)
+            assert x.dtype == np.float64
+            assert x.shape == (15,)
+
+    @pytest.mark.parametrize("d", [Pareto(2.0), Pareto(1.656), Frechet(0.0, 1.0, 2.5),
+                                   Exponential(1.0), Gumbel(0.0, 1.0), Uniform(0.0, 1.0),
+                                   BoundedPower(1.0, 2.0)],
+                             ids=repr)
+    def test_array_sf_matches_per_node_scalar_sf(self, d):
+        # numpy's array pow can differ from the 0-d path by an ulp; the
+        # integrals of both must still agree to rounding
+        def scalar_sf(x):
+            return np.array([float(d.sf(float(u))) for u in x])
+
+        lo = d.support.lo if math.isfinite(d.support.lo) else -2.0
+        gamma = d.evt_index().gamma
+        semi = Interval(lo, d.support.hi)
+        piece = Interval(float(d.quantile(0.3)), float(d.quantile(0.7)))
+        for dom in (semi, piece):
+            got = integrate(d.sf, dom, tol=1e-13, tail_gamma=gamma)
+            ref = integrate(scalar_sf, dom, tol=1e-13, tail_gamma=gamma)
+            assert got == pytest.approx(ref, rel=1e-14)
+
+
 def pareto_sf(alpha: float):
-    return lambda x: 1.0 if x < 1.0 else x ** -alpha
+    return lambda x: np.where(x < 1.0, 1.0, np.maximum(x, 1.0) ** -alpha)
 
 
 def pareto_tail_integral(alpha: float, lo: float) -> float:
@@ -229,7 +283,7 @@ class TestTailMap:
         calls = []
         val = integrate(lambda x: calls.append(x) or sf(x), Interval(1.0, math.inf),
                         tol=1e-13 / (alpha - 1.0), tail_gamma=1.0 / alpha)
-        assert len(calls) == 15
+        assert [np.shape(x) for x in calls] == [(15,)]
         assert val == pytest.approx(1.0 / (alpha - 1.0), rel=1e-14)
 
     def test_light_tail_keeps_plain_map(self):
