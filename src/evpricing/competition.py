@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .distributions import DistributionModel, EvtFamily, _tail_options
+from .distributions import DistributionModel, EvtFamily, _moment_integral, _tail_options
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .kernel import Interval, integrate
 
@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 EULER_MASCHERONI = float(np.euler_gamma)
-
-#: Below this tail mass at G_n the per-step quadrature tightens to 1e-12:
-#: late increments are tiny and 1e-10 noise would swamp them.
-_TIGHT_TAIL = 1e-6
-_STEP_TOL = 1e-10
-_STEP_TOL_TIGHT = 1e-12
 
 #: Each finite piece int_{G_n}^{G_{n+1}} (1 - F) is integrated to this
 #: tolerance relative to the step G_{n+1} - G_n.  A piece's error stays in
@@ -93,17 +87,8 @@ def _policy_step(d: DistributionModel, g: float) -> float:
     tail_mass = float(d.sf(g))
     if tail_mass <= 0.0 or g >= hi:
         return 0.0
-    tol = _STEP_TOL_TIGHT if tail_mass < _TIGHT_TAIL else _STEP_TOL
-    try:
-        return integrate(d.sf, Interval(g, hi), tol=tol,
-                         **_tail_options(d, g, d.evt_index().gamma))
-    except ConvergenceError as exc:
-        # With the tail-adapted map no shape the tests cover lands here; the
-        # rule stays for a target below the rounding level of a large tail,
-        # accepted when negligible against g itself.
-        if exc.estimated_error <= 1e-9 * max(1.0, abs(g)):
-            return exc.best_estimate
-        raise
+    return integrate(d.sf, Interval(g, hi), tol=1e-12, rtol=1e-12,
+                     **_tail_options(d, g, d.evt_index().gamma))
 
 
 def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
@@ -138,29 +123,18 @@ def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
         return -np.expm1(n * np.log1p(-np.clip(s, 0.0, 1.0)))
 
 
-def expected_max(d: DistributionModel, n: int, tol: float | None = None) -> float:
+def expected_max(d: DistributionModel, n: int) -> float:
     """E max of n i.i.d. draws, as int over t >= 0 of (1 - F(t)^n)."""
     if n < 1:
         raise DomainError(f"expected_max requires n >= 1, got {n}")
     gamma = d.evt_index().gamma
     if gamma >= 1:
         raise DivergenceError(f"E(max) diverges for gamma={gamma:.4g}")
-    dom = Interval(0.0, d.support.hi)
-    opts = _tail_options(d, 0.0, gamma, n)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return _survival_power(d.sf(t), n)
 
-    if tol is not None:
-        return integrate(integrand, dom, tol=tol, **opts)
-    try:
-        return integrate(integrand, dom, tol=1e-10, **opts)
-    except ConvergenceError as exc:
-        # An absolute 1e-10 is below the rounding level of large heavy-tail
-        # maxima (Frechet(1.1) at n = 1e4 is about 4.5e4): accept 1e-7 relative.
-        if exc.estimated_error <= 1e-7 * abs(exc.best_estimate):
-            return exc.best_estimate
-        raise
+    return _moment_integral(d, integrand, gamma, n)
 
 
 @dataclass(frozen=True)

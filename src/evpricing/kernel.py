@@ -6,7 +6,11 @@ overrides them.
 
 ``integrate`` takes a vectorized integrand, called once per 15-node panel
 with an array of abscissae; ``maximize_1d`` and ``find_root`` stay scalar,
-as their objectives are evaluated one point at a time.
+as their objectives are evaluated one point at a time.  ``integrate`` is the
+only place that decides when a quadrature has converged: it stops once its
+error estimate is at most max(tol, rtol*|I|) and raises ConvergenceError
+otherwise, so callers state their tolerances and never accept a failed
+result themselves.
 """
 
 from __future__ import annotations
@@ -159,7 +163,8 @@ def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
 
 def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
               tol: float = DEFAULT_TOL, max_intervals: int = 2048,
-              tail_gamma: float = 0.0, points: Sequence[float] = ()) -> float:
+              tail_gamma: float = 0.0, points: Sequence[float] = (),
+              rtol: float = 0.0, tail_scale: float = 1.0) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over domain.
 
     f is vectorized: it receives the 15 nodes of one panel as a float array
@@ -167,15 +172,26 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
     scalar return, as from ``lambda x: 1.0``, is taken as constant over the
     panel).  Each panel is one call of f.
 
+    The stopping rule is QUADPACK's (Piessens et al., 1983): the panel with
+    the largest error estimate is bisected until the summed estimate err,
+    confirmed by an exact sum, satisfies err <= max(tol, rtol*|I|) for the
+    current integral estimate I.  ``tol`` is absolute and ``rtol`` relative;
+    rtol = 0 makes the target purely absolute, tol = 0 purely relative.
+
     Semi-infinite domains [lo, inf) are mapped to [0, 1) through
-    x = lo + (1-t)^(-q) - 1, with Jacobian q (1-t)^(-q-1) and
-    q = max(1, gamma/(1-gamma)) for the extreme-value index
-    ``tail_gamma`` of the integrand.  A tail x^(-1/gamma) then becomes a
-    bounded integrand near t = 1 (exactly constant for Pareto), where the
+    x = lo + h((1-t)^(-q) - 1), with Jacobian h q (1-t)^(-q-1),
+    h = ``tail_scale`` and q = max(1, gamma/(1-gamma)) for the extreme-value
+    index ``tail_gamma`` of the integrand.  A tail x^(-1/gamma) then becomes
+    a bounded integrand near t = 1 (exactly constant for Pareto), where the
     plain map x = lo + t/(1-t) (q = 1) would leave the endpoint singularity
     (1-t)^(1/gamma - 2) for gamma > 1/2.  Tails with gamma <= 1/2, Gumbel
-    (gamma = 0) among them, keep q = 1.  The Kronrod nodes are interior, so
-    the endpoint t = 1 is never evaluated.
+    (gamma = 0) among them, keep q = 1.  The scale h is the length on which
+    the integrand falls above lo, such as the reciprocal hazard sf/pdf of a
+    survival function (T/alpha for a Pareto tail from T); with h = 1 a tail
+    far from the origin needs many panels near t = 0, and an h far beyond
+    where the integrand lives maps every node past it.
+    The Kronrod nodes are interior, so the endpoint t = 1 is never
+    evaluated.  ``tail_scale`` has no effect on a finite domain.
 
     ``points`` are interior abscissae where f may have a kink (the support's
     lower end, for instance); the domain is split there from the start, as
@@ -183,27 +199,32 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
     outermost node and the panel edge.
 
     Raises ConvergenceError, with the best estimate attached, if the
-    estimated absolute error cannot be brought below ``tol`` within
-    ``max_intervals`` panels, and with estimate NaN and error inf if the
-    map leaves the double range before the tail is resolved (gamma close
-    to 1: Pareto maxima at alpha = 1.01).
+    error target cannot be reached within ``max_intervals`` panels, and
+    with estimate NaN and error inf if the map leaves the double range
+    before the tail is resolved (gamma close to 1: Pareto maxima at
+    alpha = 1.01).
     """
-    if not tol > 0:
-        raise DomainError(f"integrate requires tol > 0, got {tol}")
+    if not (tol >= 0 and rtol >= 0 and (tol > 0 or rtol > 0)):
+        raise DomainError(
+            f"integrate requires tol, rtol >= 0, not both 0, got tol={tol}, rtol={rtol}")
+    if not 0 < tail_scale < math.inf:
+        raise DomainError(f"integrate requires a finite tail_scale > 0, got {tail_scale}")
     if domain.unbounded:
         base = domain.lo
+        h = tail_scale
         if not tail_gamma < 1:
             raise DomainError(
                 f"integrate over [lo, inf) requires tail_gamma < 1, got {tail_gamma}")
         q = max(1.0, tail_gamma / (1.0 - tail_gamma))
         # A node that rounds to t = 1 contributes 0; om = 1 stands in for it
-        # so that f sees only finite abscissae.
+        # so that f sees only finite abscissae.  Products with h come last,
+        # so that h = 1 leaves every value bit for bit as without it.
         if q == 1.0:
             def g(t: np.ndarray) -> np.ndarray:
                 om = 1.0 - t
                 inside = om > 0.0
                 om = np.where(inside, om, 1.0)
-                return np.where(inside, f(base + t / om) / (om * om), 0.0)
+                return np.where(inside, f(base + h * (t / om)) / (om * om) * h, 0.0)
         else:
             def g(t: np.ndarray) -> np.ndarray:
                 om = 1.0 - t
@@ -211,17 +232,17 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
                 om = np.where(inside, om, 1.0)
                 with np.errstate(over="ignore"):
                     w = om ** -q
-                    jac = q * w / om
+                    jac = q * w / om * h
                 if np.isinf(jac).any():
                     raise ConvergenceError(
                         f"tail map overflows the double range before a tail "
                         f"of index gamma={tail_gamma:.6g} is resolved",
                         math.nan, math.inf)
                 with np.errstate(over="ignore"):
-                    return np.where(inside, f(base + w - 1.0) * jac, 0.0)
+                    return np.where(inside, f(base + h * w - h) * jac, 0.0)
 
         a, b = 0.0, 1.0
-        cuts = [1.0 - (1.0 + p - base) ** (-1.0 / q) for p in points if p > base]
+        cuts = [1.0 - ((h + p - base) / h) ** (-1.0 / q) for p in points if p > base]
     else:
         g, a, b = f, domain.lo, domain.hi
         cuts = points
@@ -230,14 +251,19 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
     # Heap entries: (-error, id, a, b, value, error).  Entries with key 0.0
     # are panels too narrow to split further; their error is kept in the sum.
     heap: list[tuple[float, int, float, float, float, float]] = []
-    total_err = 0.0
+    total_val = total_err = 0.0
     for a0, b0 in zip(edges, edges[1:]):
         v0, e0 = _gk15(g, a0, b0)
         heap.append((-e0, len(heap), a0, b0, v0, e0))
+        total_val += v0
         total_err += e0
+    if len(heap) == 1 and total_err <= max(tol, rtol * abs(total_val)):
+        # One panel met the target (as most short finite pieces do): the
+        # exact sums below would return its value unchanged.
+        return total_val
     heapq.heapify(heap)
     next_id = len(heap)
-    while total_err > tol and next_id < max_intervals:
+    while total_err > max(tol, rtol * abs(total_val)) and next_id < max_intervals:
         key, _, a0, b0, v0, e0 = heapq.heappop(heap)
         mid = 0.5 * (a0 + b0)
         too_narrow = (key == 0.0 or mid <= a0 or mid >= b0
@@ -253,16 +279,18 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
         heapq.heappush(heap, (-e1, next_id, a0, mid, v1, e1))
         heapq.heappush(heap, (-e2, next_id + 1, mid, b0, v2, e2))
         next_id += 2
+        total_val += v1 + v2 - v0
         total_err += e1 + e2 - e0
-        if total_err <= tol:
+        if total_err <= max(tol, rtol * abs(total_val)):
             # The running sum drifts by rounding; confirm with an exact one.
             total_err = math.fsum(entry[5] for entry in heap)
 
     total_val = math.fsum(entry[4] for entry in heap)
     total_err = math.fsum(entry[5] for entry in heap)
-    if total_err > tol:
+    target = max(tol, rtol * abs(total_val))
+    if total_err > target:
         raise ConvergenceError(
-            f"quadrature did not reach tolerance {tol:.3e} within "
+            f"quadrature did not reach tolerance {target:.3e} within "
             f"{max_intervals} panels", total_val, total_err)
     return total_val
 

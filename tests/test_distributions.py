@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpricing import (
     BoundedPower,
@@ -298,7 +300,7 @@ class TestOrderStatisticMean:
         got = order_statistic_mean(Pareto(alpha), n, j)
         assert got == pytest.approx(expected, rel=1e-7)
 
-    @pytest.mark.parametrize("n", [5, 100])
+    @pytest.mark.parametrize("n", [5, 100, 1000])
     @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.3])
     def test_second_largest_of_heavy_pareto(self, alpha, n):
         # finite for alpha j > 1 even when the mean is infinite; its tail
@@ -317,18 +319,45 @@ class TestOrderStatisticMean:
         assert got == pytest.approx(expected, abs=1e-8)
 
 
-#: Known defect: conditional_mean_above integrates the tail to the absolute
-#: tolerance 1e-12*max(1, T), which is not small against the tail integral
-#: T^(1-alpha)/(alpha-1) itself once T is large; the relative error of the
-#: mean grows with T^alpha.
-ABSOLUTE_TAIL_TOL = pytest.mark.xfail(strict=True, reason=(
-    "absolute tail tolerance 1e-12*max(1, T) is not small against the tail "
-    "integral at large T"))
+def mpmath_conditional_mean(d, T: float) -> float:
+    """T + int_T^inf sf / sf(T) at 40 digits, for Gumbel and Frechet models."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        if isinstance(d, Gumbel):
+            def sf(x):
+                return -mp.expm1(-mp.exp(-(x - d.loc) / d.scale))
+            scale = d.scale
+        else:
+            def sf(x):
+                return -mp.expm1(-((x - d.m) / d.s) ** -d.alpha)
+            scale = d.s
+        T = mp.mpf(T)
+        cuts = [T, *(T + c * scale * max(1, abs(T) / scale) for c in (1, 10, 1e3)), mp.inf]
+        return float(T + mp.quad(sf, cuts) / sf(T))
 
 
 class TestConditionalMean:
     def test_exponential_memoryless(self):
         assert conditional_mean_above(Exponential(1.0), 1.0) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("T", [30.0, 100.0, 700.0])
+    def test_exponential_memoryless_far_threshold(self, T):
+        # E(X - T | X > T) = 1 however far out T is; sf(700) is about 1e-304
+        assert conditional_mean_above(Exponential(1.0), T) - T == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d, T", [
+        (Gumbel(0.0, 1.0), 5.0),
+        (Gumbel(0.0, 1.0), 30.0),
+        # below the median sf/pdf is orders of magnitude beyond the mass
+        (Gumbel(0.0, 1.0), -5.0),
+        (Frechet(0.0, 1.0, 2.5), 0.1),
+        (Frechet(0.0, 1.0, 2.5), 1e3),
+        # E(X - T | X > T) is about 490, far above max(1, T)
+        (Frechet(0.0, 289.0, 2.24), 1.0),
+    ], ids=repr)
+    def test_mpmath_oracle(self, d, T):
+        assert conditional_mean_above(d, T) == pytest.approx(mpmath_conditional_mean(d, T),
+                                                             rel=1e-13)
 
     def test_pareto_closed_form(self):
         # alpha T/(alpha - 1), cross-checked by the numeric tail integral
@@ -342,21 +371,23 @@ class TestConditionalMean:
         assert conditional_mean_above(Uniform(0.0, 1.0), 0.5) == pytest.approx(0.75, abs=1e-10)
 
     @pytest.mark.parametrize("alpha, T", [
-        *((a, T) for a in (1.2, 1.3, 1.5, 1.656) for T in (0.5, 1.0, 2.5, 100.0, 1e4)
-          if (a, T) != (1.656, 1e4)),
-        pytest.param(1.656, 1e4, marks=ABSOLUTE_TAIL_TOL),
-    ])
+        (a, T) for a in (1.2, 1.3, 1.5, 1.656) for T in (0.5, 1.0, 2.5, 100.0, 1e4)])
     def test_heavy_pareto_closed_form(self, alpha, T):
         # alpha max(T, 1)/(alpha - 1); below 1 the support's kink is inside
         expected = alpha / (alpha - 1.0) * max(T, 1.0)
         assert conditional_mean_above(Pareto(alpha), T) == pytest.approx(expected, rel=1e-10)
 
-    @ABSOLUTE_TAIL_TOL
-    @pytest.mark.parametrize("alpha, T", [(3.0, 1e4), (4.0, 1e3)])
+    @pytest.mark.parametrize("alpha, T", [(3.0, 1e4), (4.0, 1e3), (2.0, 1e6), (2.0, 1e8)])
     def test_light_pareto_far_threshold(self, alpha, T):
-        # off by -29% and +1.5e-4
+        # the tail integral is far below any absolute tolerance in T alone
         expected = alpha / (alpha - 1.0) * T
         assert conditional_mean_above(Pareto(alpha), T) == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(1.2, 6.0), T=st.floats(1.0, 1e8))
+    def test_pareto_closed_form_property(self, alpha, T):
+        expected = alpha / (alpha - 1.0) * T
+        assert conditional_mean_above(Pareto(alpha), T) == pytest.approx(expected, rel=1e-11)
 
     def test_saturated_threshold_rejected(self):
         with pytest.raises(DomainError):

@@ -176,6 +176,26 @@ class TestIntegrate:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, Interval(0.0, 1.0), tol=0.0)
+        with pytest.raises(DomainError):
+            integrate(lambda x: x, Interval(0.0, 1.0), rtol=-1e-12)
+        with pytest.raises(DomainError):
+            integrate(lambda x: x, Interval(0.0, math.inf), tail_scale=0.0)
+
+    def test_relative_tolerance_reaches_large_values(self):
+        # 50 eps |I| per panel puts the error floor of a value near 1.2e4 at
+        # 1.3e-10, above an absolute 1e-10; 1e-12 relative is reachable
+        def f(x):
+            return 1.2e4 * np.exp(-x)
+
+        dom = Interval(0.0, math.inf)
+        with pytest.raises(ConvergenceError):
+            integrate(f, dom, tol=1e-10)
+        assert integrate(f, dom, tol=1e-10, rtol=1e-12) == pytest.approx(1.2e4, rel=1e-12)
+
+    def test_relative_tolerance_alone(self):
+        val = integrate(lambda x: 1e-300 * np.exp(-x), Interval(0.0, math.inf),
+                        tol=0.0, rtol=1e-12)
+        assert val == pytest.approx(1e-300, rel=1e-12)
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
@@ -287,12 +307,45 @@ class TestTailMap:
         assert val == pytest.approx(1.0 / (alpha - 1.0), rel=1e-14)
 
     def test_light_tail_keeps_plain_map(self):
-        # q = 1 for every gamma <= 1/2: the same panels as without tail_gamma
+        # q = 1 for every gamma <= 1/2: the same panels as without tail_gamma;
+        # a unit tail_scale is the map without one, bit for bit
         f = pareto_sf(2.0)
         dom = Interval(0.5, math.inf)
         plain = integrate(f, dom, tol=1e-12)
         for gamma in (-1.0, 0.0, 0.3, 0.5):
             assert integrate(f, dom, tol=1e-12, tail_gamma=gamma) == plain
+            assert integrate(f, dom, tol=1e-12, tail_gamma=gamma, tail_scale=1.0) == plain
+
+    def test_unit_tail_scale_is_identity_for_heavy_tails(self):
+        f = pareto_sf(1.3)
+        dom = Interval(0.0, math.inf)
+        plain = integrate(f, dom, tol=1e-12, tail_gamma=1.0 / 1.3, points=(1.0,))
+        assert integrate(f, dom, tol=1e-12, tail_gamma=1.0 / 1.3, points=(1.0,),
+                         tail_scale=1.0) == plain
+
+    @pytest.mark.parametrize("T", [2.0, 1e4, 1e8])
+    def test_scaled_pareto_tail_needs_one_panel(self, T):
+        # x = T + (T/2) t/(1-t) maps the Pareto(2) tail to 2/(T (2-t)^2),
+        # smooth on [0, 1]; the unit map needs dozens of panels at T = 1e4
+        calls = []
+        sf = pareto_sf(2.0)
+        val = integrate(lambda x: calls.append(x) or sf(x), Interval(T, math.inf),
+                        tol=1e-10 / T, tail_gamma=0.5, tail_scale=T / 2.0)
+        assert len(calls) == 1
+        assert val == pytest.approx(1.0 / T, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.656])
+    def test_tail_scale_maps_points(self, alpha):
+        # with h = lo = 1/2 the map is x = w/2: the piece below the kink at 1
+        # is smooth and the Pareto tail above it constant, one panel each,
+        # once the kink is mapped through (p - lo)/h; left inside a panel it
+        # costs dozens
+        calls = []
+        sf = pareto_sf(alpha)
+        val = integrate(lambda x: calls.append(x) or sf(x), Interval(0.5, math.inf),
+                        tol=1e-13, tail_gamma=1.0 / alpha, points=(1.0,), tail_scale=0.5)
+        assert len(calls) == 2
+        assert val == pytest.approx(pareto_tail_integral(alpha, 0.5), rel=1e-13)
 
     @pytest.mark.parametrize("lo", [0.0, 1.0, 2.0])
     def test_overflow_is_a_typed_error(self, lo):
