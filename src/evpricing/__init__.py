@@ -6,7 +6,6 @@ from .competition import (
     PolicySequence,
     cc_family_bounds,
     empirical_competition_complexity,
-    expected_max,
     expected_max_approx,
     extend_policy,
     quantile_policy_approx,
@@ -25,6 +24,7 @@ from .distributions import (
     Support,
     Uniform,
     conditional_mean_above,
+    expected_max,
     order_statistic_mean,
     order_statistic_tail,
     parse_distribution,

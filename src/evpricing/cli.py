@@ -123,8 +123,7 @@ def _cmd_competition(args) -> str:
 
 def _cmd_simulate(args) -> str:
     d = parse_distribution(args.dist)
-    cfg = policy.SimulationConfig(replications=args.reps, seed=args.seed,
-                                  parallel_chunks=args.chunks)
+    cfg = policy.SimulationConfig(replications=args.reps, seed=args.seed)
     mean, stderr = policy.monte_carlo_evaluate(d, args.n, args.k, args.t, cfg)
     return _json_dumps({
         "n": args.n, "k": args.k, "threshold": float(args.t),
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=policy.DEFAULT_SEED)
-    p.add_argument("--chunks", type=int, default=1)
     add_output_flag(p)
     p.set_defaults(func=_cmd_simulate)
 

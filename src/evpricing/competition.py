@@ -4,12 +4,12 @@ The dynamic-programming value sequence G_0 = 0, G_{n+1} = E max(X, G_n) is
 extended through its tail-integral form G_{n+1} = G_n + I(G_n), with
 I(g) = int_g^{omega_1} (1 - F(u)) du.  The tail I is carried along the
 sequence: I(G_{n+1}) = I(G_n) - int_{G_n}^{G_{n+1}} (1 - F(u)) du, so a step
-costs one short finite quadrature, and a full semi-infinite one is needed only
-to start the sequence and to re-anchor the running tail after cancellation
-has eaten into it.  The empirical competition complexity
-of a distribution at market size n is the least m with G_m >= E max of n
-draws, reported as m/n next to the closed-form constant
-(1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+costs one short finite quadrature.  The full tail I(g), the routine of
+:mod:`evpricing.distributions` behind ``mean()`` and ``conditional_mean_above``,
+only starts the sequence (G_1 is the mean) and re-anchors the running tail
+after cancellation has eaten into it.  The competition complexity at market
+size n is the least m with G_m >= E max of n draws, reported as m/n next to
+the closed-form constant (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .distributions import DistributionModel, EvtFamily, _moment_integral, _tail_options
+from .distributions import DistributionModel, EvtFamily, _sf_integral, expected_max
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .kernel import Interval, integrate
 
@@ -29,7 +29,6 @@ __all__ = [
     "PolicySequence",
     "CompetitionRecord",
     "extend_policy",
-    "expected_max",
     "empirical_competition_complexity",
     "theoretical_cc",
     "cc_family_bounds",
@@ -81,16 +80,6 @@ class PolicySequence:
         return self.values[n]
 
 
-def _policy_step(d: DistributionModel, g: float) -> float:
-    """The anchor: the full tail int_g^{omega_1} (1 - F(u)) du."""
-    hi = d.support.hi
-    tail_mass = float(d.sf(g))
-    if tail_mass <= 0.0 or g >= hi:
-        return 0.0
-    return integrate(d.sf, Interval(g, hi), tol=1e-12, rtol=1e-12,
-                     **_tail_options(d, g, d.evt_index().gamma))
-
-
 def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
     """Fill the value sequence through index up_to; returns the same object."""
     if up_to < 0:
@@ -102,7 +91,7 @@ def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
     if seq._tail is not None and seq._tail[0] == len(seq.values) - 1:
         _, tail, anchor = seq._tail
     else:
-        tail = anchor = _policy_step(d, g)
+        tail = anchor = _sf_integral(d, g)
     while len(seq.values) <= up_to:
         g_next = g + tail
         seq.values.append(g_next)
@@ -111,30 +100,10 @@ def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
         if g_next > g:
             tail -= integrate(d.sf, Interval(g, g_next), tol=_PIECE_RTOL * (g_next - g))
             if tail < _REANCHOR_FRACTION * anchor:
-                tail = anchor = _policy_step(d, g_next)
+                tail = anchor = _sf_integral(d, g_next)
         g = g_next
     seq._tail = (len(seq.values) - 1, tail, anchor)
     return seq
-
-
-def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
-    """1 - (1 - s)^n for survival values s, without cancellation."""
-    with np.errstate(divide="ignore"):
-        return -np.expm1(n * np.log1p(-np.clip(s, 0.0, 1.0)))
-
-
-def expected_max(d: DistributionModel, n: int) -> float:
-    """E max of n i.i.d. draws, as int over t >= 0 of (1 - F(t)^n)."""
-    if n < 1:
-        raise DomainError(f"expected_max requires n >= 1, got {n}")
-    gamma = d.evt_index().gamma
-    if gamma >= 1:
-        raise DivergenceError(f"E(max) diverges for gamma={gamma:.4g}")
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return _survival_power(d.sf(t), n)
-
-    return _moment_integral(d, integrand, gamma, n)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Parametric distribution models with extreme-value metadata.
+"""Immutable parametric models with extreme-value metadata, and functionals
+generic over them: order-statistic tails and means, expected maxima,
+conditional means and virtual valuations.  Every operation is pure.
 
-Each model exposes cdf/pdf/quantile/survival plus its extreme-value index and
-closed-form scaling/shifting sequences.  Order-statistic functionals, upper
-conditional means and virtual valuations are module-level functions generic
-over the models.
-
-All models are immutable after construction; every operation is pure.
+This module alone picks the quadrature options for a model's tail, by two
+rules: order-statistic moments from 0 (``_moment_integral``), and the tail
+integral I(T) = E(X - T)^+ (``_sf_integral``) behind ``mean()``,
+``conditional_mean_above`` and the anchors of :mod:`evpricing.competition`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "parse_distribution",
     "order_statistic_tail",
     "order_statistic_mean",
+    "expected_max",
     "conditional_mean_above",
     "virtual_valuation",
     "virtual_tail_ratio",
@@ -159,13 +160,12 @@ class DistributionModel(ABC):
         return _maybe_scalar(out, arr.ndim == 0)
 
     def mean(self) -> float:
-        """First moment, by tail integration (nonnegative support only)."""
-        ev = self.evt_index()
-        if ev.gamma >= 1:
+        """First moment I(0), the tail integral from 0 (nonnegative support only)."""
+        if self.evt_index().gamma >= 1:
             raise DivergenceError(f"{self!r} has an infinite mean (gamma >= 1)")
         if self.support.lo < 0:
             raise DomainError("mean() supports nonnegative-support models only")
-        return _moment_integral(self, self.sf, ev.gamma)
+        return _sf_integral(self, 0.0)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -222,14 +222,18 @@ class Exponential(DistributionModel):
     def support(self) -> Support:
         return Support(0.0, math.inf)
 
+    def _x(self, t):
+        # t clamped to [0, 1e300/rate], outside which the cdf is 0 or 1: no overflow.
+        return self.rate * np.minimum(np.maximum(t, 0.0), 1e300 / self.rate)
+
     def _cdf(self, t):
-        return np.where(t < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(t, 0.0)))
+        return -np.expm1(-self._x(t))
 
     def _sf(self, t):
-        return np.where(t < 0.0, 1.0, np.exp(-self.rate * np.maximum(t, 0.0)))
+        return np.exp(-self._x(t))
 
     def _pdf(self, t):
-        return np.where(t < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)))
+        return np.where(t < 0.0, 0.0, self.rate * np.exp(-self._x(t)))
 
     def _quantile(self, q):
         return -np.log1p(-q) / self.rate
@@ -308,7 +312,9 @@ class Frechet(DistributionModel):
             return np.where(t <= self.m, 1.0, -np.expm1(-self._z(t) ** -self.alpha))
 
     def _pdf(self, t):
-        with np.errstate(over="ignore", under="ignore"):
+        # Near and below m, z^(-alpha-1) overflows while exp(-z^-alpha)
+        # underflows: their product is NaN where the density is 0.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             z = self._z(t)
             val = (self.alpha / self.s) * z ** (-self.alpha - 1.0) * np.exp(-z ** -self.alpha)
             val = np.where(np.isfinite(val), val, 0.0)
@@ -345,18 +351,21 @@ class Gumbel(DistributionModel):
     def support(self) -> Support:
         return Support(-math.inf, math.inf)
 
-    def _z(self, t):
-        return (t - self.loc) / self.scale
+    def _w(self, t):
+        # -z = (loc - t)/scale clamped to [-800, 700]: beyond either end the
+        # cdf, sf and pdf are constant in doubles, and exp(-z) stays finite.
+        s = self.scale
+        return np.minimum(np.maximum(self.loc - t, -800.0 * s), 700.0 * s) / s
 
     def _cdf(self, t):
-        return np.exp(-np.exp(-self._z(t)))
+        return np.exp(-np.exp(self._w(t)))
 
     def _sf(self, t):
-        return -np.expm1(-np.exp(-self._z(t)))
+        return -np.expm1(-np.exp(self._w(t)))
 
     def _pdf(self, t):
-        z = self._z(t)
-        return np.exp(-z - np.exp(-z)) / self.scale
+        w = self._w(t)
+        return np.exp(w - np.exp(w)) / self.scale
 
     def _quantile(self, q):
         with np.errstate(divide="ignore"):
@@ -415,8 +424,6 @@ class BoundedPower(DistributionModel):
         inv = 1.0 / self.alpha
         return NormalizingSequences(lambda n: self.omega * n ** -inv,
                                     lambda n: self.omega)
-
-
 
 
 _SPEC_SCHEMA: dict[str, tuple[type, tuple[str, ...]]] = {
@@ -493,17 +500,15 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
 def _tail_options(d: DistributionModel, lo: float, gamma: float,
                   n: int = 1) -> dict:
     """Keyword arguments of ``integrate`` over [lo, omega_1) for an integrand
-    with tail index gamma that equals 1 below the support of d; n is the
-    sample size when the integrand is the tail of an order statistic.
+    with tail index gamma that is 1 below the support of d; n is the sample
+    size when the integrand is the tail of an order statistic.
 
-    Where the tail-adapted map is in use (gamma > 1/2), the support's lower
-    end is a breakpoint: its kink can fall between a panel's outermost node
-    and the panel edge, where the error estimate cannot see it.  For
-    gamma <= 1/2 the map and the panels are the plain ones, except that on
-    a bounded support (gamma < 0) the top order statistics of n draws fall
-    from 1 to 0 in a layer of quantile width about 1/n below omega_1.  A
-    large n hides that layer between the outermost node of a panel and its
-    edge, so the domain is split at the quantiles 1 - c/n, c in {1, 30}.
+    A panel's error estimate cannot see a kink between its outermost node and
+    its edge.  So under the tail-adapted map (gamma > 1/2) the support's lower
+    end is a breakpoint, and on a bounded support (gamma < 0), where the top
+    order statistics of n draws fall from 1 to 0 within a quantile width of
+    about 1/n below omega_1, the domain is split at the quantiles 1 - c/n,
+    c in {1, 30}.  Elsewhere the map and the panels are the plain ones.
     """
     if gamma > 0.5 and lo < d.support.lo:
         return {"tail_gamma": gamma, "points": (d.support.lo,)}
@@ -539,29 +544,56 @@ def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
     return _moment_integral(d, tail, ev.gamma / j, n)
 
 
-def conditional_mean_above(d: DistributionModel, T: float) -> float:
-    """E(X | X > T) = T + integral of the survival function above T, scaled.
+def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
+    """1 - (1 - s)^n for survival values s, without cancellation."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(n * np.log1p(-np.clip(s, 0.0, 1.0)))
 
-    The tail integral is taken to an absolute 1e-12*max(1, |T|)*sf(T) or to
-    1e-12 relative, whichever is looser, so that the returned mean is right
-    to 1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
+
+def expected_max(d: DistributionModel, n: int) -> float:
+    """E max of n i.i.d. draws, as int over t >= 0 of (1 - F(t)^n)."""
+    if n < 1:
+        raise DomainError(f"expected_max requires n >= 1, got {n}")
+    gamma = d.evt_index().gamma
+    if gamma >= 1:
+        raise DivergenceError(f"E(max) diverges for gamma={gamma:.4g}")
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return _survival_power(d.sf(t), n)
+
+    return _moment_integral(d, integrand, gamma, n)
+
+
+def _sf_integral(d: DistributionModel, T: float) -> float:
+    """I(T) = int_T^{omega_1} (1 - F(u)) du = E(X - T)^+, for a finite mean.
+
+    Taken to an absolute 1e-12*max(1, |T|)*sf(T) or to 1e-12 relative,
+    whichever is looser, so that T + I(T)/sf(T) is right to
+    1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
     """
-    s_T = float(d.sf(T))
-    if s_T <= 0.0:
-        raise DomainError(f"F({T}) = 1: conditioning event has probability 0")
-    ev = d.evt_index()
-    if ev.gamma >= 1:
-        raise DivergenceError("conditional mean diverges: gamma >= 1")
     hi = d.support.hi
+    s_T = float(d.sf(T))
+    if s_T <= 0.0 or T >= hi:
+        return 0.0
     # In the tail the survival function falls on the scale of the reciprocal
     # hazard sf/pdf (T/alpha for Pareto, 1/rate for Exponential).  Below the
     # median of a Gumbel or Frechet model the hazard at T is tiny and rises
     # fast above it, so sf/pdf there would map every node beyond the mass.
-    f_T = float(d.pdf(T))
-    scale = s_T / f_T if math.isinf(hi) and s_T <= 0.5 and f_T > 0.0 else 1.0
-    tail = integrate(d.sf, Interval(T, hi), tol=1e-12 * max(1.0, abs(T)) * s_T,
-                     rtol=1e-12, tail_scale=scale, **_tail_options(d, T, ev.gamma))
-    return T + tail / s_T
+    f_T = float(d.pdf(T)) if math.isinf(hi) and s_T <= 0.5 else 0.0
+    scale = s_T / f_T if f_T > 0.0 else 1.0
+    return integrate(d.sf, Interval(T, hi), tol=1e-12 * max(1.0, abs(T)) * s_T,
+                     rtol=1e-12, tail_scale=scale,
+                     **_tail_options(d, T, d.evt_index().gamma))
+
+
+def conditional_mean_above(d: DistributionModel, T: float) -> float:
+    """E(X | X > T) = T + I(T)/sf(T), with the tail integral I of ``_sf_integral``."""
+    s_T = float(d.sf(T))
+    if s_T <= 0.0:
+        raise DomainError(f"F({T}) = 1: conditioning event has probability 0")
+    if d.evt_index().gamma >= 1:
+        raise DivergenceError("conditional mean diverges: gamma >= 1")
+    return T + _sf_integral(d, T) / s_T
 
 
 def virtual_valuation(d: DistributionModel, t: float) -> float:

@@ -40,6 +40,9 @@ __all__ = [
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
+#: Consecutive k over which suggest_hill_k compares the spread of Hill estimates.
+_HILL_WINDOW = 10
+
 
 @dataclass(frozen=True)
 class BidRecord:
@@ -159,19 +162,19 @@ def hill_stability_scan(values: Sequence[float],
     return [(k, _hill_from_sorted(v, k)) for k in range(k_lo, k_hi + 1)]
 
 
-def suggest_hill_k(scan: Sequence[tuple[int, float]], window: int = 10) -> int:
+def suggest_hill_k(scan: Sequence[tuple[int, float]]) -> int:
     """Suggested k: center of the window where alpha_hat varies the least.
 
     A convenience default only; stability is ultimately the operator's call.
     """
     if not scan:
         raise DomainError("empty stability scan")
-    if len(scan) <= window:
+    if len(scan) <= _HILL_WINDOW:
         return scan[len(scan) // 2][0]
     alphas = np.array([a for _, a in scan])
-    stds = np.array([alphas[i:i + window].std() for i in range(len(alphas) - window + 1)])
+    stds = [alphas[i:i + _HILL_WINDOW].std() for i in range(len(scan) - _HILL_WINDOW + 1)]
     i = int(np.argmin(stds))
-    return scan[i + window // 2][0]
+    return scan[i + _HILL_WINDOW // 2][0]
 
 
 def fit_scale(values: Sequence[float], alpha_hat: float) -> tuple[float, float]:
@@ -205,23 +208,19 @@ def fit_scale(values: Sequence[float], alpha_hat: float) -> tuple[float, float]:
 
 
 def fit_pipeline(values: Sequence[float], k_hill: int | None = None,
-                 m_hat: float | None = None,
-                 scan_window: tuple[int, int] | None = None) -> FitResult:
+                 m_hat: float | None = None) -> FitResult:
     """Full shape+scale fit over per-bidder valuations.
 
-    When k_hill is omitted, a stability scan over [10, n/2] (or scan_window)
-    picks the suggestion from :func:`suggest_hill_k`.  The location defaults
-    to 0 when values reach near zero, the natural choice for nonnegative bid
-    data; pass m_hat to override.
+    When k_hill is omitted, a stability scan over k in [10, n/2] picks it
+    (:func:`suggest_hill_k`).  The location is 0, the natural choice for
+    nonnegative bid data, unless m_hat is given.
     """
     v = sorted(float(x) for x in values)
     n = len(v)
     if n < 5:
         raise DomainError(f"need at least 5 valuations to fit, got {n}")
     if k_hill is None:
-        lo, hi = scan_window if scan_window is not None else (10, max(11, n // 2))
-        hi = min(hi, n - 1)
-        scan = hill_stability_scan(v, (lo, hi))
+        scan = hill_stability_scan(v, (10, min(max(11, n // 2), n - 1)))
         k_hill = suggest_hill_k(scan)
     alpha_hat = hill_estimate(v, k_hill)
     location = 0.0 if m_hat is None else float(m_hat)

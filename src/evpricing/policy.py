@@ -41,6 +41,9 @@ __all__ = [
 #: is numerically zero past it.
 _T_SEARCH_TAIL = 1e-12
 
+#: Threshold search tolerance, relative to max(1, 1e-3 * upper search end).
+_T_SEARCH_TOL = 1e-9
+
 #: Replications are drawn in fixed blocks of this size; each block is an
 #: independent substream keyed by (block index, seed).
 _MC_BLOCK = 256
@@ -77,15 +80,12 @@ class PolicyEvaluation:
 class SimulationConfig:
     replications: int
     seed: int = DEFAULT_SEED
-    parallel_chunks: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.parallel_chunks < 1:
-            raise DomainError("parallel_chunks must be >= 1")
 
 
 def _check_n_k(n: int, k: int) -> None:
@@ -110,15 +110,14 @@ def prophet_value(d: DistributionModel, n: int, k: int) -> float:
     return sum(order_statistic_mean(d, n, j) for j in range(1, k + 1))
 
 
-def best_fixed_price(d: DistributionModel, n: int, k: int,
-                     tol: float = 1e-9) -> PolicyEvaluation:
+def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     """Optimize the threshold over (omega_0, F^{-1}(1 - 1e-12))."""
     _check_n_k(n, k)
     prophet = prophet_value(d, n, k)
     lo = max(d.support.lo, 0.0)
     hi = float(d.quantile(1.0 - _T_SEARCH_TAIL))
     t_star, fp = maximize_1d(lambda T: fixed_price_value_exact(d, n, k, T),
-                             Interval(lo, hi), tol=tol * max(1.0, hi * 1e-3))
+                             Interval(lo, hi), tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
     return PolicyEvaluation(n, k, t_star, fp, prophet, fp / prophet)
 
 
@@ -156,9 +155,7 @@ def monte_carlo_evaluate(d: DistributionModel, n: int, k: int, T: float,
     Each replication draws n i.i.d. values through the quantile transform and
     pays the first min(k, count) values above T in arrival order.  Substreams
     derive from (seed, replication index), so a given (seed, replications)
-    pair is bitwise reproducible.  ``cfg.parallel_chunks`` is validated but
-    does not change the work: blocks run in order on the calling thread,
-    which measured faster than a thread pool of two.
+    pair is bitwise reproducible.  Blocks run in order on the calling thread.
     """
     _check_n_k(n, k)
     if cfg.replications < 100:

@@ -150,13 +150,6 @@ class TestSimulateCmd:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
-    def test_chunks_do_not_change_output(self, capsys):
-        base = ("simulate", "--dist", "exp:rate=1", "--n", "10", "--k", "1",
-                "--t", "1.5", "--reps", "2000", "--seed", "99")
-        _, out1, _ = run_cli(capsys, *base)
-        _, out2, _ = run_cli(capsys, *base, "--chunks", "5")
-        assert json.loads(out1)["mean"] == json.loads(out2)["mean"]
-
 
 class TestFitCmd:
     @pytest.fixture

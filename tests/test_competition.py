@@ -87,8 +87,8 @@ class TestExtendPolicy:
 
     def test_first_value_is_mean(self, nonneg_models):
         for d in nonneg_models:
-            seq = extend_policy(PolicySequence(d), 1)
-            assert seq.values[1] == pytest.approx(d.mean(), abs=1e-9)
+            # the anchor at 0 and the mean are one routine, bit for bit
+            assert PolicySequence(d).value(1) == d.mean()
 
     def test_strictly_increasing_and_below_prophet(self):
         d = Pareto(2.0)
@@ -153,9 +153,9 @@ class TestRunningTail:
     def anchors(self, monkeypatch):
         """Points at which extend_policy runs a semi-infinite anchor."""
         seen = []
-        step = competition._policy_step
-        monkeypatch.setattr(competition, "_policy_step",
-                            lambda d, g: seen.append(g) or step(d, g))
+        anchor = competition._sf_integral
+        monkeypatch.setattr(competition, "_sf_integral",
+                            lambda d, g: seen.append(g) or anchor(d, g))
         return seen
 
     @pytest.mark.parametrize("d, tail, steps", [
@@ -252,14 +252,6 @@ class TestExpectedMax:
             oracle = mp.quad(lambda u: 1 - (1 - u ** 2) ** n, cuts)
         assert expected_max(BoundedPower(1.0, 2.0), n) == pytest.approx(float(oracle),
                                                                         rel=1e-13)
-
-    @pytest.mark.parametrize("n", [1, 10 ** 6])
-    def test_survival_power_vectorized(self, n):
-        s = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
-        got = competition._survival_power(s, n)
-        for si, gi in zip(s.tolist(), got.tolist()):
-            expected = 1.0 if si == 1.0 else -math.expm1(n * math.log1p(-si))
-            assert gi == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_overflowing_tail_map_is_typed(self):
         with pytest.raises(ConvergenceError):

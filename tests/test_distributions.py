@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from evpricing import (
     virtual_tail_ratio,
     virtual_valuation,
 )
-from evpricing.distributions import EvtIndex
+from evpricing.distributions import EvtIndex, _sf_integral, _survival_power
 
 ALL_MODELS = [
     Pareto(2.0),
@@ -91,6 +92,18 @@ class TestModelBasics:
         seqs = d.normalizing_sequences()
         for n in (1.5, 2, 10, 1000):
             assert seqs.a_of_n(n) > 0
+
+    def test_warning_free_on_the_real_line(self, d):
+        # BoundedPower(alpha < 1).pdf(omega) = inf is the density's limit
+        ends = [x for x in (d.support.lo, d.support.hi) if math.isfinite(x)]
+        pts = [-math.inf, -1e308, -800.0, 0.0, 800.0, 1e308, math.inf, *ends]
+        for t in (np.array(pts), *pts):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cdf, sf, pdf = (np.asarray(f(t)) for f in (d.cdf, d.sf, d.pdf))
+            assert np.all((cdf >= 0.0) & (cdf <= 1.0)), t
+            assert np.all((sf >= 0.0) & (sf <= 1.0)), t
+            assert np.all(pdf >= 0.0) and not np.any(np.isnan(pdf)), t
 
 
 class TestEvtIndexType:
@@ -268,6 +281,14 @@ class TestOrderStatisticMean:
                 Interval(0.0, d.support.hi), tol=1e-10)
             assert order_statistic_mean(d, n, 1) == pytest.approx(direct, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 10 ** 6])
+    def test_survival_power_vectorized(self, n):
+        s = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
+        got = _survival_power(s, n)
+        for si, gi in zip(s.tolist(), got.tolist()):
+            expected = 1.0 if si == 1.0 else -math.expm1(n * math.log1p(-si))
+            assert gi == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_divergent_moment_rejected(self):
         with pytest.raises(DivergenceError):
             order_statistic_mean(Pareto(0.9), 5, 1)
@@ -319,8 +340,9 @@ class TestOrderStatisticMean:
         assert got == pytest.approx(expected, abs=1e-8)
 
 
-def mpmath_conditional_mean(d, T: float) -> float:
-    """T + int_T^inf sf / sf(T) at 40 digits, for Gumbel and Frechet models."""
+def mpmath_tail(d, T: float):
+    """(int_T^inf sf, sf(T)) as 40-digit mpmath numbers, for Gumbel and
+    Frechet models."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         if isinstance(d, Gumbel):
@@ -333,7 +355,42 @@ def mpmath_conditional_mean(d, T: float) -> float:
             scale = d.s
         T = mp.mpf(T)
         cuts = [T, *(T + c * scale * max(1, abs(T) / scale) for c in (1, 10, 1e3)), mp.inf]
-        return float(T + mp.quad(sf, cuts) / sf(T))
+        return mp.quad(sf, cuts), sf(T)
+
+
+def mpmath_conditional_mean(d, T: float) -> float:
+    """T + int_T^inf sf / sf(T) at 40 digits, for Gumbel and Frechet models."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        tail, s_T = mpmath_tail(d, T)
+        return float(T + tail / s_T)
+
+
+class TestSfIntegral:
+    """I(T) = int_T^inf sf, the one route behind conditional means, mean()
+    and the anchors of the policy sequence."""
+
+    @pytest.mark.parametrize("d, T, exact", [
+        (Pareto(3.0), 1e6, 0.5e-12),
+        (Pareto(3.0), 1e8, 0.5e-16),
+        (Exponential(1.0), 30.0, math.exp(-30.0)),
+        (Exponential(1.0), 700.0, math.exp(-700.0)),
+    ], ids=repr)
+    def test_closed_form(self, d, T, exact):
+        # Pareto(3): T^-2/2; Exponential(1): e^-T
+        assert _sf_integral(d, T) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("d, T", [
+        (Gumbel(0.0, 1.0), 30.0),
+        (Frechet(0.0, 1.0, 2.5), 1e4),
+    ], ids=repr)
+    def test_mpmath_oracle(self, d, T):
+        assert _sf_integral(d, T) == pytest.approx(float(mpmath_tail(d, T)[0]), rel=1e-13)
+
+    def test_zero_above_the_support(self):
+        assert _sf_integral(Uniform(0.0, 1.0), 1.0) == 0.0
+        assert _sf_integral(Uniform(0.0, 1.0), 2.0) == 0.0
+        assert _sf_integral(Exponential(1.0), 800.0) == 0.0
 
 
 class TestConditionalMean:

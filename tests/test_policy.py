@@ -221,13 +221,6 @@ class TestMonteCarlo:
         b = monte_carlo_evaluate(Exponential(1.0), 8, 2, 1.0, cfg)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        base = SimulationConfig(replications=4096, seed=55, parallel_chunks=1)
-        par = SimulationConfig(replications=4096, seed=55, parallel_chunks=7)
-        a = monte_carlo_evaluate(Pareto(2.0), 6, 1, 1.5, base)
-        b = monte_carlo_evaluate(Pareto(2.0), 6, 1, 1.5, par)
-        assert a == b
-
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             monte_carlo_evaluate(Pareto(2.0), 5, 1, 1.5,
