@@ -8,8 +8,9 @@ costs one short finite quadrature.  The full tail I(g), the routine of
 :mod:`evpricing.distributions` behind ``mean()`` and ``conditional_mean_above``,
 only starts the sequence (G_1 is the mean) and re-anchors the running tail
 after cancellation has eaten into it.  The competition complexity at market
-size n is the least m with G_m >= E max of n draws, reported as m/n next to
-the closed-form constant (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+size n is the least m with G_m >= E max(M_n, 0) for the maximum M_n of n
+draws (``expected_max``, which like G integrates from 0), reported as m/n
+next to the closed-form constant (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def theoretical_cc(gamma: float) -> float:
 def empirical_competition_complexity(d: DistributionModel, n: int,
                                      seq: PolicySequence | None = None,
                                      ) -> CompetitionRecord:
-    """Least m with G_m >= E(max of n draws), as a CompetitionRecord.
+    """Least m with G_m >= E max(M_n, 0) (M_n: max of n draws), as a CompetitionRecord.
 
     Pass a PolicySequence to amortize the dynamic-programming extension
     across calls with increasing n; it must belong to the same model.

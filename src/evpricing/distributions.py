@@ -475,26 +475,29 @@ def parse_distribution(spec: str) -> DistributionModel:
         raise SpecStringError(f"{kind}: {exc}") from None
 
 
-def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> float:
-    """P(M_n^j > T): probability the j-th largest of n draws exceeds T.
+def _binomial_tails(n: int, j: int, k: int, p: ArrayLike) -> np.ndarray:
+    """sum_{i=j..k} P(Bin(n, p) >= i) for sf values p: P(M_n^j > t) at k = j and
+    E min(k, Bin(n, p)) at j = 1.  Small n weights P(Bin = m) by min(m-j+1, k-j+1)
+    in log space; large n sums the incomplete-beta identity P(Bin >= i) = I_p(i, n-i+1)."""
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)[..., None]
+    if n <= _DIRECT_BINOMIAL_MAX_N:
+        m = np.arange(j, n + 1)
+        logs = (special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
+                + m * np.log(q) + (n - m) * np.log1p(-q))
+        weights = np.minimum(m - j + 1, k - j + 1)
+        sums = np.minimum(k - j + 1, (np.exp(logs) * weights).sum(axis=-1))
+    else:
+        i = np.arange(j, k + 1)
+        sums = special.betainc(i, n - i + 1, q).sum(axis=-1)
+    return np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
 
-    The exceedance count is Binomial(n, 1 - F(T)); small n sums its upper
-    tail in log space, large n goes through the incomplete-beta identity.
-    """
+
+def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> float:
+    """P(M_n^j > T) = P(Bin(n, sf(T)) >= j): the j-th largest of n draws exceeds T."""
     if not 1 <= j <= n:
         raise DomainError(f"order statistic requires 1 <= j <= n, got j={j}, n={n}")
-    p = float(d.sf(T))
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    if n <= _DIRECT_BINOMIAL_MAX_N:
-        i = np.arange(j, n + 1)
-        log_terms = (special.gammaln(n + 1) - special.gammaln(i + 1)
-                     - special.gammaln(n - i + 1)
-                     + i * math.log(p) + (n - i) * math.log1p(-p))
-        return float(min(1.0, np.exp(log_terms).sum()))
-    return float(special.betainc(j, n - j + 1, p))
+    return float(_binomial_tails(n, j, j, d.sf(T)))
 
 
 def _tail_options(d: DistributionModel, lo: float, gamma: float,
@@ -526,22 +529,22 @@ def _moment_integral(d: DistributionModel, integrand, gamma: float, n: int = 1) 
                      **_tail_options(d, 0.0, gamma, n))
 
 
-def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
-    """E(M_n^j) = integral over t >= 0 of P(M_n^j > t)."""
-    if not 1 <= j <= n:
+def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
+    """sum_{i=j..k} E(M_n^i), one integral over t >= 0 of the summed tails."""
+    if not 1 <= j <= k <= n:
         raise DomainError(f"order statistic requires 1 <= j <= n, got j={j}, n={n}")
     if d.support.lo < 0:
         raise DomainError("order_statistic_mean requires nonnegative support")
     ev = d.evt_index()
     if ev.gamma > 0 and j <= ev.gamma:
-        raise DivergenceError(
-            f"E(M_n^{j}) diverges for gamma={ev.gamma:.4g} (alpha*j <= 1)")
-
-    def tail(t: np.ndarray) -> np.ndarray:
-        return np.array([order_statistic_tail(d, n, j, x) for x in t.tolist()])
-
+        raise DivergenceError(f"E(M_n^{j}) diverges for gamma={ev.gamma:.4g} (alpha*j <= 1)")
     # P(M_n^j > t) falls like sf(t)^j: the tail index is gamma / j.
-    return _moment_integral(d, tail, ev.gamma / j, n)
+    return _moment_integral(d, lambda t: _binomial_tails(n, j, k, d.sf(t)), ev.gamma / j, n)
+
+
+def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
+    """E(M_n^j) = integral over t >= 0 of P(M_n^j > t)."""
+    return _order_statistics_mean(d, n, j, j)
 
 
 def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
@@ -551,7 +554,7 @@ def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def expected_max(d: DistributionModel, n: int) -> float:
-    """E max of n i.i.d. draws, as int over t >= 0 of (1 - F(t)^n)."""
+    """E max(M_n, 0), M_n the max of n i.i.d. draws: int over t >= 0 of (1 - F(t)^n)."""
     if n < 1:
         raise DomainError(f"expected_max requires n >= 1, got {n}")
     gamma = d.evt_index().gamma

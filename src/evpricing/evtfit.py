@@ -212,7 +212,8 @@ def fit_pipeline(values: Sequence[float], k_hill: int | None = None,
     """Full shape+scale fit over per-bidder valuations.
 
     When k_hill is omitted, a stability scan over k in [10, n/2] picks it
-    (:func:`suggest_hill_k`).  The location is 0, the natural choice for
+    (:func:`suggest_hill_k`); that scan needs n >= 11 valuations, and smaller
+    samples must pass k_hill.  The location is 0, the natural choice for
     nonnegative bid data, unless m_hat is given.
     """
     v = sorted(float(x) for x in values)
@@ -220,6 +221,8 @@ def fit_pipeline(values: Sequence[float], k_hill: int | None = None,
     if n < 5:
         raise DomainError(f"need at least 5 valuations to fit, got {n}")
     if k_hill is None:
+        if n < 11:
+            raise DomainError(f"Hill scan needs n >= 11 valuations, got {n}; pass k_hill")
         scan = hill_stability_scan(v, (10, min(max(11, n // 2), n - 1)))
         k_hill = suggest_hill_k(scan)
     alpha_hat = hill_estimate(v, k_hill)

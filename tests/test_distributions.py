@@ -254,6 +254,33 @@ class TestOrderStatisticTail:
             order_statistic_tail(Pareto(2.0), 3, 4, 2.0)
 
 
+def mpmath_binomial_tail(n: int, j: int, p: float):
+    """P(Bin(n, p) >= j) = 1 - sum_{i<j} C(n, i) p^i (1-p)^(n-i) at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p = mp.mpf(p)
+        return 1 - mp.fsum(mp.binomial(n, i) * p ** i * (1 - p) ** (n - i)
+                           for i in range(j))
+
+
+class TestOrderStatisticTailMpmath:
+    """Both binomial routes against 60-digit sums, at exceedance probability
+    p = c/n for the exact double p = sf(T).  Each tolerance is at least 10x
+    the worst error measured over these points: log space 1.3e-15 at n = 10
+    and 7.9e-13 at n = 1000 (the error grows with n * ulp(log p)); betainc
+    8e-15 at n = 1001 and 1.8e-11 at n = 1e6."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("n,rel", [(10, 2e-14), (1000, 1e-11), (1001, 1e-13),
+                                       (10 ** 6, 2e-10)])
+    def test_both_routes(self, n, rel, j):
+        d = Exponential(1.0)
+        for c in (0.3, 1.0, 3.0, 8.0):
+            T = math.log(n / c)
+            oracle = float(mpmath_binomial_tail(n, j, float(d.sf(T))))
+            assert order_statistic_tail(d, n, j, T) == pytest.approx(oracle, rel=rel)
+
+
 class TestOrderStatisticMean:
     def test_uniform_max_of_three(self):
         assert order_statistic_mean(Uniform(0.0, 1.0), 3, 1) == pytest.approx(0.75, abs=1e-8)

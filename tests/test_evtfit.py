@@ -255,6 +255,17 @@ class TestPipeline:
         fit = fit_pipeline(values, k_hill=60, m_hat=50.0)
         assert fit.m_hat == 50.0
 
+    def test_default_scan_names_its_sample_floor(self):
+        # the default scan starts at k = 10, so 5-10 valuations need k_hill
+        values = frechet_values(8, 280.0, 2.6, seed=8)
+        with pytest.raises(DomainError, match="needs n >= 11 valuations, got 8; pass k_hill"):
+            fit_pipeline(values)
+        assert fit_pipeline(values, k_hill=4).k_hill == 4
+
+    def test_default_scan_at_its_sample_floor(self):
+        fit = fit_pipeline(frechet_values(11, 280.0, 2.6, seed=8))
+        assert fit.k_hill == 10
+
 
 @requires_ebay
 class TestCaseStudyDataset:

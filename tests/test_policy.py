@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+
+import evpricing.distributions as distributions
 
 from evpricing import (
     BoundedPower,
@@ -16,6 +20,7 @@ from evpricing import (
     convergence_table,
     fixed_price_value_exact,
     monte_carlo_evaluate,
+    order_statistic_mean,
     phi_1_closed,
     prophet_value,
     theory_threshold,
@@ -103,6 +108,91 @@ class TestProphetValue:
             expected += math.exp(math.lgamma(j - 1 / alpha) + math.lgamma(n + 1)
                                  - math.lgamma(j) - math.lgamma(n + 1 - 1 / alpha))
         assert prophet_value(Pareto(alpha), n, 2) == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize("n", [9, 1000, 1001, 2000])
+    def test_one_integral_matches_sum_of_means(self, nonneg_models, n):
+        # reference: k integrals, one per order statistic; the single integral of
+        # E min(k, Bin) differs from it by summation order only (measured 1.1e-14)
+        for d in nonneg_models + [Frechet(0.0, 1.0, 2.5)]:
+            loop = sum(order_statistic_mean(d, n, j) for j in range(1, 6))
+            assert prophet_value(d, n, 5) == pytest.approx(loop, rel=1e-12)
+
+
+def mpmath_pareto_prophet(alpha: float, n: int, k: int):
+    """sum_{j=1..k} Gamma(j-1/a) Gamma(n+1) / (Gamma(j) Gamma(n+1-1/a)) at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g = 1 / mp.mpf(alpha)
+        return mp.fsum(mp.gamma(j - g) * mp.gamma(n + 1) / (mp.gamma(j) * mp.gamma(n + 1 - g))
+                       for j in range(1, k + 1))
+
+
+def mpmath_expected_min(n: int, k: int, p: float):
+    """E min(k, Bin(n, p)) = sum_{j=1..k} (1 - P(Bin < j)) at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p = mp.mpf(p)
+        pmf = [mp.binomial(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k)]
+        return mp.fsum(1 - mp.fsum(pmf[:j]) for j in range(1, k + 1))
+
+
+class TestKUnitMpmath:
+    """k > 1 on both binomial routes (log space up to n = 1000, betainc above).
+    Each tolerance is at least 10x the worst error measured over these
+    points: prophet 4.9e-13 for n <= 1000 and 4.4e-15 above; policy value
+    4.9e-13 for n <= 1000 and 6.3e-14 above."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-13), (5000, 1e-13)])
+    @pytest.mark.parametrize("alpha", [1.656, 2.0, 3.0])
+    def test_pareto_prophet(self, alpha, n, rel, k):
+        oracle = float(mpmath_pareto_prophet(alpha, n, k))
+        assert prophet_value(Pareto(alpha), n, k) == pytest.approx(oracle, rel=rel)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-12), (5000, 1e-12)])
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_pareto_policy_value(self, alpha, n, rel, k):
+        # E(X | X > T) = a T/(a-1) above 1; T at n sf(T) = c
+        d = Pareto(alpha)
+        for c in (0.5, 2.0, 8.0):
+            T = (n / c) ** (1.0 / alpha)
+            oracle = alpha / (alpha - 1.0) * T * float(mpmath_expected_min(n, k, float(d.sf(T))))
+            assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=rel)
+
+
+class TestKUnitProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(model=st.sampled_from(["pareto", "exp", "uniform"]),
+           alpha=st.floats(1.5, 4.0), n=st.integers(1, 3000),
+           k_draw=st.integers(1, 5), q=st.floats(0.0, 0.999))
+    def test_policy_below_prophet(self, model, alpha, n, k_draw, q):
+        d = {"pareto": Pareto(alpha), "exp": Exponential(1.0), "uniform": Uniform(0.0, 1.0)}[model]
+        k = min(n, k_draw)
+        T = float(d.quantile(q))
+        fp = fixed_price_value_exact(d, n, k, T)
+        prophet = prophet_value(d, n, k)
+        # at a tie (n = k, T at the support's bottom) both sides are the sum
+        # of the k means by two quadratures: the ratio may be 1 + 1e-15
+        assert fp <= prophet * (1.0 + 1e-12)
+        assert 0.0 <= fp / prophet <= 1.0 + 1e-12
+
+    def test_prophet_is_one_integral_of_array_tails(self, monkeypatch):
+        calls = {"integrate": 0, "scalar_sf": 0}
+        integrate, sf = distributions.integrate, Pareto.sf
+
+        def counting_integrate(*args, **kwargs):
+            calls["integrate"] += 1
+            return integrate(*args, **kwargs)
+
+        def counting_sf(self, t):
+            calls["scalar_sf"] += np.ndim(t) == 0
+            return sf(self, t)
+
+        monkeypatch.setattr(distributions, "integrate", counting_integrate)
+        monkeypatch.setattr(Pareto, "sf", counting_sf)
+        prophet_value(Pareto(2.0), 100, 3)
+        assert calls == {"integrate": 1, "scalar_sf": 0}
 
 
 class TestBestFixedPrice:
