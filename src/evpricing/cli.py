@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import competition as comp
 from . import evtfit, guarantees, policy
@@ -26,6 +27,13 @@ class UsageError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    lines = [header]
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _json_dumps(payload: dict) -> str:
@@ -75,13 +83,10 @@ def _cmd_guarantees(args) -> str:
     alphas = args.alpha_grid or []
     header = "k,phi_k_alpha2,sqrt_bound"
     header += "".join(f",phi_k_alpha_{_fmt(a)}" for a in alphas)
-    lines = [header]
-    for k in range(1, args.k_max + 1):
-        row = [str(k), _fmt(guarantees.phi_k_alpha2_closed(k)),
-               _fmt(guarantees.sqrt_bound(k))]
-        row += [_fmt(guarantees.phi_k(a, k).value) for a in alphas]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = ([k, guarantees.phi_k_alpha2_closed(k), guarantees.sqrt_bound(k)]
+            + [guarantees.phi_k(a, k).value for a in alphas]
+            for k in range(1, args.k_max + 1))
+    return _csv(header, rows)
 
 
 def _cmd_phi1_min(args) -> str:
@@ -108,7 +113,9 @@ def _cmd_converge(args) -> str:
     d = parse_distribution(args.dist)
     rows = policy.convergence_table(d, args.k, args.n_grid,
                                     mode=args.mode, u=args.u)
-    return policy.evaluations_to_csv(rows)
+    return _csv("n,k,threshold,fp_value,prophet_value,ratio",
+                ([r.n, r.k, r.threshold, r.fp_value, r.prophet_value, r.ratio]
+                 for r in rows))
 
 
 def _cmd_competition(args) -> str:
@@ -139,15 +146,28 @@ def _cmd_fit(args) -> str:
     fit = evtfit.fit_pipeline(values, k_hill=args.k_hill, m_hat=args.m_hat)
     n = args.n if args.n is not None else len(values)
     report = evtfit.guarantee_report(fit, n, realized_max=args.realized_max)
+    payload = {
+        "m_hat": fit.m_hat, "s_hat": fit.s_hat, "alpha_hat": fit.alpha_hat,
+        "k_hill": fit.k_hill, "loss": fit.loss, "n": report.n, "U": report.u,
+        "T_n": report.threshold, "guarantee": report.guarantee,
+        # distance of alpha_hat from the variance-existence boundary at 2
+        "alpha_margin": report.alpha_margin,
+    }
+    if report.realized_ratio is not None:
+        payload["realized_max"] = report.realized_max
+        payload["realized_ratio"] = report.realized_ratio
+    # Every text is built before any file is written: a failed computation writes none.
+    side_outputs = {}
     if args.histogram_output is not None:
         rows = evtfit.histogram_export(values, args.bin_width)
-        _write_output(evtfit.histogram_to_csv(rows), args.histogram_output)
+        side_outputs[args.histogram_output] = _csv("bin_lo,bin_hi,relative_frequency", rows)
     if args.scan_output is not None:
         hi = min(max(args.k_hill or 11, 11) * 3, len(values) - 1)
         scan = evtfit.hill_stability_scan(values, (2, hi))
-        lines = ["k,alpha_hat"] + [f"{k},{_fmt(a)}" for k, a in scan]
-        _write_output("\n".join(lines) + "\n", args.scan_output)
-    return report.to_json() + "\n"
+        side_outputs[args.scan_output] = _csv("k,alpha_hat", scan)
+    for path, text in side_outputs.items():
+        _write_output(text, path)
+    return _json_dumps(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,16 +258,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        _write_output(args.func(args), args.output)
     except (UsageError, SpecStringError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (EvPricingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _write_output(text, args.output)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

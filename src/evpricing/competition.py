@@ -15,10 +15,8 @@ next to the closed-form constant (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +33,6 @@ __all__ = [
     "cc_family_bounds",
     "quantile_policy_approx",
     "expected_max_approx",
-    "competition_to_csv",
 ]
 
 EULER_MASCHERONI = float(np.euler_gamma)
@@ -192,11 +189,3 @@ def expected_max_approx(d: DistributionModel, n: int) -> float:
     hi = d.support.hi
     return hi - math.gamma(1.0 - gamma) * (hi - float(d.quantile(1.0 - 1.0 / n)))
 
-
-def competition_to_csv(records: Iterable[CompetitionRecord]) -> str:
-    out = io.StringIO()
-    out.write("n,m_star,empirical_ratio,theoretical,gamma\n")
-    for r in records:
-        out.write(f"{r.n},{r.m_star},{r.empirical_ratio:.12g},"
-                  f"{r.theoretical:.12g},{r.gamma:.12g}\n")
-    return out.getvalue()

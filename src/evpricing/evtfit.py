@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from .distributions import Frechet
 from .errors import DomainError, IngestError
 from .guarantees import phi_1_closed, u_star
 from .kernel import Interval, maximize_1d
+from .policy import theory_threshold
 
 __all__ = [
     "BidRecord",
@@ -35,7 +35,6 @@ __all__ = [
     "fit_pipeline",
     "guarantee_report",
     "histogram_export",
-    "histogram_to_csv",
 ]
 
 Source = Union[str, Path, IO[str], IO[bytes]]
@@ -245,31 +244,6 @@ class GuaranteeReport:
     realized_max: float | None = None
     realized_ratio: float | None = None
 
-    def to_json(self) -> str:
-        payload = {
-            "m_hat": self.fit.m_hat,
-            "s_hat": self.fit.s_hat,
-            "alpha_hat": self.fit.alpha_hat,
-            "k_hill": self.fit.k_hill,
-            "loss": self.fit.loss,
-            "n": self.n,
-            "U": self.u,
-            "T_n": self.threshold,
-            "guarantee": self.guarantee,
-            # distance of alpha_hat from the variance-existence boundary at 2
-            "alpha_margin": self.alpha_margin,
-        }
-        if self.realized_ratio is not None:
-            payload["realized_max"] = self.realized_max
-            payload["realized_ratio"] = self.realized_ratio
-        return json.dumps({k: _round12(v) for k, v in payload.items()}, indent=2)
-
-
-def _round12(x):
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
-    return x
-
 
 def guarantee_report(fit: FitResult, n: int,
                      realized_max: float | None = None) -> GuaranteeReport:
@@ -286,7 +260,7 @@ def guarantee_report(fit: FitResult, n: int,
         raise DomainError(f"market size n must be >= 2, got {n}")
     model = Frechet(fit.m_hat, fit.s_hat, fit.alpha_hat)
     u = u_star(fit.alpha_hat)
-    threshold = u * model.normalizing_sequences().a_of_n(n)
+    threshold = theory_threshold(model, n, u)
     ratio = None
     if realized_max is not None:
         if realized_max <= 0:
@@ -312,10 +286,3 @@ def histogram_export(values: Sequence[float],
     return [(i * bin_width, (i + 1) * bin_width, float(c) / total)
             for i, c in enumerate(counts)]
 
-
-def histogram_to_csv(rows: Iterable[tuple[float, float, float]]) -> str:
-    out = io.StringIO()
-    out.write("bin_lo,bin_hi,relative_frequency\n")
-    for lo, hi, freq in rows:
-        out.write(f"{lo:.12g},{hi:.12g},{freq:.12g}\n")
-    return out.getvalue()

@@ -8,10 +8,9 @@ order statistics.  Its two factors live in :mod:`evpricing.distributions`.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "theory_threshold",
     "monte_carlo_evaluate",
     "convergence_table",
-    "evaluations_to_csv",
 ]
 
 #: Threshold search never goes beyond this quantile level: the policy value
@@ -191,12 +189,3 @@ def convergence_table(d: DistributionModel, k: int, n_grid: Sequence[int],
             rows.append(PolicyEvaluation(n, k, T, fp, prophet, fp / prophet))
     return rows
 
-
-def evaluations_to_csv(rows: Iterable[PolicyEvaluation]) -> str:
-    """Render evaluations as CSV with a fixed header and 12 significant digits."""
-    out = io.StringIO()
-    out.write("n,k,threshold,fp_value,prophet_value,ratio\n")
-    for r in rows:
-        out.write(f"{r.n},{r.k},{r.threshold:.12g},{r.fp_value:.12g},"
-                  f"{r.prophet_value:.12g},{r.ratio:.12g}\n")
-    return out.getvalue()

@@ -115,6 +115,17 @@ class TestConvergeCmd:
                   for line in out.strip().split("\n")[1:]]
         assert ratios == sorted(ratios)
 
+    def test_header_and_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--dist", "uniform:a=0,b=1",
+                               "--k", "1", "--n-grid", "5,10")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "n,k,threshold,fp_value,prophet_value,ratio"
+        assert len(lines) == 3
+        first = lines[1].split(",")
+        assert first[0] == "5" and first[1] == "1"
+        assert all(len(f) <= 18 for f in first)
+
     def test_bad_dist_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "converge", "--dist", "pareto:beta=2",
                                  "--k", "1", "--n-grid", "10,100")
@@ -168,6 +179,34 @@ class TestFitCmd:
         payload = json.loads(out)
         assert abs(payload["alpha_hat"] - 2.24) / 2.24 <= 0.15
         assert payload["n"] == 10 ** 4
+
+    def test_report_with_realized_max(self, capsys, synthetic_csv):
+        code, out, _ = run_cli(capsys, "fit", "--input", str(synthetic_csv),
+                               "--k-hill", "500", "--realized-max", "5400")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k_hill"] == 500
+        assert payload["alpha_margin"] == pytest.approx(payload["alpha_hat"] - 2.0, abs=1e-9)
+        assert set(payload) >= {"m_hat", "s_hat", "alpha_hat", "loss", "n",
+                                "U", "T_n", "guarantee", "realized_ratio"}
+
+    def test_report_without_realized_max(self, capsys, synthetic_csv):
+        code, out, _ = run_cli(capsys, "fit", "--input", str(synthetic_csv),
+                               "--k-hill", "500")
+        assert code == 0
+        assert not [key for key in json.loads(out) if key.startswith("realized_")]
+
+    def test_failure_leaves_no_side_output(self, capsys, tmp_path):
+        # the fit at k=5 succeeds; the Hill scan then reaches the zero bids
+        bids = tmp_path / "bids.csv"
+        rows = [f"z{i},0" for i in range(20)] + [f"p{i},{100 + 10 * i}" for i in range(10)]
+        bids.write_text("bidder_id,bid\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(bids), "--k-hill", "5",
+                                 "--histogram-output", str(tmp_path / "hist.csv"),
+                                 "--scan-output", str(tmp_path / "scan.csv"))
+        assert code == 1
+        assert err.startswith("error:") and out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bids.csv"]
 
     def test_missing_input_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import evpricing.competition as competition
@@ -28,7 +30,7 @@ from evpricing import (
     quantile_policy_approx,
     theoretical_cc,
 )
-from evpricing.competition import EULER_MASCHERONI, competition_to_csv
+from evpricing.competition import EULER_MASCHERONI
 
 
 def harmonic(n: int) -> float:
@@ -147,6 +149,20 @@ def frechet_tail(alpha: float):
         x = g ** -alpha
         return math.gamma(s) * float(special.gammainc(s, x)) + g * math.expm1(-x)
     return tail
+
+
+class TestPolicySequenceProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(model=st.sampled_from(["pareto", "exp", "uniform", "gumbel", "frechet", "power"]),
+           alpha=st.floats(1.5, 4.0), n=st.integers(1, 300))
+    def test_nondecreasing_and_below_expected_max(self, model, alpha, n):
+        d = {"pareto": Pareto(alpha), "exp": Exponential(1.0), "uniform": Uniform(0.0, 1.0),
+             "gumbel": Gumbel(0.0, 1.0), "frechet": Frechet(0.0, 1.0, 2.5),
+             "power": BoundedPower(1.0, 2.0)}[model]
+        g = extend_policy(PolicySequence(d), n).values
+        assert all(b >= a for a, b in zip(g, g[1:]))
+        # at n = 1 both sides are E X by two quadratures, equal to ~1.5e-14
+        assert g[n] <= expected_max(d, n) * (1.0 + 1e-12)
 
 
 class TestRunningTail:
@@ -424,13 +440,3 @@ class TestExpectedMaxApprox:
         e_n = expected_max(d, n)
         e_prev = expected_max(d, n - 1)
         assert abs(n * (1.0 - e_prev / e_n) - 0.5) <= 0.05
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        recs = [empirical_competition_complexity(Uniform(0.0, 1.0), n)
-                for n in (50, 100)]
-        text = competition_to_csv(recs)
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,m_star,empirical_ratio,theoretical,gamma"
-        assert len(lines) == 3

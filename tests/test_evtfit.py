@@ -203,16 +203,6 @@ class TestGuaranteeReport:
         with pytest.raises(DomainError):
             guarantee_report(fit, 400)
 
-    def test_json_round_trip(self):
-        import json
-        fit = FitResult(0.0, 289.0, 2.24, 97, 1.25, 509)
-        report = guarantee_report(fit, 509, realized_max=5400.0)
-        payload = json.loads(report.to_json())
-        assert payload["k_hill"] == 97
-        assert payload["alpha_margin"] == pytest.approx(0.24, abs=1e-9)
-        assert set(payload) >= {"m_hat", "s_hat", "alpha_hat", "loss", "n",
-                                "U", "T_n", "guarantee", "realized_ratio"}
-
 
 class TestHistogram:
     def test_two_bins(self):

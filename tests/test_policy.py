@@ -25,7 +25,6 @@ from evpricing import (
     prophet_value,
     theory_threshold,
 )
-from evpricing.policy import evaluations_to_csv
 
 
 def closed_conditional_mean(d, T):
@@ -360,15 +359,3 @@ class TestConvergenceTable:
             convergence_table(Pareto(2.0), 20, [10, 100])
         with pytest.raises(DomainError):
             convergence_table(Pareto(2.0), 1, [10, 100], mode="theory")
-
-
-class TestCsvEmission:
-    def test_header_and_digits(self):
-        rows = convergence_table(Uniform(0.0, 1.0), 1, [5, 10])
-        text = evaluations_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,k,threshold,fp_value,prophet_value,ratio"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "5" and first[1] == "1"
-        assert all(len(f) <= 18 for f in first)
