@@ -8,6 +8,7 @@ diagnostic on stderr, no partial output files).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -42,22 +43,31 @@ def _json_dumps(payload: dict) -> str:
     return json.dumps(clean, indent=2) + "\n"
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write to stdout, or atomically to path via a temp-file rename."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."),
-                               prefix=target.name + ".", suffix=".tmp")
+def _write_outputs(texts: dict[str | None, str]) -> None:
+    """Write each text to its path, or to stdout under the key None.
+
+    Each file goes to a temp file beside it, and all are renamed into place
+    only once every write has succeeded; stdout comes last.  A failure leaves
+    no temp file, and its OSError names the path as given.
+    """
+    temps: dict[str, str] = {}
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path in [p for p in texts if p is not None]:
+            target = Path(path)
+            if target.is_dir():  # the rename below would fail after earlier ones
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, temps[path] = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
+                                               suffix=".tmp")
+            with os.fdopen(fd, "w") as handle:
+                handle.write(texts[path])
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for tmp in temps.values():
+            Path(tmp).unlink(missing_ok=True)
+    sys.stdout.write(texts.get(None, ""))
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -139,7 +149,7 @@ def _cmd_simulate(args) -> str:
     })
 
 
-def _cmd_fit(args) -> str:
+def _cmd_fit(args) -> dict[str | None, str]:
     records = evtfit.ingest_bids(args.input, id_col=args.id_col,
                                  bid_col=args.bid_col)
     values = evtfit.per_bidder_max(records)
@@ -156,18 +166,15 @@ def _cmd_fit(args) -> str:
     if report.realized_ratio is not None:
         payload["realized_max"] = report.realized_max
         payload["realized_ratio"] = report.realized_ratio
-    # Every text is built before any file is written: a failed computation writes none.
-    side_outputs = {}
+    texts = {None: _json_dumps(payload)}
     if args.histogram_output is not None:
         rows = evtfit.histogram_export(values, args.bin_width)
-        side_outputs[args.histogram_output] = _csv("bin_lo,bin_hi,relative_frequency", rows)
+        texts[args.histogram_output] = _csv("bin_lo,bin_hi,relative_frequency", rows)
     if args.scan_output is not None:
         hi = min(max(args.k_hill or 11, 11) * 3, len(values) - 1)
         scan = evtfit.hill_stability_scan(values, (2, hi))
-        side_outputs[args.scan_output] = _csv("k,alpha_hat", scan)
-    for path, text in side_outputs.items():
-        _write_output(text, path)
-    return _json_dumps(payload)
+        texts[args.scan_output] = _csv("k,alpha_hat", scan)
+    return texts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +265,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _write_output(args.func(args), args.output)
+        # A handler returns its text, or a dict adding side outputs by path.
+        result = args.func(args)
+        texts = result if isinstance(result, dict) else {None: result}
+        texts[args.output] = texts.pop(None)
+        _write_outputs(texts)
     except (UsageError, SpecStringError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -25,7 +24,6 @@ from .kernel import DEFAULT_TOL, ArrayLike, Interval, find_root, integrate
 __all__ = [
     "EvtFamily",
     "EvtIndex",
-    "NormalizingSequences",
     "Support",
     "DistributionModel",
     "Pareto",
@@ -56,34 +54,25 @@ class EvtFamily(Enum):
 
 @dataclass(frozen=True)
 class EvtIndex:
-    """Extreme-value index gamma with its family tag.
+    """Extreme-value index gamma; its sign gives the family.
 
     gamma > 0 for Frechet-type tails, 0 for Gumbel-type, < 0 for
     reversed-Weibull-type (bounded upper endpoint).
     """
 
     gamma: float
-    family: EvtFamily
 
     def __post_init__(self):
-        ok = ((self.family is EvtFamily.FRECHET and self.gamma > 0)
-              or (self.family is EvtFamily.GUMBEL and self.gamma == 0)
-              or (self.family is EvtFamily.REVERSED_WEIBULL and self.gamma < 0))
-        if not ok:
-            raise DomainError(
-                f"inconsistent extreme-value index: gamma={self.gamma}, "
-                f"family={self.family}")
+        if math.isnan(self.gamma):
+            raise DomainError("extreme-value index gamma is NaN")
 
-
-@dataclass(frozen=True)
-class NormalizingSequences:
-    """Scaling a_n > 0 and shifting b_n making (M_n - b_n)/a_n converge.
-
-    Both callables accept real n >= 1, not just integers.
-    """
-
-    a_of_n: Callable[[float], float]
-    b_of_n: Callable[[float], float]
+    @property
+    def family(self) -> EvtFamily:
+        if self.gamma > 0:
+            return EvtFamily.FRECHET
+        if self.gamma == 0:
+            return EvtFamily.GUMBEL
+        return EvtFamily.REVERSED_WEIBULL
 
 
 @dataclass(frozen=True)
@@ -126,7 +115,9 @@ class DistributionModel(ABC):
     def evt_index(self) -> EvtIndex: ...
 
     @abstractmethod
-    def normalizing_sequences(self) -> NormalizingSequences: ...
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
+        """Scaling a_n > 0 and shifting b_n making (M_n - b_n)/a_n converge,
+        for real n >= 1, not just integers."""
 
     def cdf(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
@@ -168,9 +159,10 @@ class DistributionModel(ABC):
         return _sf_integral(self, 0.0)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0 or math.isinf(value) or math.isnan(value):
-        raise DomainError(f"parameter {name} must be a positive real, got {value}")
+def _check_param(name: str, value: float, positive: bool = True) -> None:
+    if not math.isfinite(value) or (positive and not value > 0):
+        kind = "positive" if positive else "finite"
+        raise DomainError(f"parameter {name} must be a {kind} real, got {value}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ class Pareto(DistributionModel):
     alpha: float
 
     def __post_init__(self):
-        _check_positive("alpha", self.alpha)
+        _check_param("alpha", self.alpha)
 
     @property
     def support(self) -> Support:
@@ -202,11 +194,10 @@ class Pareto(DistributionModel):
         return (1.0 - q) ** (-1.0 / self.alpha)
 
     def evt_index(self) -> EvtIndex:
-        return EvtIndex(1.0 / self.alpha, EvtFamily.FRECHET)
+        return EvtIndex(1.0 / self.alpha)
 
-    def normalizing_sequences(self) -> NormalizingSequences:
-        inv = 1.0 / self.alpha
-        return NormalizingSequences(lambda n: n ** inv, lambda n: 0.0)
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
+        return n ** (1.0 / self.alpha), 0.0
 
 
 @dataclass(frozen=True)
@@ -216,7 +207,7 @@ class Exponential(DistributionModel):
     rate: float
 
     def __post_init__(self):
-        _check_positive("rate", self.rate)
+        _check_param("rate", self.rate)
 
     @property
     def support(self) -> Support:
@@ -239,13 +230,11 @@ class Exponential(DistributionModel):
         return -np.log1p(-q) / self.rate
 
     def evt_index(self) -> EvtIndex:
-        return EvtIndex(0.0, EvtFamily.GUMBEL)
+        return EvtIndex(0.0)
 
-    def normalizing_sequences(self) -> NormalizingSequences:
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
         # Von Mises pair: constant auxiliary function 1/rate at the quantile.
-        rate = self.rate
-        return NormalizingSequences(lambda n: 1.0 / rate,
-                                    lambda n: math.log(n) / rate)
+        return 1.0 / self.rate, math.log(n) / self.rate
 
 
 @dataclass(frozen=True)
@@ -256,6 +245,8 @@ class Uniform(DistributionModel):
     b: float
 
     def __post_init__(self):
+        _check_param("a", self.a, positive=False)
+        _check_param("b", self.b, positive=False)
         if not self.a < self.b:
             raise DomainError(f"uniform requires a < b, got a={self.a}, b={self.b}")
 
@@ -277,11 +268,10 @@ class Uniform(DistributionModel):
         return self.a + q * (self.b - self.a)
 
     def evt_index(self) -> EvtIndex:
-        return EvtIndex(-1.0, EvtFamily.REVERSED_WEIBULL)
+        return EvtIndex(-1.0)
 
-    def normalizing_sequences(self) -> NormalizingSequences:
-        width = self.b - self.a
-        return NormalizingSequences(lambda n: width / n, lambda n: self.b)
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
+        return (self.b - self.a) / n, self.b
 
 
 @dataclass(frozen=True)
@@ -293,8 +283,9 @@ class Frechet(DistributionModel):
     alpha: float
 
     def __post_init__(self):
-        _check_positive("s", self.s)
-        _check_positive("alpha", self.alpha)
+        _check_param("m", self.m, positive=False)
+        _check_param("s", self.s)
+        _check_param("alpha", self.alpha)
 
     @property
     def support(self) -> Support:
@@ -327,14 +318,13 @@ class Frechet(DistributionModel):
         return np.where(q == 0.0, self.m, out)
 
     def evt_index(self) -> EvtIndex:
-        return EvtIndex(1.0 / self.alpha, EvtFamily.FRECHET)
+        return EvtIndex(1.0 / self.alpha)
 
-    def normalizing_sequences(self) -> NormalizingSequences:
-        def a_of_n(n: float) -> float:
-            # F^{-1}(1 - 1/n); log1p keeps precision for large n.
-            return self.m + self.s * (-math.log1p(-1.0 / n)) ** (-1.0 / self.alpha)
-
-        return NormalizingSequences(a_of_n, lambda n: 0.0)
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
+        # a_n = F^{-1}(1 - 1/n); log1p keeps precision for large n, and at
+        # n = 1 the limit y = inf gives the lower end F^{-1}(0) = m.
+        y = -math.log1p(-1.0 / n) if n > 1 else math.inf
+        return self.m + self.s * y ** (-1.0 / self.alpha), 0.0
 
 
 @dataclass(frozen=True)
@@ -345,7 +335,8 @@ class Gumbel(DistributionModel):
     scale: float
 
     def __post_init__(self):
-        _check_positive("scale", self.scale)
+        _check_param("loc", self.loc, positive=False)
+        _check_param("scale", self.scale)
 
     @property
     def support(self) -> Support:
@@ -372,12 +363,11 @@ class Gumbel(DistributionModel):
             return self.loc - self.scale * np.log(-np.log(q))
 
     def evt_index(self) -> EvtIndex:
-        return EvtIndex(0.0, EvtFamily.GUMBEL)
+        return EvtIndex(0.0)
 
-    def normalizing_sequences(self) -> NormalizingSequences:
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
         # Max-stability is exact: F^n(scale*t + loc + scale*log n) = F(t).
-        return NormalizingSequences(lambda n: self.scale,
-                                    lambda n: self.loc + self.scale * math.log(n))
+        return self.scale, self.loc + self.scale * math.log(n)
 
 
 @dataclass(frozen=True)
@@ -392,8 +382,8 @@ class BoundedPower(DistributionModel):
     alpha: float
 
     def __post_init__(self):
-        _check_positive("omega", self.omega)
-        _check_positive("alpha", self.alpha)
+        _check_param("omega", self.omega)
+        _check_param("alpha", self.alpha)
 
     @property
     def support(self) -> Support:
@@ -418,28 +408,27 @@ class BoundedPower(DistributionModel):
         return self.omega * (1.0 - (1.0 - q) ** (1.0 / self.alpha))
 
     def evt_index(self) -> EvtIndex:
-        return EvtIndex(-1.0 / self.alpha, EvtFamily.REVERSED_WEIBULL)
+        return EvtIndex(-1.0 / self.alpha)
 
-    def normalizing_sequences(self) -> NormalizingSequences:
-        inv = 1.0 / self.alpha
-        return NormalizingSequences(lambda n: self.omega * n ** -inv,
-                                    lambda n: self.omega)
+    def normalizing_constants(self, n: float) -> tuple[float, float]:
+        return self.omega * n ** -(1.0 / self.alpha), self.omega
 
 
-_SPEC_SCHEMA: dict[str, tuple[type, tuple[str, ...]]] = {
-    "pareto": (Pareto, ("alpha",)),
-    "exp": (Exponential, ("rate",)),
-    "uniform": (Uniform, ("a", "b")),
-    "frechet": (Frechet, ("m", "s", "alpha")),
-    "gumbel": (Gumbel, ("loc", "scale")),
-    "bpower": (BoundedPower, ("omega", "alpha")),
+_SPEC_SCHEMA: dict[str, type] = {
+    "pareto": Pareto,
+    "exp": Exponential,
+    "uniform": Uniform,
+    "frechet": Frechet,
+    "gumbel": Gumbel,
+    "bpower": BoundedPower,
 }
 
 
 def parse_distribution(spec: str) -> DistributionModel:
     """Build a model from a string like "pareto:alpha=2" or "uniform:a=0,b=1".
 
-    Parse errors name the offending kind or key.
+    The keys are the model's dataclass fields, in order.  Parse errors name
+    the offending kind or key.
     """
     kind, sep, rest = spec.partition(":")
     kind = kind.strip().lower()
@@ -447,7 +436,8 @@ def parse_distribution(spec: str) -> DistributionModel:
         raise SpecStringError(
             f"unknown distribution kind {kind!r}; expected one of "
             f"{sorted(_SPEC_SCHEMA)}")
-    cls, keys = _SPEC_SCHEMA[kind]
+    cls = _SPEC_SCHEMA[kind]
+    keys = tuple(f.name for f in fields(cls))
     if not sep or not rest.strip():
         raise SpecStringError(f"{kind}: missing parameters {keys}")
     params: dict[str, float] = {}

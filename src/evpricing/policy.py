@@ -121,17 +121,15 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
 def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
     """Threshold sequence backed by the extreme-value limit, per family.
 
-    Frechet-type: a_n * U.  Gumbel-type: a_n * U + b_n.  Bounded support:
-    (1 - U) * omega_1, with U playing the epsilon role.
+    Frechet- and Gumbel-type: a_n * U + b_n (b_n = 0 for Frechet-type).
+    Bounded support: (1 - U) * omega_1, with U playing the epsilon role.
     """
     if n < 1:
         raise DomainError(f"theory_threshold requires n >= 1, got {n}")
-    family = d.evt_index().family
-    if family is EvtFamily.REVERSED_WEIBULL:
+    if d.evt_index().family is EvtFamily.REVERSED_WEIBULL:
         return (1.0 - U) * d.support.hi
-    seqs = d.normalizing_sequences()
-    # Frechet-type sequences carry b_n = 0, so one form covers both families.
-    return seqs.a_of_n(n) * U + seqs.b_of_n(n)
+    a_n, b_n = d.normalizing_constants(n)
+    return a_n * U + b_n
 
 
 def _simulate_block(d: DistributionModel, n: int, k: int, T: float,

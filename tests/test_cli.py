@@ -133,6 +133,28 @@ class TestConvergeCmd:
         assert "'beta'" in err
         assert out == ""
 
+    def test_frechet_theory_at_one_bidder(self, capsys):
+        # a_1 = F^{-1}(0) = m: the threshold is 0 and the one bidder always buys
+        code, out, err = run_cli(capsys, "converge", "--dist", "frechet:m=0,s=1,alpha=2",
+                                 "--k", "1", "--n-grid", "1,10", "--mode", "theory",
+                                 "--u", "0.5")
+        assert code == 0, err
+        n, k, threshold, fp, prophet, ratio = out.strip().split("\n")[1].split(",")
+        assert (n, k, threshold, ratio) == ("1", "1", "0", "1")
+        assert float(fp) == pytest.approx(np.sqrt(np.pi), rel=1e-9)
+
+    @pytest.mark.parametrize("spec,key", [
+        ("frechet:m=-inf,s=1,alpha=2", "m"),
+        ("uniform:a=0,b=inf", "b"),
+        ("gumbel:loc=nan,scale=1", "loc"),
+    ])
+    def test_non_finite_location_usage_error(self, capsys, spec, key):
+        code, out, err = run_cli(capsys, "evaluate", "--dist", spec,
+                                 "--n", "10", "--k", "1", "--t", "1")
+        assert code == 2
+        assert f"parameter {key} must be a finite real" in err
+        assert out == ""
+
 
 class TestCompetitionCmd:
     def test_uniform_matches_library(self, capsys):
@@ -206,6 +228,21 @@ class TestFitCmd:
                                  "--scan-output", str(tmp_path / "scan.csv"))
         assert code == 1
         assert err.startswith("error:") and out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bids.csv"]
+
+    @pytest.mark.parametrize("target,reason", [
+        ("nodir/out.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_failed_write_leaves_no_side_output(self, capsys, tmp_path, synthetic_csv,
+                                                target, reason):
+        # every file is renamed into place only after all writes succeeded
+        target = tmp_path / target
+        code, out, err = run_cli(capsys, "--output", str(target), "fit",
+                                 "--input", str(synthetic_csv), "--k-hill", "500",
+                                 "--histogram-output", str(tmp_path / "hist.csv"))
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write {target}: {reason}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["bids.csv"]
 
     def test_missing_input_is_usage_error(self):

@@ -28,6 +28,9 @@ from evpricing import (
 )
 from evpricing.distributions import EvtIndex, _sf_integral, _survival_power
 
+POSITIVE = st.floats(1e-3, 1e3)
+REAL = st.floats(-1e6, 1e6)
+
 ALL_MODELS = [
     Pareto(2.0),
     Pareto(1.3),
@@ -89,9 +92,8 @@ class TestModelBasics:
             assert ev.gamma < 0
 
     def test_scaling_sequence_positive(self, d):
-        seqs = d.normalizing_sequences()
         for n in (1.5, 2, 10, 1000):
-            assert seqs.a_of_n(n) > 0
+            assert d.normalizing_constants(n)[0] > 0
 
     def test_warning_free_on_the_real_line(self, d):
         # BoundedPower(alpha < 1).pdf(omega) = inf is the density's limit
@@ -106,14 +108,22 @@ class TestModelBasics:
             assert np.all(pdf >= 0.0) and not np.any(np.isnan(pdf)), t
 
 
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from(ALL_MODELS), q=st.floats(1e-9, 1.0 - 1e-9))
+def test_cdf_inverts_quantile(d, q):
+    # worst seen: 6.8e-13 on BoundedPower(5, 0.7) at q = 1 - 1e-9
+    assert abs(float(d.cdf(d.quantile(q))) - q) <= 1e-12
+
+
 class TestEvtIndexType:
-    def test_mismatch_rejected(self):
+    def test_family_follows_sign_of_gamma(self):
+        assert EvtIndex(0.5).family is EvtFamily.FRECHET
+        assert EvtIndex(0.0).family is EvtFamily.GUMBEL
+        assert EvtIndex(-0.5).family is EvtFamily.REVERSED_WEIBULL
+
+    def test_nan_gamma_rejected(self):
         with pytest.raises(DomainError):
-            EvtIndex(0.5, EvtFamily.GUMBEL)
-        with pytest.raises(DomainError):
-            EvtIndex(-0.5, EvtFamily.FRECHET)
-        with pytest.raises(DomainError):
-            EvtIndex(0.0, EvtFamily.REVERSED_WEIBULL)
+            EvtIndex(math.nan)
 
 
 class TestCdfQuantileExamples:
@@ -169,24 +179,29 @@ class TestEvtIndexValues:
 
 class TestNormalizingSequences:
     def test_pareto_quantile_scaling(self):
-        seqs = Pareto(2.0).normalizing_sequences()
-        assert seqs.a_of_n(4) == pytest.approx(2.0, rel=1e-14)
-        assert seqs.b_of_n(4) == 0.0
+        a_n, b_n = Pareto(2.0).normalizing_constants(4)
+        assert a_n == pytest.approx(2.0, rel=1e-14)
+        assert b_n == 0.0
 
     def test_exponential_at_real_point(self):
-        seqs = Exponential(1.0).normalizing_sequences()
-        assert seqs.a_of_n(math.e) == 1.0
-        assert seqs.b_of_n(math.e) == pytest.approx(1.0, rel=1e-15)
+        a_n, b_n = Exponential(1.0).normalizing_constants(math.e)
+        assert a_n == 1.0
+        assert b_n == pytest.approx(1.0, rel=1e-15)
 
     def test_uniform(self):
-        seqs = Uniform(0.0, 1.0).normalizing_sequences()
-        assert seqs.a_of_n(10) == pytest.approx(0.1, rel=1e-14)
-        assert seqs.b_of_n(10) == 1.0
+        a_n, b_n = Uniform(0.0, 1.0).normalizing_constants(10)
+        assert a_n == pytest.approx(0.1, rel=1e-14)
+        assert b_n == 1.0
 
     def test_frechet_matches_quantile(self):
         d = Frechet(0.0, 289.0, 2.24)
-        seqs = d.normalizing_sequences()
-        assert seqs.a_of_n(509) == pytest.approx(float(d.quantile(1 - 1 / 509)), rel=1e-12)
+        a_n, _ = d.normalizing_constants(509)
+        assert a_n == pytest.approx(float(d.quantile(1 - 1 / 509)), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [Frechet(0.0, 1.0, 2.0), Frechet(-1.0, 2.0, 3.0)], ids=repr)
+    def test_frechet_at_one_is_lower_end(self, d):
+        # the limit of F^{-1}(1 - 1/n) as n -> 1, where log1p(-1/n) has a pole
+        assert d.normalizing_constants(1) == (d.m, 0.0)
 
 
 class TestOrderStatisticTail:
@@ -564,6 +579,33 @@ class TestParseDistribution:
     def test_invalid_parameter_value(self):
         with pytest.raises(SpecStringError):
             parse_distribution("pareto:alpha=-1")
+
+    @pytest.mark.parametrize("spec,key", [
+        ("frechet:m=-inf,s=1,alpha=2", "m"),
+        ("gumbel:loc=nan,scale=1", "loc"),
+        ("uniform:a=0,b=inf", "b"),
+        ("uniform:a=-inf,b=0", "a"),
+    ])
+    def test_non_finite_location_named(self, spec, key):
+        with pytest.raises(SpecStringError, match=f"parameter {key} must be a finite real"):
+            parse_distribution(spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(
+        st.builds(lambda a: ("pareto", Pareto(a), f"alpha={a!r}"), POSITIVE),
+        st.builds(lambda r: ("exp", Exponential(r), f"rate={r!r}"), POSITIVE),
+        st.builds(lambda a, w: ("uniform", Uniform(a, a + w), f"a={a!r},b={a + w!r}"),
+                  REAL, POSITIVE),
+        st.builds(lambda m, s, a: ("frechet", Frechet(m, s, a), f"m={m!r},s={s!r},alpha={a!r}"),
+                  REAL, POSITIVE, POSITIVE),
+        st.builds(lambda m, s: ("gumbel", Gumbel(m, s), f"loc={m!r},scale={s!r}"),
+                  REAL, POSITIVE),
+        st.builds(lambda o, a: ("bpower", BoundedPower(o, a), f"omega={o!r},alpha={a!r}"),
+                  POSITIVE, POSITIVE),
+    ))
+    def test_rendered_spec_round_trips(self, case):
+        kind, model, params = case
+        assert parse_distribution(f"{kind}:{params}") == model
 
 
 class TestMean:

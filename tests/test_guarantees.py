@@ -78,6 +78,30 @@ class TestPhiK:
                     rewrite = x * float(special.gammainc(np.arange(1, k + 1), y).sum())
                     assert rewrite == pytest.approx(direct, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha,k", [(1.5, 3), (3.0, 5), (1.657, 2), (2.5, 10), (1.2, 4)])
+    def test_numeric_against_mpmath_oracle(self, alpha, k):
+        # oracle at 40 digits: with Y ~ Poisson(y), y = x^-alpha, the best x
+        # solves d/dx [x E min(k, Y)] = 0, i.e. E min(k, Y) = alpha y P(Y <= k-1)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+
+            def expected_min_and_cdf(x):
+                y = x ** -a
+                pmf = [mp.exp(-y) * y ** j / mp.factorial(j) for j in range(k)]
+                below = mp.fsum(pmf)
+                return mp.fsum(j * p for j, p in enumerate(pmf)) + k * (1 - below), y, below
+
+            def first_order(x):
+                e_min, y, below = expected_min_and_cdf(x)
+                return e_min - a * y * below
+
+            x_star = mp.findroot(first_order, (mp.mpf("0.05"), mp.mpf(5)), solver="anderson")
+            value = mp.gamma(k) / mp.gamma(k + 1 - 1 / a) * x_star * expected_min_and_cdf(x_star)[0]
+        res = phi_k(alpha, k, numeric=True)
+        assert res.value == pytest.approx(float(value), rel=1e-12)
+        assert res.argmax_x == pytest.approx(float(x_star), abs=1e-6)
+
 
 class TestUStar:
     def test_first_order_condition(self):
