@@ -111,11 +111,12 @@ def _cmd_adaptivity_gap(args) -> str:
 
 def _cmd_evaluate(args) -> str:
     d = parse_distribution(args.dist)
-    fp = policy.fixed_price_value_exact(d, args.n, args.k, args.t)
-    prophet = policy.prophet_value(d, args.n, args.k)
+    ev = policy.PolicyEvaluation(args.n, args.k, float(args.t),
+                                 policy.fixed_price_value_exact(d, args.n, args.k, args.t),
+                                 policy.prophet_value(d, args.n, args.k))
     return _json_dumps({
-        "n": args.n, "k": args.k, "threshold": float(args.t),
-        "fp_value": fp, "prophet_value": prophet, "ratio": fp / prophet,
+        "n": ev.n, "k": ev.k, "threshold": ev.threshold,
+        "fp_value": ev.fp_value, "prophet_value": ev.prophet_value, "ratio": ev.ratio,
     })
 
 
@@ -149,7 +150,22 @@ def _cmd_simulate(args) -> str:
     })
 
 
+def _check_distinct_outputs(flags: dict[str, str | None]) -> None:
+    """Reject two output flags that name one file: one write would drop the other."""
+    seen: dict[Path, str] = {}
+    for flag, path in flags.items():
+        if path is None:
+            continue
+        target = Path(path).resolve()
+        if target in seen:
+            raise UsageError(f"{seen[target]} and {flag} name the same file {path}")
+        seen[target] = flag
+
+
 def _cmd_fit(args) -> dict[str | None, str]:
+    _check_distinct_outputs({"--output": args.output,
+                             "--histogram-output": args.histogram_output,
+                             "--scan-output": args.scan_output})
     records = evtfit.ingest_bids(args.input, id_col=args.id_col,
                                  bid_col=args.bid_col)
     values = evtfit.per_bidder_max(records)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .errors import DivergenceError, DomainError, SpecStringError
-from .kernel import DEFAULT_TOL, ArrayLike, Interval, find_root, integrate
+from .kernel import DEFAULT_TOL, ArrayLike, Interval, _special, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -471,6 +470,7 @@ def _binomial_tails(n: int, j: int, k: int, p: ArrayLike) -> np.ndarray:
     in log space; large n sums the incomplete-beta identity P(Bin >= i) = I_p(i, n-i+1)."""
     inner = (p > 0.0) & (p < 1.0)
     q = np.where(inner, p, 0.5)[..., None]
+    special = _special()
     if n <= _DIRECT_BINOMIAL_MAX_N:
         m = np.arange(j, n + 1)
         logs = (special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)

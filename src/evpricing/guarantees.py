@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .distributions import DistributionModel, EvtFamily
 from .errors import DomainError
-from .kernel import Interval, find_root, lambert_w_minus1, ln_gamma, maximize_1d, poisson_cdf
+from .kernel import (Interval, _special, find_root, lambert_w_minus1, ln_gamma,
+                     maximize_1d, poisson_cdf)
 
 __all__ = [
     "Method",
@@ -85,7 +85,7 @@ def _gamma_ratio(k: int, alpha: float) -> float:
 def _poisson_tail_sum(y: float, k: int) -> float:
     """sum_{j=1..k} P(Poisson(y) >= j), i.e. E min(k, Poisson(y))."""
     js = np.arange(1, k + 1)
-    return float(special.gammainc(js, y).sum())
+    return float(_special().gammainc(js, y).sum())
 
 
 def phi_k(alpha: float, k: int, numeric: bool = False) -> GuaranteeResult:

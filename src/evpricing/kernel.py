@@ -1,5 +1,10 @@
 """Special functions and generic one-dimensional numerical routines.
 
+This is the one module that touches scipy, and only through ``_special``,
+which imports ``scipy.special`` on its first call: a program that never
+calls a special function (the dynamic program, ``expected_max``, Monte
+Carlo, spec parsing) never loads scipy.
+
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.  Default tolerances are absolute 1e-10 unless the caller
 overrides them.
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import BracketError, ConvergenceError, DomainError, FlatObjectiveError
 
@@ -71,6 +75,13 @@ class Interval:
         return math.isinf(self.hi)
 
 
+def _special():
+    """``scipy.special``, imported on the first call; later calls are a
+    ``sys.modules`` lookup.  It is most of the package's import time."""
+    from scipy import special
+    return special
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
     if not x > 0:
@@ -88,7 +99,7 @@ def poisson_cdf(y: float, k: int) -> float:
         raise DomainError(f"poisson_cdf requires y >= 0, got {y}")
     if k < 0:
         raise DomainError(f"poisson_cdf requires k >= 0, got {k}")
-    return float(special.gammaincc(k + 1, y))
+    return float(_special().gammaincc(k + 1, y))
 
 
 def lambert_w_minus1(z: float) -> float:
@@ -104,7 +115,7 @@ def lambert_w_minus1(z: float) -> float:
         raise DomainError(f"lambert_w_minus1 requires z in [-1/e, 0), got {z}")
     if z == branch:
         return -1.0
-    w = special.lambertw(z, k=-1)
+    w = _special().lambertw(z, k=-1)
     return float(w.real)
 
 

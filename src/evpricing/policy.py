@@ -9,7 +9,7 @@ order statistics.  Its two factors live in :mod:`evpricing.distributions`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -54,8 +54,10 @@ DEFAULT_SEED = 20250214
 class PolicyEvaluation:
     """One exact evaluation of a fixed-price policy against the prophet.
 
-    The policy can never beat the offline benchmark; the constructor allows
-    a small slack for quadrature noise on near-tie evaluations.
+    The ratio fp_value / prophet_value is derived here, the one place it is
+    computed.  The policy can never beat the offline benchmark; the
+    constructor allows a small slack for quadrature noise on near-tie
+    evaluations.
     """
 
     n: int
@@ -63,9 +65,13 @@ class PolicyEvaluation:
     threshold: float
     fp_value: float
     prophet_value: float
-    ratio: float
+    ratio: float = field(init=False)
 
     def __post_init__(self):
+        if not (0.0 < self.prophet_value < math.inf):
+            raise DomainError(f"prophet value {self.prophet_value} is not positive and "
+                              "finite; the welfare ratio is undefined")
+        object.__setattr__(self, "ratio", self.fp_value / self.prophet_value)
         if not 1 <= self.k <= self.n:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not -1e-12 <= self.ratio <= 1.0 + 1e-6:
@@ -115,7 +121,7 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     hi = float(d.quantile(1.0 - _T_SEARCH_TAIL))
     t_star, fp = maximize_1d(lambda T: fixed_price_value_exact(d, n, k, T),
                              Interval(lo, hi), tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
-    return PolicyEvaluation(n, k, t_star, fp, prophet, fp / prophet)
+    return PolicyEvaluation(n, k, t_star, fp, prophet)
 
 
 def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
@@ -182,8 +188,7 @@ def convergence_table(d: DistributionModel, k: int, n_grid: Sequence[int],
             rows.append(best_fixed_price(d, n, k))
         else:
             T = theory_threshold(d, n, u)
-            fp = fixed_price_value_exact(d, n, k, T)
-            prophet = prophet_value(d, n, k)
-            rows.append(PolicyEvaluation(n, k, T, fp, prophet, fp / prophet))
+            rows.append(PolicyEvaluation(n, k, T, fixed_price_value_exact(d, n, k, T),
+                                         prophet_value(d, n, k)))
     return rows
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import evpricing.policy
 from evpricing import (
     Frechet,
     empirical_competition_complexity,
@@ -95,6 +96,20 @@ class TestEvaluateCmd:
             main(["evaluate", "--dist", "pareto:alpha=2", "--n", "10",
                   "--k", "2", "--t", "2.5", "--bogus", "1"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--dist", "exp:rate=1", "--n", "100", "--k", "1", "--t", "2"],
+    ["converge", "--dist", "exp:rate=1", "--k", "1", "--n-grid", "10,100"],
+    ["converge", "--dist", "exp:rate=1", "--k", "1", "--n-grid", "10,100",
+     "--mode", "theory", "--u", "0"],
+])
+def test_zero_prophet_value_is_computation_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(evpricing.policy, "prophet_value", lambda d, n, k: 0.0)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: prophet value 0.0 is not positive and finite")
+    assert err.count("\n") == 1
 
 
 class TestConvergeCmd:
@@ -243,6 +258,22 @@ class TestFitCmd:
                                  "--histogram-output", str(tmp_path / "hist.csv"))
         assert code == 1 and out == ""
         assert err == f"error: cannot write {target}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bids.csv"]
+
+    @pytest.mark.parametrize("first,second", [
+        ("--output", "--histogram-output"),
+        ("--output", "--scan-output"),
+        ("--histogram-output", "--scan-output"),
+    ])
+    def test_repeated_output_path_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                 synthetic_csv, first, second):
+        # one file named two ways: absolute, and relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "fit", "--input", str(synthetic_csv),
+                                 "--k-hill", "500", first, str(tmp_path / "same.txt"),
+                                 second, "./same.txt")
+        assert code == 2 and out == ""
+        assert err == f"usage error: {first} and {second} name the same file ./same.txt\n"
         assert [p.name for p in tmp_path.iterdir()] == ["bids.csv"]
 
     def test_missing_input_is_usage_error(self):

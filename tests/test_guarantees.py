@@ -122,6 +122,16 @@ class TestUStar:
         res = phi_k(200.0, 1, numeric=True)
         assert u_star(200.0) == pytest.approx(res.argmax_x, abs=1e-6)
 
+    def test_against_mpmath_lambertw(self):
+        # oracle at 50 digits: the same closed form through mpmath's W_{-1}
+        mp = pytest.importorskip("mpmath")
+        for alpha in np.geomspace(1.02, 50.0, 60):
+            with mp.workdps(50):
+                a = mp.mpf(float(alpha))
+                w = mp.lambertw(-mp.exp(-1 / a) / a, -1)
+                oracle = (-(a * w + 1) / a) ** (-1 / a)
+            assert u_star(float(alpha)) == pytest.approx(float(oracle), rel=1e-12), alpha
+
 
 class TestPhi1Closed:
     def test_worst_point(self):

@@ -91,6 +91,17 @@ class TestPoissonCdf:
                 diff = poisson_cdf(y, k) - poisson_cdf(y, k - 1)
                 assert diff == pytest.approx(pmf, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 10, 50])
+    def test_against_mpmath_direct_sum(self, k):
+        # oracle: sum_{j<=k} e^-y y^j / j! at 50 digits, where it is a normal double
+        mp = pytest.importorskip("mpmath")
+        for y in np.geomspace(1e-6, 1e3, 60):
+            with mp.workdps(50):
+                yy = mp.mpf(float(y))
+                oracle = mp.fsum(mp.exp(-yy) * yy ** j / mp.factorial(j) for j in range(k + 1))
+            if oracle > mp.mpf("1e-290"):
+                assert poisson_cdf(float(y), k) == pytest.approx(float(oracle), rel=1e-12), y
+
     def test_large_arguments_stable(self):
         val = poisson_cdf(1e6, 10 ** 6)
         assert 0.0 < val < 1.0

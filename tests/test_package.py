@@ -1,4 +1,10 @@
+import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +21,51 @@ def test_package_exports_each_public_name(name):
     assert names
     for symbol in names:
         assert getattr(evpricing, symbol, None) is getattr(module, symbol), symbol
+
+
+SRC = Path(evpricing.__file__).resolve().parent
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """Run code in a fresh interpreter; return the scipy modules it loaded.
+
+    The test process has loaded scipy itself, so only a new process can tell.
+    """
+    script = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] == 'scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import evpricing", id="import"),
+    pytest.param("import evpricing.cli", id="import-cli"),
+    # the README commands that call no special function
+    pytest.param("from evpricing.cli import main\n"
+                 "assert main(['competition', '--dist', 'uniform:a=0,b=1', '--n', '500']) == 0",
+                 id="competition"),
+    pytest.param("from evpricing.cli import main\n"
+                 "assert main(['simulate', '--dist', 'pareto:alpha=2', '--n', '20', '--k', '3',"
+                 " '--t', '2', '--reps', '100000', '--seed', '7']) == 0",
+                 id="simulate"),
+])
+def test_no_scipy_without_a_special_function(code):
+    assert scipy_modules_after(code) == []
+
+
+def test_first_special_function_call_loads_scipy():
+    loaded = scipy_modules_after("from evpricing import kernel\nkernel.poisson_cdf(1.0, 2)")
+    assert "scipy.special" in loaded
+
+
+def test_kernel_is_the_only_module_importing_scipy():
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"kernel.py"}

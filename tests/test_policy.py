@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import evpricing.distributions as distributions
+import evpricing.policy
 
 from evpricing import (
     BoundedPower,
@@ -14,6 +15,7 @@ from evpricing import (
     Exponential,
     Frechet,
     Pareto,
+    PolicyEvaluation,
     SimulationConfig,
     Uniform,
     best_fixed_price,
@@ -192,6 +194,24 @@ class TestKUnitProperties:
         monkeypatch.setattr(Pareto, "sf", counting_sf)
         prophet_value(Pareto(2.0), 100, 3)
         assert calls == {"integrate": 1, "scalar_sf": 0}
+
+
+class TestPolicyEvaluation:
+    def test_ratio_is_derived(self):
+        ev = PolicyEvaluation(10, 2, 1.5, 0.75, 1.5)
+        assert ev.ratio == 0.5
+
+    @pytest.mark.parametrize("prophet", [0.0, -1.0, math.nan, math.inf])
+    def test_prophet_value_must_be_positive_and_finite(self, prophet):
+        with pytest.raises(DomainError, match="not positive and finite"):
+            PolicyEvaluation(10, 2, 1.5, 0.0, prophet)
+
+    @pytest.mark.parametrize("mode", ["best", "theory"])
+    def test_zero_prophet_value_raises_domain_error(self, monkeypatch, mode):
+        # stands in for a model whose prophet value underflows to zero
+        monkeypatch.setattr(evpricing.policy, "prophet_value", lambda d, n, k: 0.0)
+        with pytest.raises(DomainError, match="prophet value 0.0"):
+            convergence_table(Exponential(1.0), 1, [10, 100], mode=mode, u=0.0)
 
 
 class TestBestFixedPrice:
