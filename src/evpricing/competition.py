@@ -9,8 +9,8 @@ costs one short finite quadrature.  The full tail I(g), the routine of
 only starts the sequence (G_1 is the mean) and re-anchors the running tail
 after cancellation has eaten into it.  The competition complexity at market
 size n is the least m with G_m >= E max(M_n, 0) for the maximum M_n of n
-draws (``expected_max``, which like G integrates from 0), reported as m/n
-next to the closed-form constant (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+draws (``expected_max``, by the rule of the anchors, so G_1 at n = 1),
+reported as m/n next to the closed form (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 """
 
 from __future__ import annotations
@@ -139,8 +139,6 @@ def empirical_competition_complexity(d: DistributionModel, n: int,
     if n < 1:
         raise DomainError(f"requires n >= 1, got {n}")
     gamma = d.evt_index().gamma
-    if gamma >= 1:
-        raise DivergenceError(f"competition complexity needs gamma < 1, got {gamma}")
     if seq is None:
         seq = PolicySequence(d)
     elif seq.model != d:

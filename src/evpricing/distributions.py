@@ -2,10 +2,11 @@
 generic over them: order-statistic tails and means, expected maxima,
 conditional means and virtual valuations.  Every operation is pure.
 
-This module alone picks the quadrature options for a model's tail, by two
-rules: order-statistic moments from 0 (``_moment_integral``), and the tail
-integral I(T) = E(X - T)^+ (``_sf_integral``) behind ``mean()``,
-``conditional_mean_above`` and the anchors of :mod:`evpricing.competition`.
+This module alone picks the quadrature options for a model's tail, by one
+rule, ``_sf_integral`` from T of a survival-type function: sf itself for
+I(T) = E(X - T)^+ behind ``mean()``, ``conditional_mean_above`` and the
+anchors of :mod:`evpricing.competition`, and from 0 the survival functions
+of the maximum and of the order statistics for their means.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SpecStringError
-from .kernel import DEFAULT_TOL, ArrayLike, Interval, _special, find_root, integrate
+from .kernel import ArrayLike, Interval, _special, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -511,12 +512,31 @@ def _tail_options(d: DistributionModel, lo: float, gamma: float,
     return {"tail_gamma": gamma}
 
 
-def _moment_integral(d: DistributionModel, integrand, gamma: float, n: int = 1) -> float:
-    """Integral over [0, omega_1) of a tail with index gamma (n as in
-    ``_tail_options``), to an absolute 1e-10 or 1e-12 relative, whichever
-    is looser: large heavy-tail moments have rounding levels above 1e-10."""
-    return integrate(integrand, Interval(0.0, d.support.hi), tol=DEFAULT_TOL, rtol=1e-12,
-                     **_tail_options(d, 0.0, gamma, n))
+def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
+                 n: int = 1) -> float:
+    """int_T^{omega_1} S(u) du for S = of_sf(sf), for a finite mean: by default
+    I(T) = E(X - T)^+.  S falls like sf^j, so its tail index is gamma/j; n is
+    the sample size as in ``_tail_options``.
+
+    Taken to an absolute 1e-12*max(1, |T|)*S(T) or to 1e-12 relative,
+    whichever is looser, so that T + I(T)/sf(T) is right to
+    1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
+    """
+    hi = d.support.hi
+    # sf is 1 at and below the support: moments from 0 need no scalar sf call.
+    s_T = 1.0 if T <= d.support.lo else float(d.sf(T))
+    S_T = float(of_sf(s_T))
+    if S_T <= 0.0 or T >= hi:
+        return 0.0
+    # In the tail the survival function falls on the scale of the reciprocal
+    # hazard sf/pdf (T/alpha for Pareto, 1/rate for Exponential).  Below the
+    # median of a Gumbel or Frechet model the hazard at T is tiny and rises
+    # fast above it, so sf/pdf there would map every node beyond the mass.
+    f_T = float(d.pdf(T)) if math.isinf(hi) and s_T <= 0.5 else 0.0
+    scale = s_T / f_T if f_T > 0.0 else 1.0
+    return integrate(lambda t: of_sf(d.sf(t)), Interval(T, hi),
+                     tol=1e-12 * max(1.0, abs(T)) * S_T, rtol=1e-12, tail_scale=scale,
+                     **_tail_options(d, T, d.evt_index().gamma / j, n))
 
 
 def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
@@ -528,8 +548,7 @@ def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> floa
     ev = d.evt_index()
     if ev.gamma > 0 and j <= ev.gamma:
         raise DivergenceError(f"E(M_n^{j}) diverges for gamma={ev.gamma:.4g} (alpha*j <= 1)")
-    # P(M_n^j > t) falls like sf(t)^j: the tail index is gamma / j.
-    return _moment_integral(d, lambda t: _binomial_tails(n, j, k, d.sf(t)), ev.gamma / j, n)
+    return _sf_integral(d, 0.0, lambda s: _binomial_tails(n, j, k, s), j, n)
 
 
 def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
@@ -538,45 +557,22 @@ def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
 
 
 def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
-    """1 - (1 - s)^n for survival values s, without cancellation."""
+    """1 - (1 - s)^n for survival values s, without cancellation; s itself at n = 1."""
+    if n == 1:
+        return s
     with np.errstate(divide="ignore"):
         return -np.expm1(n * np.log1p(-np.clip(s, 0.0, 1.0)))
 
 
 def expected_max(d: DistributionModel, n: int) -> float:
-    """E max(M_n, 0), M_n the max of n i.i.d. draws: int over t >= 0 of (1 - F(t)^n)."""
+    """E max(M_n, 0), M_n the max of n i.i.d. draws: int over t >= 0 of (1 - F(t)^n);
+    at n = 1 the tail integral I(0), which is G_1 of :mod:`evpricing.competition`."""
     if n < 1:
         raise DomainError(f"expected_max requires n >= 1, got {n}")
     gamma = d.evt_index().gamma
     if gamma >= 1:
         raise DivergenceError(f"E(max) diverges for gamma={gamma:.4g}")
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return _survival_power(d.sf(t), n)
-
-    return _moment_integral(d, integrand, gamma, n)
-
-
-def _sf_integral(d: DistributionModel, T: float) -> float:
-    """I(T) = int_T^{omega_1} (1 - F(u)) du = E(X - T)^+, for a finite mean.
-
-    Taken to an absolute 1e-12*max(1, |T|)*sf(T) or to 1e-12 relative,
-    whichever is looser, so that T + I(T)/sf(T) is right to
-    1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
-    """
-    hi = d.support.hi
-    s_T = float(d.sf(T))
-    if s_T <= 0.0 or T >= hi:
-        return 0.0
-    # In the tail the survival function falls on the scale of the reciprocal
-    # hazard sf/pdf (T/alpha for Pareto, 1/rate for Exponential).  Below the
-    # median of a Gumbel or Frechet model the hazard at T is tiny and rises
-    # fast above it, so sf/pdf there would map every node beyond the mass.
-    f_T = float(d.pdf(T)) if math.isinf(hi) and s_T <= 0.5 else 0.0
-    scale = s_T / f_T if f_T > 0.0 else 1.0
-    return integrate(d.sf, Interval(T, hi), tol=1e-12 * max(1.0, abs(T)) * s_T,
-                     rtol=1e-12, tail_scale=scale,
-                     **_tail_options(d, T, d.evt_index().gamma))
+    return _sf_integral(d, 0.0, lambda s: _survival_power(s, n), 1, n)
 
 
 def conditional_mean_above(d: DistributionModel, T: float) -> float:

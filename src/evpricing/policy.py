@@ -92,16 +92,19 @@ class SimulationConfig:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
 
 
-def _check_n_k(n: int, k: int) -> None:
+def _check_n_k(n: int, k: int, T: float = 0.0) -> None:
+    """Reject n or k below 1, k above n, and a NaN threshold T (+-inf are legal)."""
     if k < 1 or n < 1:
         raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n:
         raise DomainError(f"k={k} exceeds the number of buyers n={n}")
+    if math.isnan(T):
+        raise DomainError("threshold T is NaN")
 
 
 def fixed_price_value_exact(d: DistributionModel, n: int, k: int, T: float) -> float:
     """Expected welfare of the threshold-T policy with n buyers and k units."""
-    _check_n_k(n, k)
+    _check_n_k(n, k, T)
     if float(d.sf(T)) <= 0.0:
         raise DomainError(f"threshold T={T} has F(T) = 1; nothing is ever sold")
     return conditional_mean_above(d, T) * float(_binomial_tails(n, 1, k, d.sf(T)))
@@ -132,6 +135,8 @@ def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
     """
     if n < 1:
         raise DomainError(f"theory_threshold requires n >= 1, got {n}")
+    if math.isnan(U):
+        raise DomainError("limit ratio U is NaN")
     if d.evt_index().family is EvtFamily.REVERSED_WEIBULL:
         return (1.0 - U) * d.support.hi
     a_n, b_n = d.normalizing_constants(n)
@@ -158,7 +163,7 @@ def monte_carlo_evaluate(d: DistributionModel, n: int, k: int, T: float,
     derive from (seed, replication index), so a given (seed, replications)
     pair is bitwise reproducible.  Blocks run in order on the calling thread.
     """
-    _check_n_k(n, k)
+    _check_n_k(n, k, T)
     if cfg.replications < 100:
         raise DomainError("monte_carlo_evaluate requires >= 100 replications")
     reps = cfg.replications

@@ -112,6 +112,19 @@ def test_zero_prophet_value_is_computation_error(capsys, monkeypatch, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3", "--t", "nan",
+      "--reps", "1000"), "threshold T is NaN"),
+    (("evaluate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3", "--t", "nan"),
+     "threshold T is NaN"),
+    (("converge", "--dist", "pareto:alpha=2", "--k", "1", "--n-grid", "10,100",
+      "--mode", "theory", "--u", "nan"), "limit ratio U is NaN"),
+], ids=["simulate", "evaluate", "converge"])
+def test_nan_threshold_is_computation_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestConvergeCmd:
     def test_three_rows(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "--dist", "pareto:alpha=2",
@@ -180,6 +193,13 @@ class TestCompetitionCmd:
         rec = empirical_competition_complexity(Uniform(0.0, 1.0), 200)
         assert payload["m_star"] == rec.m_star
         assert payload["theoretical"] == pytest.approx(2.0, rel=1e-9)
+
+    def test_single_buyer_ties_at_one(self, capsys):
+        code, out, err = run_cli(capsys, "competition", "--dist", "pareto:alpha=2",
+                                 "--n", "1")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert (payload["m_star"], payload["empirical_ratio"]) == (1, 1.0)
 
     def test_infinite_mean_is_computation_error(self, capsys):
         code, out, err = run_cli(capsys, "competition", "--dist",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import evpricing.competition as competition
+import evpricing.distributions as distributions
 from evpricing import (
     BoundedPower,
     ConvergenceError,
@@ -161,7 +162,7 @@ class TestPolicySequenceProperties:
              "power": BoundedPower(1.0, 2.0)}[model]
         g = extend_policy(PolicySequence(d), n).values
         assert all(b >= a for a, b in zip(g, g[1:]))
-        # at n = 1 both sides are E X by two quadratures, equal to ~1.5e-14
+        # at n = 1 both sides are one quadrature of E max(X, 0)
         assert g[n] <= expected_max(d, n) * (1.0 + 1e-12)
 
 
@@ -240,6 +241,28 @@ class TestExpectedMax:
             lambda t: 1.0 - (1.0 - np.minimum(1.0, t ** -2.0)) ** 2,
             Interval(0.0, math.inf), tol=1e-8)
         assert expected_max(Pareto(2.0), 2) == pytest.approx(oracle, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_one_integral_of_array_tails(self, monkeypatch, n):
+        calls = {"integrate": 0, "scalar_sf": 0}
+        integrate, sf = distributions.integrate, Pareto.sf
+
+        def counting_integrate(*args, **kwargs):
+            calls["integrate"] += 1
+            return integrate(*args, **kwargs)
+
+        def counting_sf(self, t):
+            calls["scalar_sf"] += np.ndim(t) == 0
+            return sf(self, t)
+
+        monkeypatch.setattr(distributions, "integrate", counting_integrate)
+        monkeypatch.setattr(Pareto, "sf", counting_sf)
+        expected_max(Pareto(2.0), n)
+        assert calls == {"integrate": 1, "scalar_sf": 0}
+
+    def test_support_below_zero(self):
+        # every draw is negative, so max(M_n, 0) is 0
+        assert expected_max(Uniform(-2.0, -1.0), 3) == 0.0
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
@@ -359,6 +382,26 @@ class TestEmpiricalCc:
         expected = (1.0 - 1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha) ** alpha
         assert rec.theoretical == pytest.approx(expected, rel=1e-12)
         assert abs(rec.empirical_ratio - expected) / expected <= 0.05
+
+
+class TestSingleBuyerTie:
+    """G_1 = E max(X, 0) by definition: one quadrature gives both sides, so
+    the least m with G_m >= E max(X, 0) is 1 for every model."""
+
+    MODELS = [Pareto(1.656), Pareto(2.0), Pareto(3.0), Frechet(0.0, 1.0, 2.5),
+              Exponential(1.0), Gumbel(0.0, 1.0), Uniform(0.0, 1.0), Uniform(-1.0, 1.0),
+              BoundedPower(1.0, 2.0)]
+
+    @pytest.mark.parametrize("d", MODELS, ids=repr)
+    def test_m_star_is_one(self, d):
+        assert empirical_competition_complexity(d, 1).m_star == 1
+
+    @pytest.mark.parametrize("d", MODELS, ids=repr)
+    def test_expected_max_is_g1_bit_for_bit(self, d):
+        e1 = expected_max(d, 1)
+        assert e1 == PolicySequence(d).value(1)
+        if d.support.lo >= 0:
+            assert e1 == d.mean()
 
 
 class TestFamilyBounds:

@@ -408,6 +408,15 @@ def mpmath_conditional_mean(d, T: float) -> float:
         return float(T + tail / s_T)
 
 
+def frechet_conditional_mean(d, T: float) -> float:
+    """E(X | X > T) = m + s*gamma_lower(1 - 1/alpha, y)/(1 - e^-y), y = ((T - m)/s)^-alpha,
+    at 40 digits: the lower incomplete gamma is E(Y; Y > z) for standard Frechet Y."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        y = ((mp.mpf(T) - d.m) / d.s) ** -d.alpha
+        return float(d.m + d.s * mp.gammainc(1 - 1 / mp.mpf(d.alpha), 0, y) / -mp.expm1(-y))
+
+
 class TestSfIntegral:
     """I(T) = int_T^inf sf, the one route behind conditional means, mean()
     and the anchors of the policy sequence."""
@@ -457,6 +466,21 @@ class TestConditionalMean:
     def test_mpmath_oracle(self, d, T):
         assert conditional_mean_above(d, T) == pytest.approx(mpmath_conditional_mean(d, T),
                                                              rel=1e-13)
+
+    @pytest.mark.parametrize("m, s, alpha", [
+        *((m, s, alpha) for m, s in [(0.0, 1.0), (-1.0, 2.0)]
+          for alpha in [1.2, 1.656, 2.5, 10.0, 100.0, 1000.0]),
+        pytest.param(0.0, 1.0, 1e4, marks=pytest.mark.xfail(
+            strict=True, reason="narrow Frechet: relative error 2.1e-4")),
+        pytest.param(0.0, 1.0, 1e5, marks=pytest.mark.xfail(
+            strict=True, reason="narrow Frechet: relative error 2.1e-5")),
+    ])
+    def test_frechet_closed_form(self, m, s, alpha):
+        d = Frechet(m, s, alpha)
+        for q in [0.01, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9]:
+            T = float(d.quantile(q))
+            assert conditional_mean_above(d, T) == pytest.approx(
+                frechet_conditional_mean(d, T), rel=1e-12), q
 
     def test_pareto_closed_form(self):
         # alpha T/(alpha - 1), cross-checked by the numeric tail integral

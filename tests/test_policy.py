@@ -290,6 +290,23 @@ class TestHeavyTailThresholdSearch:
         assert 0.0 < res.ratio < 1.0
 
 
+class TestNaNThresholds:
+    @pytest.mark.parametrize("d", [Pareto(2.0), Uniform(0.0, 1.0)], ids=repr)
+    def test_rejected_by_name(self, d):
+        with pytest.raises(DomainError, match="threshold T is NaN"):
+            fixed_price_value_exact(d, 20, 3, math.nan)
+        with pytest.raises(DomainError, match="threshold T is NaN"):
+            monte_carlo_evaluate(d, 20, 3, math.nan, SimulationConfig(1000))
+        with pytest.raises(DomainError, match="limit ratio U is NaN"):
+            theory_threshold(d, 20, math.nan)
+
+    def test_infinite_thresholds_stay_legal(self):
+        d, cfg = Pareto(2.0), SimulationConfig(1000)
+        assert monte_carlo_evaluate(d, 20, 3, math.inf, cfg) == (0.0, 0.0)
+        assert monte_carlo_evaluate(d, 20, 3, -math.inf, cfg)[0] > 3.0
+        assert theory_threshold(d, 20, math.inf) == math.inf
+
+
 class TestTheoryThreshold:
     def test_frechet_case_study(self):
         T = theory_threshold(Frechet(0.0, 289.0, 2.24), 509, 0.849)
