@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,7 +41,12 @@ def _csv(header: str, rows: Iterable[Sequence]) -> str:
 def _json_dumps(payload: dict) -> str:
     clean = {k: (float(_fmt(v)) if isinstance(v, float) else v)
              for k, v in payload.items()}
-    return json.dumps(clean, indent=2) + "\n"
+    try:
+        return json.dumps(clean, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        # JSON has no inf or NaN; writing them would make the output unparseable.
+        key = next(k for k, v in clean.items() if isinstance(v, float) and not math.isfinite(v))
+        raise EvPricingError(f"{key} is {clean[key]}, which JSON cannot represent") from None
 
 
 def _write_outputs(texts: dict[str | None, str]) -> None:
@@ -68,6 +74,13 @@ def _write_outputs(texts: dict[str | None, str]) -> None:
         for tmp in temps.values():
             Path(tmp).unlink(missing_ok=True)
     sys.stdout.write(texts.get(None, ""))
+
+
+def _threshold(args) -> float:
+    """--t, which must not be infinite (a NaN is left to the library, which names it)."""
+    if math.isinf(args.t):
+        raise UsageError(f"--t must be finite, got {args.t}")
+    return args.t
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -110,9 +123,10 @@ def _cmd_adaptivity_gap(args) -> str:
 
 
 def _cmd_evaluate(args) -> str:
+    t = _threshold(args)
     d = parse_distribution(args.dist)
-    ev = policy.PolicyEvaluation(args.n, args.k, float(args.t),
-                                 policy.fixed_price_value_exact(d, args.n, args.k, args.t),
+    ev = policy.PolicyEvaluation(args.n, args.k, t,
+                                 policy.fixed_price_value_exact(d, args.n, args.k, t),
                                  policy.prophet_value(d, args.n, args.k))
     return _json_dumps({
         "n": ev.n, "k": ev.k, "threshold": ev.threshold,
@@ -140,11 +154,12 @@ def _cmd_competition(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    t = _threshold(args)
     d = parse_distribution(args.dist)
     cfg = policy.SimulationConfig(replications=args.reps, seed=args.seed)
-    mean, stderr = policy.monte_carlo_evaluate(d, args.n, args.k, args.t, cfg)
+    mean, stderr = policy.monte_carlo_evaluate(d, args.n, args.k, t, cfg)
     return _json_dumps({
-        "n": args.n, "k": args.k, "threshold": float(args.t),
+        "n": args.n, "k": args.k, "threshold": t,
         "replications": args.reps, "seed": args.seed,
         "mean": mean, "stderr": stderr,
     })

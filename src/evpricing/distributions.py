@@ -11,6 +11,7 @@ of the maximum and of the order statistics for their means.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
@@ -89,6 +90,12 @@ class Support:
 
 def _maybe_scalar(x: np.ndarray, scalar: bool) -> ArrayLike:
     return float(x) if scalar else x
+
+
+def _unit_clip(x: np.ndarray) -> np.ndarray:
+    """np.clip(x, 0, 1) bit for bit, NaN and -0.0 included, in half its time:
+    np.maximum returns its second argument on a tie of signed zeros."""
+    return np.minimum(1.0, np.maximum(0.0, x))
 
 
 class DistributionModel(ABC):
@@ -183,8 +190,8 @@ class Pareto(DistributionModel):
         return np.where(t < 1.0, 0.0, 1.0 - tt ** -self.alpha)
 
     def _sf(self, t):
-        tt = np.maximum(t, 1.0)
-        return np.where(t < 1.0, 1.0, tt ** -self.alpha)
+        # 1 ** -alpha is exactly 1, so below the support this is 1 as well.
+        return np.maximum(t, 1.0) ** -self.alpha
 
     def _pdf(self, t):
         tt = np.maximum(t, 1.0)
@@ -255,10 +262,10 @@ class Uniform(DistributionModel):
         return Support(self.a, self.b)
 
     def _cdf(self, t):
-        return np.clip((t - self.a) / (self.b - self.a), 0.0, 1.0)
+        return _unit_clip((t - self.a) / (self.b - self.a))
 
     def _sf(self, t):
-        return np.clip((self.b - t) / (self.b - self.a), 0.0, 1.0)
+        return _unit_clip((self.b - t) / (self.b - self.a))
 
     def _pdf(self, t):
         inside = (t >= self.a) & (t <= self.b)
@@ -390,7 +397,7 @@ class BoundedPower(DistributionModel):
         return Support(0.0, self.omega)
 
     def _rel(self, t):
-        return np.clip((self.omega - t) / self.omega, 0.0, 1.0)
+        return _unit_clip((self.omega - t) / self.omega)
 
     def _cdf(self, t):
         return 1.0 - self._rel(t) ** self.alpha
@@ -465,22 +472,32 @@ def parse_distribution(spec: str) -> DistributionModel:
         raise SpecStringError(f"{kind}: {exc}") from None
 
 
+@functools.lru_cache(maxsize=64)
+def _binomial_terms(n: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, log C(n, m), min(m-j+1, k-j+1)) for m = j..n, read-only: the part of
+    the log-space binomial sum that does not depend on p, made once per (n, j, k)."""
+    gammaln = _special().gammaln
+    m = np.arange(j, n + 1)
+    log_coef = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+    weights = np.minimum(m - j + 1, k - j + 1)
+    for arr in (m, log_coef, weights):
+        arr.flags.writeable = False
+    return m, log_coef, weights
+
+
 def _binomial_tails(n: int, j: int, k: int, p: ArrayLike) -> np.ndarray:
     """sum_{i=j..k} P(Bin(n, p) >= i) for sf values p: P(M_n^j > t) at k = j and
     E min(k, Bin(n, p)) at j = 1.  Small n weights P(Bin = m) by min(m-j+1, k-j+1)
     in log space; large n sums the incomplete-beta identity P(Bin >= i) = I_p(i, n-i+1)."""
     inner = (p > 0.0) & (p < 1.0)
     q = np.where(inner, p, 0.5)[..., None]
-    special = _special()
     if n <= _DIRECT_BINOMIAL_MAX_N:
-        m = np.arange(j, n + 1)
-        logs = (special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
-                + m * np.log(q) + (n - m) * np.log1p(-q))
-        weights = np.minimum(m - j + 1, k - j + 1)
+        m, log_coef, weights = _binomial_terms(n, j, k)
+        logs = log_coef + m * np.log(q) + (n - m) * np.log1p(-q)
         sums = np.minimum(k - j + 1, (np.exp(logs) * weights).sum(axis=-1))
     else:
         i = np.arange(j, k + 1)
-        sums = special.betainc(i, n - i + 1, q).sum(axis=-1)
+        sums = _special().betainc(i, n - i + 1, q).sum(axis=-1)
     return np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
 
 
@@ -561,7 +578,7 @@ def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
     if n == 1:
         return s
     with np.errstate(divide="ignore"):
-        return -np.expm1(n * np.log1p(-np.clip(s, 0.0, 1.0)))
+        return -np.expm1(n * np.log1p(-_unit_clip(s)))
 
 
 def expected_max(d: DistributionModel, n: int) -> float:
@@ -576,7 +593,13 @@ def expected_max(d: DistributionModel, n: int) -> float:
 
 
 def conditional_mean_above(d: DistributionModel, T: float) -> float:
-    """E(X | X > T) = T + I(T)/sf(T), with the tail integral I of ``_sf_integral``."""
+    """E(X | X > T) = T + I(T)/sf(T), with the tail integral I of ``_sf_integral``.
+
+    Below a finite lower end of the support the event X > T is certain and
+    the result is E X: T is raised to that end first.
+    """
+    if T < d.support.lo:
+        T = d.support.lo
     s_T = float(d.sf(T))
     if s_T <= 0.0:
         raise DomainError(f"F({T}) = 1: conditioning event has probability 0")

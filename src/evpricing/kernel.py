@@ -129,38 +129,40 @@ _WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
         0.204432940075298, 0.209482141084728)
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
-_XGK7 = np.array(_XGK[:7])
+# The 15 abscissae of one panel on [-1, 1]: the centre, -x_0..-x_6, then
+# +x_0..+x_6.  c + h*(-x) rounds exactly as c - h*x, and the centre is -0.0
+# so that c + h*(-0.0) is c itself, -0.0 included.
+_NODES = np.array((-0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
 
 
 def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
           b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (integral, error estimate).
 
-    f is called once, on the 15 nodes (c, c - h*x_i, c + h*x_i).
+    f is called once, on the 15 nodes (c, c - h*x_i, c + h*x_i).  The
+    Kronrod, Gauss, |f| and |f - mean| sums are written out term by term:
+    the centre first, then the pairs f(c - h*x_i) + f(c + h*x_i) from the
+    outermost node inwards, added left to right (QUADPACK's qk15 order).
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    dx = h * _XGK7
-    vals = f(np.concatenate(((c,), c - dx, c + dx)))
-    if np.ndim(vals) == 0:
-        vals = [float(vals)] * 15
-    else:
-        vals = np.asarray(vals, dtype=float).reshape(15).tolist()
-    fc = vals[0]
-    fv1 = vals[1:8]
-    fv2 = vals[8:]
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    for w, f1, f2 in zip(_WGK, fv1, fv2):
-        resk += w * (f1 + f2)
-        resabs += w * (abs(f1) + abs(f2))
-    for i in (1, 3, 5):
-        resg += _WG[i // 2] * (fv1[i] + fv2[i])
+    vals = np.asarray(f(c + h * _NODES), dtype=float)
+    vals = [float(vals)] * 15 if vals.ndim == 0 else vals.reshape(15).tolist()
+    fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = vals
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
+    resk = (w7 * fc + w0 * (l0 + r0) + w1 * (l1 + r1) + w2 * (l2 + r2)
+            + w3 * (l3 + r3) + w4 * (l4 + r4) + w5 * (l5 + r5) + w6 * (l6 + r6))
+    resg = g3 * fc + g0 * (l1 + r1) + g1 * (l3 + r3) + g2 * (l5 + r5)
+    resabs = (w7 * abs(fc) + w0 * (abs(l0) + abs(r0)) + w1 * (abs(l1) + abs(r1))
+              + w2 * (abs(l2) + abs(r2)) + w3 * (abs(l3) + abs(r3))
+              + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
+              + w6 * (abs(l6) + abs(r6)))
     mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for w, f1, f2 in zip(_WGK, fv1, fv2):
-        resasc += w * (abs(f1 - mean) + abs(f2 - mean))
+    resasc = (w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))
+              + w1 * (abs(l1 - mean) + abs(r1 - mean)) + w2 * (abs(l2 - mean) + abs(r2 - mean))
+              + w3 * (abs(l3 - mean) + abs(r3 - mean)) + w4 * (abs(l4 - mean) + abs(r4 - mean))
+              + w5 * (abs(l5 - mean) + abs(r5 - mean)) + w6 * (abs(l6 - mean) + abs(r6 - mean)))
     resk *= h
     resg *= h
     resabs *= abs(h)
@@ -230,31 +232,32 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
             raise DomainError(
                 f"integrate over [lo, inf) requires tail_gamma < 1, got {tail_gamma}")
         q = max(1.0, tail_gamma / (1.0 - tail_gamma))
-        # A node that rounds to t = 1 contributes 0; om = 1 stands in for it
-        # so that f sees only finite abscissae.  Products with h come last,
-        # so that h = 1 leaves every value bit for bit as without it.  q = 1 is
-        # written out: the general branch ran expected_max up to a third slower.
+        # Products with h come last, so that h = 1 leaves every value bit for
+        # bit as without it.  q = 1 is written out: the general branch ran
+        # expected_max up to a third slower.
         if q == 1.0:
-            def g(t: np.ndarray) -> np.ndarray:
-                om = 1.0 - t
-                inside = om > 0.0
-                om = np.where(inside, om, 1.0)
-                return np.where(inside, f(base + h * (t / om)) / (om * om) * h, 0.0)
+            def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
+                return f(base + h * (t / om)) / (om * om) * h
         else:
-            def g(t: np.ndarray) -> np.ndarray:
-                om = 1.0 - t
-                inside = om > 0.0
-                om = np.where(inside, om, 1.0)
+            def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
                 with np.errstate(over="ignore"):
                     w = om ** -q
                     jac = q * w / om * h
-                if np.isinf(jac).any():
-                    raise ConvergenceError(
-                        f"tail map overflows the double range before a tail "
-                        f"of index gamma={tail_gamma:.6g} is resolved",
-                        math.nan, math.inf)
-                with np.errstate(over="ignore"):
-                    return np.where(inside, f(base + h * w - h) * jac, 0.0)
+                    if np.isinf(jac).any():
+                        raise ConvergenceError(
+                            f"tail map overflows the double range before a tail "
+                            f"of index gamma={tail_gamma:.6g} is resolved",
+                            math.nan, math.inf)
+                    return f(base + h * w - h) * jac
+
+        def g(t: np.ndarray) -> np.ndarray:
+            om = 1.0 - t
+            if om.min() > 0.0:
+                return mapped(t, om)
+            # A node that rounds to t = 1 contributes 0; om = 1 stands in for
+            # it so that f sees only finite abscissae.
+            inside = om > 0.0
+            return np.where(inside, mapped(t, np.where(inside, om, 1.0)), 0.0)
 
         a, b = 0.0, 1.0
         cuts = [1.0 - ((h + p - base) / h) ** (-1.0 / q) for p in points if p > base]
@@ -262,21 +265,28 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], domain: Interval,
         g, a, b = f, domain.lo, domain.hi
         cuts = points
 
-    edges = [a, *sorted({c for c in cuts if a < c < b}), b] if cuts else (a, b)
+    inner = sorted({c for c in cuts if a < c < b}) if cuts else ()
     # Heap entries: (-error, id, a, b, value, error).  Entries with key 0.0
     # are panels too narrow to split further; their error is kept in the sum.
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    total_val = total_err = 0.0
-    for a0, b0 in zip(edges, edges[1:]):
-        v0, e0 = _gk15(g, a0, b0)
-        heap.append((-e0, len(heap), a0, b0, v0, e0))
-        total_val += v0
-        total_err += e0
-    if len(heap) == 1 and total_err <= max(tol, rtol * abs(total_val)):
-        # One panel met the target (as most short finite pieces do): the
-        # exact sums below would return its value unchanged.
-        return total_val
-    heapq.heapify(heap)
+    if not inner:
+        v0, e0 = _gk15(g, a, b)
+        if e0 <= max(tol, rtol * abs(v0)):
+            # One panel met the target (as every DP step and most short
+            # finite pieces do): the sums below would return its value, with
+            # -0.0 made 0.0 by their start at 0.0.
+            return 0.0 + v0
+        heap = [(-e0, 0, a, b, v0, e0)]
+        total_val, total_err = v0, e0
+    else:
+        edges = [a, *inner, b]
+        heap = []
+        total_val = total_err = 0.0
+        for a0, b0 in zip(edges, edges[1:]):
+            v0, e0 = _gk15(g, a0, b0)
+            heap.append((-e0, len(heap), a0, b0, v0, e0))
+            total_val += v0
+            total_err += e0
+        heapq.heapify(heap)
     next_id = len(heap)
     while total_err > max(tol, rtol * abs(total_val)) and next_id < MAX_INTERVALS:
         key, _, a0, b0, v0, e0 = heapq.heappop(heap)

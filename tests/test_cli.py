@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,38 @@ def test_zero_prophet_value_is_computation_error(capsys, monkeypatch, argv):
 def test_nan_threshold_is_computation_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("t", ["inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3", "--reps", "1000"),
+    ("evaluate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3"),
+], ids=["simulate", "evaluate"])
+def test_infinite_threshold_is_usage_error(capsys, argv, t):
+    # JSON has no infinity; the flag is named before anything is computed
+    code, out, err = run_cli(capsys, *argv, f"--t={t}")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --t must be finite, got {float(t)}\n"
+
+
+def test_threshold_far_below_the_support(capsys):
+    # E(X | X > T) = E X = 2 below the support, and all 3 units sell
+    code, out, err = run_cli(capsys, "evaluate", "--dist", "pareto:alpha=2", "--n", "20",
+                             "--k", "3", "--t=-1e300")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["threshold"] == -1e300
+    assert payload["fp_value"] == pytest.approx(6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_result_is_computation_error(capsys, monkeypatch, bad):
+    monkeypatch.setattr(evpricing.policy, "monte_carlo_evaluate",
+                        lambda d, n, k, t, cfg: (bad, 0.0))
+    code, out, err = run_cli(capsys, "simulate", "--dist", "pareto:alpha=2", "--n", "20",
+                             "--k", "3", "--t", "2", "--reps", "10")
+    assert (code, out) == (1, "")
+    assert err == f"error: mean is {bad}, which JSON cannot represent\n"
 
 
 class TestConvergeCmd:

@@ -26,7 +26,14 @@ from evpricing import (
     virtual_tail_ratio,
     virtual_valuation,
 )
-from evpricing.distributions import EvtIndex, _sf_integral, _survival_power
+from evpricing.distributions import (
+    EvtIndex,
+    _binomial_tails,
+    _binomial_terms,
+    _sf_integral,
+    _survival_power,
+    _unit_clip,
+)
 
 POSITIVE = st.floats(1e-3, 1e3)
 REAL = st.floats(-1e6, 1e6)
@@ -296,6 +303,33 @@ class TestOrderStatisticTailMpmath:
             assert order_statistic_tail(d, n, j, T) == pytest.approx(oracle, rel=rel)
 
 
+class TestBinomialTerms:
+    """The p-free part of the log-space route is made once per (n, j, k)."""
+
+    @pytest.mark.parametrize("n, j, k", [(1, 1, 1), (10, 1, 3), (100, 2, 2), (1000, 1, 10)])
+    def test_tails_bit_equal_to_uncached_sum(self, n, j, k):
+        # the formula before memoization, every term in its original order
+        from scipy.special import gammaln
+        p = np.array([0.0, 1e-300, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+        inner = (p > 0.0) & (p < 1.0)
+        q = np.where(inner, p, 0.5)[..., None]
+        m = np.arange(j, n + 1)
+        logs = (gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+                + m * np.log(q) + (n - m) * np.log1p(-q))
+        sums = np.minimum(k - j + 1, (np.exp(logs) * np.minimum(m - j + 1, k - j + 1)).sum(-1))
+        expected = np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
+        got = _binomial_tails(n, j, k, p)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_cached_and_read_only(self):
+        first = _binomial_terms(50, 2, 4)
+        assert _binomial_terms(50, 2, 4) is first
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestOrderStatisticMean:
     def test_uniform_max_of_three(self):
         assert order_statistic_mean(Uniform(0.0, 1.0), 3, 1) == pytest.approx(0.75, abs=1e-8)
@@ -512,6 +546,26 @@ class TestConditionalMean:
         expected = alpha / (alpha - 1.0) * T
         assert conditional_mean_above(Pareto(alpha), T) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("d, mean", [
+        (Pareto(2.0), 2.0),
+        (Pareto(1.656), 1.656 / 0.656),
+        (Exponential(1.0), 1.0),
+        (Exponential(4.0), 0.25),
+        (Uniform(0.0, 1.0), 0.5),
+        (Uniform(2.0, 5.0), 3.5),
+        (Frechet(0.0, 1.0, 2.5), math.gamma(0.6)),
+        (Frechet(-0.5, 2.0, 3.0), -0.5 + 2.0 * math.gamma(2.0 / 3.0)),
+        (BoundedPower(1.0, 2.0), 1.0 / 3.0),
+        (BoundedPower(5.0, 0.7), 5.0 / 1.7),
+    ], ids=repr)
+    @pytest.mark.parametrize("T", [-1.0, -1e3, -1e6, -1e300])
+    def test_below_the_support_is_the_mean(self, d, mean, T):
+        # X > T is certain below a finite lower end: E(X | X > T) = E X in
+        # closed form, and bit for bit the value at the lower end itself
+        got = conditional_mean_above(d, T)
+        assert got == pytest.approx(mean, rel=1e-12)
+        assert got == conditional_mean_above(d, d.support.lo)
+
     def test_saturated_threshold_rejected(self):
         with pytest.raises(DomainError):
             conditional_mean_above(Uniform(0.0, 1.0), 1.0)
@@ -519,6 +573,35 @@ class TestConditionalMean:
     def test_divergent_tail_rejected(self):
         with pytest.raises(DivergenceError):
             conditional_mean_above(Pareto(1.0), 2.0)
+
+
+class TestClipFreeTails:
+    """The tails written without np.clip and np.where give the same bits."""
+
+    specials = [math.nan, -0.0, 0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, 5e-324, -5e-324,
+                1.0 - 1e-16, 1.0 + 1e-15]
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(st.sampled_from(specials) | st.floats(-3.0, 3.0) | st.floats(),
+                       min_size=1, max_size=20))
+    def test_unit_clip_is_np_clip(self, xs):
+        x = np.array(xs)
+        assert _unit_clip(x).view(np.int64).tolist() == np.clip(x, 0.0, 1.0).view(np.int64).tolist()
+        for v in xs:
+            got, ref = _unit_clip(np.asarray(v)), np.clip(np.asarray(v), 0.0, 1.0)
+            assert type(got) is type(ref)
+            assert np.asarray(got).view(np.int64) == np.asarray(ref).view(np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.05, 50.0),
+           ts=st.lists(st.sampled_from(specials) | st.floats(-10.0, 1e6) | st.floats(),
+                       min_size=1, max_size=20))
+    def test_pareto_sf_matches_piecewise_form(self, alpha, ts):
+        t = np.array(ts)
+        with np.errstate(all="ignore"):
+            ref = np.where(t < 1.0, 1.0, np.maximum(t, 1.0) ** -alpha)
+            got = Pareto(alpha).sf(t)
+        assert got.view(np.int64).tolist() == ref.view(np.int64).tolist()
 
 
 class TestVirtualValuation:

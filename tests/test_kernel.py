@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,146 @@ class TestIntegrate:
         expected, _ = quad(f, lo, hi if math.isfinite(hi) else np.inf, limit=200)
         got = integrate(f, Interval(lo, hi), tol=1e-10)
         assert got == pytest.approx(expected, abs=1e-8)
+
+
+def reference_gk15(f, a, b):
+    """The Gauss-Kronrod panel as a loop over the rule's tables: the
+    formulation the written-out sums of ``kernel._gk15`` must match bit for bit."""
+    xgk, wgk, wg = kernel._XGK, kernel._WGK, kernel._WG
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    dx = h * np.array(xgk[:7])
+    vals = f(np.concatenate(((c,), c - dx, c + dx)))
+    if np.ndim(vals) == 0:
+        vals = [float(vals)] * 15
+    else:
+        vals = np.asarray(vals, dtype=float).reshape(15).tolist()
+    fc, fv1, fv2 = vals[0], vals[1:8], vals[8:]
+    resk = wgk[7] * fc
+    resg = wg[3] * fc
+    resabs = wgk[7] * abs(fc)
+    for w, f1, f2 in zip(wgk, fv1, fv2):
+        resk += w * (f1 + f2)
+        resabs += w * (abs(f1) + abs(f2))
+    for i in (1, 3, 5):
+        resg += wg[i // 2] * (fv1[i] + fv2[i])
+    mean = 0.5 * resk
+    resasc = wgk[7] * abs(fc - mean)
+    for w, f1, f2 in zip(wgk, fv1, fv2):
+        resasc += w * (abs(f1 - mean) + abs(f2 - mean))
+    resk *= h
+    resg *= h
+    resabs *= abs(h)
+    resasc *= abs(h)
+    if not math.isfinite(resk):
+        raise DomainError("non-finite")
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > tiny / (50.0 * eps):
+        err = max(err, 50.0 * eps * resabs)
+    return resk, err
+
+
+def panel_outcome(f, a, b, rule):
+    """(value, error) of one panel as hex strings, or the exception type."""
+    try:
+        return tuple(float.hex(float(v)) for v in rule(f, a, b))
+    except DomainError:
+        return DomainError
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def panels(draw):
+    a, b = sorted((draw(finite), draw(finite)))
+    if not a < b or not math.isfinite(b - a):
+        a, b = -1.0, 2.0
+    return a, b
+
+
+class TestGK15Panel:
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 2.5), (5.0, 5.04), (-3.0, -1.0),
+                                      (1e-300, 3e-300), (-1e10, 1e10), (0.1, 0.1000000001),
+                                      (-2.0, 0.0), (0.0, 1e-320)])
+    def test_nodes_are_centre_then_mirrored_pairs(self, a, b):
+        seen = []
+        kernel._gk15(lambda x: seen.append(x.copy()) or np.ones(15), a, b)
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        xs = kernel._XGK[:7]
+        expected = np.array([c] + [c - h * x for x in xs] + [c + h * x for x in xs])
+        (got,) = seen
+        assert got.dtype == np.float64 and got.shape == (15,)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(ab=panels(), values=st.lists(st.floats(-4.0, 4.0) | finite,
+                                         min_size=15, max_size=15))
+    def test_sums_match_reference_loop_bit_for_bit(self, ab, values):
+        a, b = ab
+
+        def f(x):
+            return np.array(values)
+
+        assert panel_outcome(f, a, b, kernel._gk15) == panel_outcome(f, a, b, reference_gk15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ab=panels(), rate=st.floats(-40.0, 40.0), level=st.floats(-2.0, 2.0))
+    def test_smooth_values_match_reference_loop_bit_for_bit(self, ab, rate, level):
+        # exp(rate*u) + level on the rule's abscissae u: K15 and G7 agree to
+        # far below |f|, so the error estimate depends on every bit of both
+        a, b = ab
+        u = np.array((0.0,) + tuple(-x for x in kernel._XGK[:7]) + kernel._XGK[:7])
+        values = np.exp(rate * u) + level
+
+        def f(x):
+            return values
+
+        assert panel_outcome(f, a, b, kernel._gk15) == panel_outcome(f, a, b, reference_gk15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ab=panels(), value=st.floats(-4.0, 4.0) | finite)
+    def test_scalar_return_matches_reference_loop(self, ab, value):
+        a, b = ab
+
+        def f(x):
+            return value
+
+        assert panel_outcome(f, a, b, kernel._gk15) == panel_outcome(f, a, b, reference_gk15)
+
+    def test_one_panel_integral_is_its_panel(self):
+        # a panel that meets the target is returned as the running sum from
+        # 0.0 would return it: its own value, with -0.0 made 0.0
+        value, _ = kernel._gk15(np.exp, 0.0, 0.5)
+        assert integrate(np.exp, Interval(0.0, 0.5), tol=1e-8) == value
+        zero = integrate(lambda x: np.full(15, -0.0), Interval(0.0, 1.0))
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 3.0), (-2.5, 0.5),
+                                      (-3.0, -1.0), (0.25, 0.75)])
+    def test_monomials_against_exact_antiderivatives(self, a, b):
+        # Oracle: int_a^b x^d in exact rationals.  K15 integrates degree <= 22
+        # exactly, so only rounding remains (at most ~21 eps of int |x^d| seen,
+        # the rule's tables having 15 digits); G7 is exact to degree 13, so up
+        # to there the error estimate sits at its floor 50 eps int |f|, and
+        # above it the estimate sees the Gauss rule's truncation.
+        eps = np.finfo(float).eps
+        fa, fb = Fraction(a), Fraction(b)
+        for d in range(23):
+            exact = (fb ** (d + 1) - fa ** (d + 1)) / (d + 1)
+            if a < 0.0 < b:
+                mass = (abs(fa) ** (d + 1) + fb ** (d + 1)) / (d + 1)
+            else:
+                mass = abs(exact)
+            value, err = kernel._gk15(lambda x: x ** d, a, b)
+            assert abs(Fraction(value) - exact) <= 32 * eps * mass, d
+            if d <= 13:
+                assert Fraction(err) <= Fraction(51) * Fraction(eps) * mass, d
+            elif d <= 15:
+                assert Fraction(err) > 1000 * Fraction(eps) * mass, d
 
 
 class TestVectorizedIntegrand:
