@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import DistributionModel, EvtFamily, _sf_integral, expected_max
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .kernel import Interval, integrate
+from .kernel import integrate
 
 __all__ = [
     "PolicySequence",
@@ -96,7 +96,7 @@ def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
         # The step vanishes at the top of a bounded support, or when it is
         # below one ulp of g; the tail at an unmoved g is unchanged.
         if g_next > g:
-            tail -= integrate(d.sf, Interval(g, g_next), tol=_PIECE_RTOL * (g_next - g))
+            tail -= integrate(d.sf, g, g_next, tol=_PIECE_RTOL * (g_next - g))
             if tail < _REANCHOR_FRACTION * anchor:
                 tail = anchor = _sf_integral(d, g_next)
         g = g_next

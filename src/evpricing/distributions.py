@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SpecStringError
-from .kernel import ArrayLike, Interval, _special, find_root, integrate
+from .kernel import ArrayLike, _special, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -508,40 +508,19 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
     return float(_binomial_tails(n, j, j, d.sf(T)))
 
 
-def _tail_options(d: DistributionModel, lo: float, gamma: float,
-                  n: int = 1) -> dict:
-    """Keyword arguments of ``integrate`` over [lo, omega_1) for an integrand
-    with tail index gamma that is 1 below the support of d; n is the sample
-    size when the integrand is the tail of an order statistic.
-
-    A panel's error estimate cannot see a kink between its outermost node and
-    its edge.  So under the tail-adapted map (gamma > 1/2) the support's lower
-    end is a breakpoint, and on a bounded support (gamma < 0), where the top
-    order statistics of n draws fall from 1 to 0 within a quantile width of
-    about 1/n below omega_1, the domain is split at the quantiles 1 - c/n,
-    c in {1, 30}.  Elsewhere the map and the panels are the plain ones.
-    """
-    if gamma > 0.5 and lo < d.support.lo:
-        return {"tail_gamma": gamma, "points": (d.support.lo,)}
-    if gamma < 0:
-        return {"tail_gamma": gamma,
-                "points": tuple(float(d.quantile(1.0 - c / n)) for c in (1, 30) if c < n)}
-    return {"tail_gamma": gamma}
-
-
 def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
                  n: int = 1) -> float:
     """int_T^{omega_1} S(u) du for S = of_sf(sf), for a finite mean: by default
     I(T) = E(X - T)^+.  S falls like sf^j, so its tail index is gamma/j; n is
-    the sample size as in ``_tail_options``.
+    the sample size when S is the tail of an order statistic.
 
     Taken to an absolute 1e-12*max(1, |T|)*S(T) or to 1e-12 relative,
     whichever is looser, so that T + I(T)/sf(T) is right to
     1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
     """
-    hi = d.support.hi
+    lo, hi = d.support.lo, d.support.hi
     # sf is 1 at and below the support: moments from 0 need no scalar sf call.
-    s_T = 1.0 if T <= d.support.lo else float(d.sf(T))
+    s_T = 1.0 if T <= lo else float(d.sf(T))
     S_T = float(of_sf(s_T))
     if S_T <= 0.0 or T >= hi:
         return 0.0
@@ -551,9 +530,22 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     # fast above it, so sf/pdf there would map every node beyond the mass.
     f_T = float(d.pdf(T)) if math.isinf(hi) and s_T <= 0.5 else 0.0
     scale = s_T / f_T if f_T > 0.0 else 1.0
-    return integrate(lambda t: of_sf(d.sf(t)), Interval(T, hi),
+    # A panel's error estimate cannot see a kink between its outermost node
+    # and its edge.  So under the tail-adapted map (gamma > 1/2) the support's
+    # lower end is a breakpoint, and on a bounded support (gamma < 0), where
+    # the top order statistics of n draws fall from 1 to 0 within a quantile
+    # width of about 1/n below omega_1, the domain is split at the quantiles
+    # 1 - c/n, c in {1, 30}.  Elsewhere the map and the panels are the plain ones.
+    gamma = d.evt_index().gamma / j
+    if gamma > 0.5 and T < lo:
+        points = (lo,)
+    elif gamma < 0:
+        points = tuple(float(d.quantile(1.0 - c / n)) for c in (1, 30) if c < n)
+    else:
+        points = ()
+    return integrate(lambda t: of_sf(d.sf(t)), T, hi,
                      tol=1e-12 * max(1.0, abs(T)) * S_T, rtol=1e-12, tail_scale=scale,
-                     **_tail_options(d, T, d.evt_index().gamma / j, n))
+                     tail_gamma=gamma, points=points)
 
 
 def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
@@ -596,10 +588,16 @@ def conditional_mean_above(d: DistributionModel, T: float) -> float:
     """E(X | X > T) = T + I(T)/sf(T), with the tail integral I of ``_sf_integral``.
 
     Below a finite lower end of the support the event X > T is certain and
-    the result is E X: T is raised to that end first.
+    the result is E X: T is raised to that end first.  On an infinite lower
+    end (Gumbel) T is raised to the 2**-53 quantile: the left tail there is
+    double-exponential, so the mass below it moves E(X | X > T) by less than
+    1e-15 relative, while T + I(T)/sf(T) would lose digits in proportion to |T|.
     """
-    if T < d.support.lo:
-        T = d.support.lo
+    lo = d.support.lo
+    if lo == -math.inf:
+        lo = float(d.quantile(2.0 ** -53))
+    if T < lo:
+        T = lo
     s_T = float(d.sf(T))
     if s_T <= 0.0:
         raise DomainError(f"F({T}) = 1: conditioning event has probability 0")

@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import Frechet
 from .errors import DomainError, IngestError
 from .guarantees import phi_1_closed, u_star
-from .kernel import Interval, maximize_1d
+from .kernel import maximize_1d
 from .policy import theory_threshold
 
 __all__ = [
@@ -66,12 +66,14 @@ class FitResult:
 
 
 def _open_text(source: Source):
+    # utf-8-sig reads plain UTF-8 and drops a leading byte-order mark, which
+    # would otherwise stick to the first column name.
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline=""), True
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
     if hasattr(source, "read"):
         probe = source.read(0)
         if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
         return source, False
     raise IngestError(f"unsupported bid source {type(source).__name__}")
 
@@ -80,7 +82,9 @@ def ingest_bids(source: Source, id_col: str = "bidder_id",
                 bid_col: str = "bid") -> list[BidRecord]:
     """Parse bid records from CSV with named id and amount columns.
 
-    Malformed rows raise IngestError naming the 1-based line number.
+    Paths and byte streams are read as UTF-8, with or without a byte-order
+    mark.  Malformed rows raise IngestError naming the 1-based line number,
+    and bytes that are not UTF-8 raise IngestError.
     """
     handle, owned = _open_text(source)
     try:
@@ -110,6 +114,8 @@ def ingest_bids(source: Source, id_col: str = "bidder_id",
         if not records:
             raise IngestError("no bid rows found after the header")
         return records
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"input is not UTF-8 text: {exc.reason}") from None
     finally:
         if owned:
             handle.close()
@@ -201,7 +207,7 @@ def fit_scale(values: Sequence[float], alpha_hat: float) -> tuple[float, float]:
     def loss(s: float) -> float:
         return (s * g1 - xbar) ** 2 + (s * s * g_var - s2) ** 2
 
-    s_hat, neg = maximize_1d(lambda s: -loss(s), Interval(0.0, 10.0 * xbar),
+    s_hat, neg = maximize_1d(lambda s: -loss(s), 0.0, 10.0 * xbar,
                              tol=1e-9 * max(1.0, xbar))
     return s_hat, -neg
 

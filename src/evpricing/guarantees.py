@@ -24,8 +24,7 @@ import numpy as np
 
 from .distributions import DistributionModel, EvtFamily
 from .errors import DomainError
-from .kernel import (Interval, _special, find_root, lambert_w_minus1, ln_gamma,
-                     maximize_1d, poisson_cdf)
+from .kernel import _special, find_root, lambert_w_minus1, maximize_1d, poisson_cdf
 
 __all__ = [
     "Method",
@@ -79,7 +78,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _gamma_ratio(k: int, alpha: float) -> float:
-    return math.exp(ln_gamma(k) - ln_gamma(k + 1.0 - 1.0 / alpha))
+    return math.exp(math.lgamma(k) - math.lgamma(k + 1.0 - 1.0 / alpha))
 
 
 def _poisson_tail_sum(y: float, k: int) -> float:
@@ -112,7 +111,7 @@ def phi_k(alpha: float, k: int, numeric: bool = False) -> GuaranteeResult:
         y = math.inf if log_y > 700.0 else math.exp(log_y)
         return x * _poisson_tail_sum(y, k)
 
-    x_star, val = maximize_1d(objective, Interval(0.0, math.inf), tol=1e-10)
+    x_star, val = maximize_1d(objective, 0.0, math.inf, tol=1e-10)
     return GuaranteeResult(k, alpha, _gamma_ratio(k, alpha) * val, x_star,
                            Method.NUMERIC_MAX)
 
@@ -135,8 +134,8 @@ def phi_1_closed(alpha: float) -> float:
 def minimize_phi_1() -> tuple[float, float]:
     """Worst shape for the single-unit guarantee: the unique interior minimum
     of phi_1 on (1, ALPHA_SEARCH_HI).  Returns (alpha_star, value)."""
-    alpha_star, neg = maximize_1d(lambda a: -phi_1_closed(a),
-                                  Interval(1.0, ALPHA_SEARCH_HI), tol=1e-9)
+    alpha_star, neg = maximize_1d(lambda a: -phi_1_closed(a), 1.0, ALPHA_SEARCH_HI,
+                                  tol=1e-9)
     return alpha_star, -neg
 
 
@@ -168,7 +167,7 @@ def adaptivity_gap() -> tuple[float, float]:
         # Requested bracket width; the achievable accuracy in alpha is ~1e-8
         # (see above).  Changing it moves the golden-section path and so the
         # printed digits of alpha.
-        Interval(1.0, ALPHA_SEARCH_HI), tol=1e-9)
+        1.0, ALPHA_SEARCH_HI, tol=1e-9)
     return alpha_at_max, gap
 
 
@@ -193,7 +192,7 @@ def phi_k_alpha2_closed(k: int) -> float:
     """Closed form of the k-unit guarantee at alpha = 2, evaluated at x_k."""
     x = x_k_root(k)
     m = x ** -2.0
-    pref = math.exp(ln_gamma(k) - ln_gamma(k + 0.5))
+    pref = math.exp(math.lgamma(k) - math.lgamma(k + 0.5))
     return pref * (poisson_cdf(m, k - 1) / x + k * x * (1.0 - poisson_cdf(m, k)))
 
 

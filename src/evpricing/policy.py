@@ -22,7 +22,7 @@ from .distributions import (
     conditional_mean_above,
 )
 from .errors import DomainError
-from .kernel import Interval, maximize_1d
+from .kernel import maximize_1d
 
 __all__ = [
     "PolicyEvaluation",
@@ -123,7 +123,7 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     lo = max(d.support.lo, 0.0)
     hi = float(d.quantile(1.0 - _T_SEARCH_TAIL))
     t_star, fp = maximize_1d(lambda T: fixed_price_value_exact(d, n, k, T),
-                             Interval(lo, hi), tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
+                             lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
     return PolicyEvaluation(n, k, t_star, fp, prophet)
 
 

@@ -329,6 +329,19 @@ class TestFitCmd:
         assert err == f"usage error: {first} and {second} name the same file ./same.txt\n"
         assert [p.name for p in tmp_path.iterdir()] == ["bids.csv"]
 
+    def test_byte_order_mark_is_read(self, capsys, tmp_path, synthetic_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + synthetic_csv.read_bytes())
+        plain = run_cli(capsys, "fit", "--input", str(synthetic_csv), "--k-hill", "500")
+        assert run_cli(capsys, "fit", "--input", str(bom), "--k-hill", "500") == plain
+
+    def test_non_utf8_input_is_computation_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"bidder_id,bid\na,1\n\xff,2\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(bad))
+        assert code == 1 and out == ""
+        assert err == "error: input is not UTF-8 text: invalid start byte\n"
+
     def test_missing_input_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["fit"])

@@ -17,7 +17,6 @@ from evpricing import (
     EvtFamily,
     Frechet,
     Gumbel,
-    Interval,
     Pareto,
     PolicySequence,
     Uniform,
@@ -118,7 +117,7 @@ class TestExtendPolicy:
                 # the u^(-1/gamma) endpoint singularity caps the oracle's
                 # reachable accuracy near 1e-7 in doubles
                 alt = g * float(d.cdf(g)) + integrate(
-                    upper_quantile, Interval(0.0, p), tol=1e-6)
+                    upper_quantile, 0.0, p, tol=1e-6)
                 assert seq.values[int(n) + 1] == pytest.approx(alt, abs=1e-5)
 
     def test_divergent_model_rejected(self):
@@ -239,7 +238,7 @@ class TestExpectedMax:
         # oracle: the defining integral evaluated independently
         oracle = integrate(
             lambda t: 1.0 - (1.0 - np.minimum(1.0, t ** -2.0)) ** 2,
-            Interval(0.0, math.inf), tol=1e-8)
+            0.0, math.inf, tol=1e-8)
         assert expected_max(Pareto(2.0), 2) == pytest.approx(oracle, abs=1e-7)
 
     @pytest.mark.parametrize("n", [1, 100])

@@ -14,7 +14,6 @@ from evpricing import (
     Exponential,
     Frechet,
     Gumbel,
-    Interval,
     Pareto,
     SpecStringError,
     Uniform,
@@ -80,7 +79,7 @@ class TestModelBasics:
         ts = np.asarray(d.quantile(qs))
         assert np.all(np.asarray(d.pdf(ts)) >= 0.0)
         lo = d.support.lo if math.isfinite(d.support.lo) else float(d.quantile(1e-9))
-        mass = integrate(d.pdf, Interval(lo, d.support.hi), tol=1e-9)
+        mass = integrate(d.pdf, lo, d.support.hi, tol=1e-9)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_support_endpoints_consistent(self, d):
@@ -337,7 +336,7 @@ class TestOrderStatisticMean:
     def test_exponential_harmonic_oracle(self):
         # oracle: quadrature of 1 - (1 - e^-t)^2, which is the harmonic sum H_2
         oracle = integrate(lambda t: 1.0 - (1.0 - np.exp(-t)) ** 2,
-                           Interval(0.0, math.inf), tol=1e-12)
+                           0.0, math.inf, tol=1e-12)
         assert oracle == pytest.approx(1.5, abs=1e-10)
         assert order_statistic_mean(Exponential(1.0), 2, 1) == pytest.approx(oracle, abs=1e-8)
 
@@ -354,7 +353,7 @@ class TestOrderStatisticMean:
             n = 7
             direct = integrate(
                 lambda t: 1.0 - d.cdf(t) ** n,
-                Interval(0.0, d.support.hi), tol=1e-10)
+                0.0, d.support.hi, tol=1e-10)
             assert order_statistic_mean(d, n, 1) == pytest.approx(direct, abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 10 ** 6])
@@ -501,6 +500,15 @@ class TestConditionalMean:
         assert conditional_mean_above(d, T) == pytest.approx(mpmath_conditional_mean(d, T),
                                                              rel=1e-13)
 
+    @pytest.mark.parametrize("loc", [-50.0, 0.0, 50.0, 1e3])
+    def test_gumbel_far_below_the_mode_is_the_mean(self, loc):
+        # E(X | X > T) is E X = loc + euler_gamma to double precision there;
+        # T + I(T)/sf(T) alone loses digits in proportion to |T|
+        d = Gumbel(loc, 1.0)
+        for T in (loc - 10.0, loc - 1e3, -1e6, -1e300):
+            assert conditional_mean_above(d, T) == pytest.approx(
+                loc + np.euler_gamma, rel=1e-13), T
+
     @pytest.mark.parametrize("m, s, alpha", [
         *((m, s, alpha) for m, s in [(0.0, 1.0), (-1.0, 2.0)]
           for alpha in [1.2, 1.656, 2.5, 10.0, 100.0, 1000.0]),
@@ -519,7 +527,7 @@ class TestConditionalMean:
     def test_pareto_closed_form(self):
         # alpha T/(alpha - 1), cross-checked by the numeric tail integral
         d = Pareto(2.0)
-        tail = integrate(d.sf, Interval(3.0, math.inf), tol=1e-12)
+        tail = integrate(d.sf, 3.0, math.inf, tol=1e-12)
         oracle = 3.0 + tail / float(d.sf(3.0))
         assert oracle == pytest.approx(6.0, abs=1e-9)
         assert conditional_mean_above(d, 3.0) == pytest.approx(6.0, abs=1e-8)

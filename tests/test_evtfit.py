@@ -69,6 +69,17 @@ class TestIngest:
         path.write_text(THREE_ROWS)
         assert len(ingest_bids(path)) == 3
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        data = b"\xef\xbb\xbf" + THREE_ROWS.encode()
+        path = tmp_path / "bids.csv"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            assert ingest_bids(source) == ingest_bids(io.StringIO(THREE_ROWS))
+
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(IngestError, match="not UTF-8 text: invalid start byte"):
+            ingest_bids(io.BytesIO(b"bidder_id,bid\nalice,10\n\xff,2\n"))
+
 
 class TestPerBidderMax:
     def test_dedup_keeps_highest(self):
