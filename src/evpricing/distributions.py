@@ -472,13 +472,47 @@ def parse_distribution(spec: str) -> DistributionModel:
         raise SpecStringError(f"{kind}: {exc}") from None
 
 
+# Cephes lgam (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989), as scipy.special.gammaln evaluates it: log Gamma(x) = (x - 1/2) log x
+# - x + log sqrt(2 pi) + A(1/x^2)/x from x = 13 up, A of degree 4 below 1000
+# and the first three Stirling terms from there.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+
+
+def _lgam(m: int) -> float:
+    """log m! = log Gamma(m + 1), equal bit for bit to scipy's gammaln(m + 1).
+
+    Scalar ``math.log`` throughout: numpy's SIMD log may round differently."""
+    if m < 12:
+        return math.log(math.factorial(m))
+    x = m + 1.0
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+@functools.cache
+def _log_factorials() -> np.ndarray:
+    """log m! for m = 0.._DIRECT_BINOMIAL_MAX_N, read-only, made on first use."""
+    table = np.array([_lgam(m) for m in range(_DIRECT_BINOMIAL_MAX_N + 1)])
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=64)
 def _binomial_terms(n: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, log C(n, m), min(m-j+1, k-j+1)) for m = j..n, read-only: the part of
     the log-space binomial sum that does not depend on p, made once per (n, j, k)."""
-    gammaln = _special().gammaln
+    lf = _log_factorials()
     m = np.arange(j, n + 1)
-    log_coef = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+    log_coef = lf[n] - lf[m] - lf[n - m]
     weights = np.minimum(m - j + 1, k - j + 1)
     for arr in (m, log_coef, weights):
         arr.flags.writeable = False

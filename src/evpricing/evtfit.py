@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,14 +67,12 @@ class FitResult:
 
 
 def _open_text(source: Source):
-    # utf-8-sig reads plain UTF-8 and drops a leading byte-order mark, which
-    # would otherwise stick to the first column name.
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
+        return open(source, "r", encoding="utf-8", newline=""), True
     if hasattr(source, "read"):
         probe = source.read(0)
         if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
+            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
         return source, False
     raise IngestError(f"unsupported bid source {type(source).__name__}")
 
@@ -82,13 +81,16 @@ def ingest_bids(source: Source, id_col: str = "bidder_id",
                 bid_col: str = "bid") -> list[BidRecord]:
     """Parse bid records from CSV with named id and amount columns.
 
-    Paths and byte streams are read as UTF-8, with or without a byte-order
-    mark.  Malformed rows raise IngestError naming the 1-based line number,
-    and bytes that are not UTF-8 raise IngestError.
+    Paths and byte streams are read as UTF-8.  One byte-order mark opening
+    the text is dropped, from any source, text streams included, so that
+    it does not stick to the first column name.  Malformed rows raise
+    IngestError naming the 1-based line number, and bytes that are not
+    UTF-8 raise IngestError.
     """
     handle, owned = _open_text(source)
     try:
-        reader = csv.DictReader(handle)
+        first = handle.readline().removeprefix("\ufeff")
+        reader = csv.DictReader(itertools.chain([first] if first else [], handle))
         if reader.fieldnames is None:
             raise IngestError("empty input: no header row")
         missing = [c for c in (id_col, bid_col) if c not in reader.fieldnames]

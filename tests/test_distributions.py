@@ -29,6 +29,7 @@ from evpricing.distributions import (
     EvtIndex,
     _binomial_tails,
     _binomial_terms,
+    _log_factorials,
     _sf_integral,
     _survival_power,
     _unit_clip,
@@ -319,6 +320,13 @@ class TestBinomialTerms:
         expected = np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
         got = _binomial_tails(n, j, k, p)
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_log_factorials_bit_equal_to_gammaln(self):
+        from scipy.special import gammaln
+        table = _log_factorials()
+        x = np.arange(1, len(table) + 1)
+        assert x[-1] == 1001
+        assert table.view(np.int64).tolist() == gammaln(x).view(np.int64).tolist()
 
     def test_cached_and_read_only(self):
         first = _binomial_terms(50, 2, 4)

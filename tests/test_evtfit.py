@@ -70,11 +70,21 @@ class TestIngest:
         assert len(ingest_bids(path)) == 3
 
     def test_byte_order_mark_dropped(self, tmp_path):
-        data = b"\xef\xbb\xbf" + THREE_ROWS.encode()
+        expected = ingest_bids(io.StringIO(THREE_ROWS))
         path = tmp_path / "bids.csv"
-        path.write_bytes(data)
-        for source in (path, io.BytesIO(data)):
-            assert ingest_bids(source) == ingest_bids(io.StringIO(THREE_ROWS))
+        for header in ("bidder_id,bid", '"bidder_id",bid'):
+            rows = THREE_ROWS.replace("bidder_id,bid", header, 1)
+            data = b"\xef\xbb\xbf" + rows.encode()
+            path.write_bytes(data)
+            # decoded by ingest_bids, or already decoded with the mark kept
+            for source in (path, io.BytesIO(data), io.StringIO("\ufeff" + rows)):
+                assert ingest_bids(source) == expected
+            with open(path, encoding="utf-8", newline="") as handle:
+                assert ingest_bids(handle) == expected
+
+    def test_only_one_byte_order_mark_dropped(self):
+        with pytest.raises(IngestError, match="missing column"):
+            ingest_bids(io.StringIO("\ufeff\ufeff" + THREE_ROWS))
 
     def test_non_utf8_bytes_rejected(self):
         with pytest.raises(IngestError, match="not UTF-8 text: invalid start byte"):

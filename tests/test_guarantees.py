@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 from evpricing import (
@@ -64,6 +66,14 @@ class TestPhiK:
         val = phi_k(alpha, k).value
         assert 0.0 < val < 1.0
         assert val >= sqrt_bound(k) - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(1.05, 50.0), k=st.integers(1, 50))
+    def test_numeric_value_dominates_sqrt_bound(self, alpha, k):
+        # the README's "always dominates", with no slack.  Over 25 geometric
+        # alphas in [1.05, 50] and k in (1, 2, 3, 5, 10, 20, 50) the least
+        # margin is 2.5e-3, at alpha ~= 2 and k = 50.
+        assert phi_k(alpha, k, numeric=True).value >= sqrt_bound(k)
 
     def test_series_rewrite_equals_direct_summation(self):
         # brute-force equivalence of the Poisson-tail rewrite on a 5x5x5 grid

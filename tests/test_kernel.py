@@ -123,6 +123,24 @@ class TestLambertW:
             lambert_w_minus1(z)
 
 
+def test_lambert_w_bit_equal_to_scipy():
+    # the iteration scipy.special.lambertw(z, -1) runs, so the same double
+    from scipy.special import lambertw
+    branch = -math.exp(-1.0)
+    rng = np.random.default_rng(20261018)
+    alphas = np.concatenate([np.geomspace(1.0001, 1e6, 5000), rng.uniform(1.0001, 60.0, 5000)])
+    zs = np.concatenate([
+        rng.uniform(branch, 0.0, 20000),
+        branch * (1.0 - np.geomspace(1e-16, 1.0, 5000, endpoint=False)),  # the branch point
+        -np.geomspace(1e-300, -branch, 5000, endpoint=False),  # and 0
+        -(1.0 / alphas) * np.exp(-1.0 / alphas),  # what u_star asks for
+    ])
+    zs = zs[(branch < zs) & (zs < 0.0)]
+    assert len(zs) > 34000
+    expected = [float(w).hex() for w in lambertw(zs, -1).real]
+    assert [lambert_w_minus1(float(z)).hex() for z in zs] == expected
+
+
 class TestIntegrate:
     def test_exponential_tail(self):
         val = integrate(lambda x: np.exp(-x), 0.0, math.inf, tol=1e-10)

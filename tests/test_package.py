@@ -24,6 +24,7 @@ def test_package_exports_each_public_name(name):
 
 
 SRC = Path(evpricing.__file__).resolve().parent
+BIDS = Path(__file__).resolve().parent.parent / "bench" / "golden" / "bids.csv"
 
 
 def scipy_modules_after(code: str) -> list[str]:
@@ -39,17 +40,31 @@ def scipy_modules_after(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def cli(*argv: str) -> str:
+    return f"from evpricing.cli import main\nassert main({list(argv)!r}) == 0"
+
+
 @pytest.mark.parametrize("code", [
     pytest.param("import evpricing", id="import"),
     pytest.param("import evpricing.cli", id="import-cli"),
     # the README commands that call no special function
-    pytest.param("from evpricing.cli import main\n"
-                 "assert main(['competition', '--dist', 'uniform:a=0,b=1', '--n', '500']) == 0",
-                 id="competition"),
-    pytest.param("from evpricing.cli import main\n"
-                 "assert main(['simulate', '--dist', 'pareto:alpha=2', '--n', '20', '--k', '3',"
-                 " '--t', '2', '--reps', '100000', '--seed', '7']) == 0",
-                 id="simulate"),
+    pytest.param(cli("competition", "--dist", "uniform:a=0,b=1", "--n", "500"), id="competition"),
+    pytest.param(cli("simulate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3", "--t", "2",
+                     "--reps", "100000", "--seed", "7"), id="simulate"),
+    # the README commands whose special functions are computed in Python
+    pytest.param(cli("phi1-min"), id="phi1-min"),
+    pytest.param(cli("adaptivity-gap"), id="adaptivity-gap"),
+    pytest.param(cli("evaluate", "--dist", "pareto:alpha=2", "--n", "100", "--k", "3",
+                     "--t", "2.5"), id="evaluate"),
+    pytest.param(cli("converge", "--dist", "pareto:alpha=2", "--k", "1",
+                     "--n-grid", "10,100,1000"), id="converge-pareto"),
+    pytest.param(cli("converge", "--dist", "exp:rate=1", "--k", "1", "--n-grid", "10,100",
+                     "--mode", "theory", "--u", "0"), id="converge-exp"),
+    pytest.param("import tempfile\nfrom evpricing.cli import main\n"
+                 "with tempfile.TemporaryDirectory() as tmp:\n"
+                 f"    assert main(['fit', '--input', {str(BIDS)!r}, '--k-hill', '97', '--n', '509',"
+                 " '--realized-max', '5400', '--histogram-output', tmp + '/fit.hist.csv']) == 0",
+                 id="fit"),
 ])
 def test_no_scipy_without_a_special_function(code):
     assert scipy_modules_after(code) == []
