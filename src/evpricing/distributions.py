@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SpecStringError
-from .kernel import ArrayLike, _special, find_root, integrate
+from .kernel import ArrayLike, _mass_walk, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -42,8 +42,8 @@ __all__ = [
     "virtual_tail_ratio",
 ]
 
-# Binomial tails switch to the incomplete-beta identity above this sample
-# size; direct log-space summation would be slow and gains nothing there.
+# Binomial tails walk the masses above this sample size.  Below it the log-space
+# sum stays: the README goldens hold its digits, one of them off in its last place.
 _DIRECT_BINOMIAL_MAX_N = 1000
 
 
@@ -519,19 +519,26 @@ def _binomial_terms(n: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.
     return m, log_coef, weights
 
 
+def _walked_tails(n: int, j: int, k: int, p: float) -> float:
+    """sum_{i=j..k} P(Bin(n, p) >= i) = (k-j+1) P(Bin >= k) + sum_{m=j..k-1} (m-j+1) P(m)."""
+    odds = p / (1.0 - p)
+    masses, tail = _mass_walk(n * math.log1p(-p), lambda m: (n - m) / (m + 1) * odds, k)
+    return math.fsum([(k - j + 1) * tail] + [(m - j + 1) * masses[m] for m in range(j, k)])
+
+
 def _binomial_tails(n: int, j: int, k: int, p: ArrayLike) -> np.ndarray:
     """sum_{i=j..k} P(Bin(n, p) >= i) for sf values p: P(M_n^j > t) at k = j and
     E min(k, Bin(n, p)) at j = 1.  Small n weights P(Bin = m) by min(m-j+1, k-j+1)
-    in log space; large n sums the incomplete-beta identity P(Bin >= i) = I_p(i, n-i+1)."""
+    in log space; large n walks the masses of each p."""
     inner = (p > 0.0) & (p < 1.0)
-    q = np.where(inner, p, 0.5)[..., None]
+    q = np.where(inner, p, 0.5)
     if n <= _DIRECT_BINOMIAL_MAX_N:
         m, log_coef, weights = _binomial_terms(n, j, k)
+        q = q[..., None]
         logs = log_coef + m * np.log(q) + (n - m) * np.log1p(-q)
         sums = np.minimum(k - j + 1, (np.exp(logs) * weights).sum(axis=-1))
     else:
-        i = np.arange(j, k + 1)
-        sums = _special().betainc(i, n - i + 1, q).sum(axis=-1)
+        sums = np.array([_walked_tails(n, j, k, x) for x in q.ravel().tolist()]).reshape(q.shape)
     return np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
 
 
@@ -679,25 +686,24 @@ def virtual_tail_ratio(d: DistributionModel, t: float) -> float:
         return virtual_valuation(d, s) - t
 
     # phi(s) <= s, so the preimage sits at or above t.
-    if math.isinf(sup.lo):
-        lo = t
-    else:
-        lo = max(t, sup.lo + 1e-12 * max(1.0, abs(sup.lo)))
+    lo = t if math.isinf(sup.lo) else max(t, sup.lo + 1e-12 * max(1.0, abs(sup.lo)))
+    if g(lo) > 0:
+        # Every value above t already maps above t: the preimage is t itself
+        # only when phi(t) >= t, which monotone phi with phi(s) <= s forbids.
+        raise DomainError(f"virtual valuation already exceeds t={t} at the bracket base")
+    # The preimage lies a few reciprocal hazards above lo (one for Exponential).
+    step = float(d.sf(lo)) / float(d.pdf(lo))
     if math.isinf(sup.hi):
-        hi = max(2.0 * abs(t), lo + 1.0)
         for _ in range(200):
+            hi = lo + step
             if g(hi) > 0:
                 break
-            hi *= 2.0
+            step *= 2.0
         else:
             raise DomainError("could not bracket the virtual-value preimage")
     else:
         hi = sup.hi - 1e-12 * max(1.0, abs(sup.hi))
         if g(hi) < 0:
             raise DomainError(f"phi stays below t={t} on the support")
-    if g(lo) > 0:
-        # Every value above t already maps above t: the preimage is t itself
-        # only when phi(t) >= t, which monotone phi with phi(s) <= s forbids.
-        raise DomainError(f"virtual valuation already exceeds t={t} at the bracket base")
-    root = find_root(g, lo, hi, tol=1e-12 * max(1.0, abs(t)))
+    root = find_root(g, lo, hi, tol=1e-12 * max(abs(t), step))
     return float(d.sf(root)) / s_t

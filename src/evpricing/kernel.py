@@ -1,12 +1,5 @@
-"""Special functions and generic one-dimensional numerical routines.
-
-This is the one module that touches scipy, and only through ``_special``,
-which imports ``scipy.special`` on its first call, and only for the
-incomplete gamma and beta functions: ``lambert_w_minus1`` runs scipy's own
-iteration in Python, with the same result to the bit.  So a program that
-calls neither incomplete function (the dynamic program, ``expected_max``,
-Monte Carlo, spec parsing, the single-unit guarantee, the binomial tails up
-to n = 1000) never loads scipy.
+"""Special functions in Python (a walk over the masses of a Poisson or binomial
+law, and W_{-1}) and generic one-dimensional numerical routines.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.  Default tolerances are absolute 1e-10 unless the caller
@@ -43,6 +36,8 @@ ArrayLike = Union[float, np.ndarray]
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# log 2 split as in fdlibm: s*_LN2_HI is exact for |s| < 2**21.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 #: Number of bracket points scanned before golden-section refinement.
 SCAN_POINTS = 256
@@ -55,24 +50,47 @@ MAX_INTERVALS = 2048
 ROOT_MAX_ITER = 200
 
 
-def _special():
-    """``scipy.special``, imported on the first call; later calls are a
-    ``sys.modules`` lookup.  It is most of the package's import time."""
-    from scipy import special
-    return special
+def _mass_walk(log_p0: float, ratio: Callable[[int], float],
+               k: int) -> tuple[list[float], float]:
+    """([P(N = m) for m < k], P(N >= k)) for a count law N, given log P(N = 0)
+    and ratio(m) = P(N = m+1)/P(N = m), nonincreasing in m: y/(m+1) for
+    Poisson(y), (n-m)/(m+1) * p/(1-p) for Bin(n, p).  The masses are carried
+    up from P(N = 0) as mass*2**shift, so none underflows.  P(N >= k) is
+    1 - fsum of the masses below k if they rise at k, else the masses summed
+    upward from k down to eps of P(N = k): positive terms on the side that
+    does not cancel, in k + O(sqrt(mean)) steps."""
+    if log_p0 == -math.inf:
+        return [0.0] * k, 1.0
+    mass, shift = math.exp(log_p0), 0
+    if mass < _TINY:
+        # exp(r)*2**shift; r is clamped only past |log_p0| ~ 1e18, where all masses are 0
+        shift = math.floor(log_p0 / _LN2_HI)
+        r = (log_p0 - shift * _LN2_HI) - shift * _LN2_LO
+        mass = math.exp(min(max(r, 0.0), 1.0))
+    masses, rise = [], math.inf
+    for m in range(k):
+        masses.append(math.ldexp(mass, shift))
+        rise = ratio(m)
+        mass *= rise
+        if not 2.0 ** -500 < mass < 2.0 ** 500:
+            mass, e = math.frexp(mass)
+            shift += e
+    if rise > 1.0:
+        return masses, 1.0 - math.fsum(masses)
+    terms = [mass]
+    while terms[-1] > _EPS * mass:
+        terms.append(terms[-1] * ratio(k + len(terms) - 1))
+    return masses, math.ldexp(math.fsum(terms), shift)
 
 
 def poisson_cdf(y: float, k: int) -> float:
-    """P(Poisson(y) <= k), via the regularized upper incomplete gamma function.
-
-    The incomplete-gamma route stays accurate for means and counts up to 1e6,
-    where term-by-term summation would over- or underflow.
-    """
+    """P(Poisson(y) <= k): the fsum of the k + 1 lowest masses of ``_mass_walk``,
+    accurate relative to itself however small, capped at 1 against rounding."""
     if y < 0:
         raise DomainError(f"poisson_cdf requires y >= 0, got {y}")
     if k < 0:
         raise DomainError(f"poisson_cdf requires k >= 0, got {k}")
-    return float(_special().gammaincc(k + 1, y))
+    return min(1.0, math.fsum(_mass_walk(-y, lambda m: y / (m + 1), k + 1)[0]))
 
 
 def lambert_w_minus1(z: float) -> float:
@@ -82,9 +100,7 @@ def lambert_w_minus1(z: float) -> float:
     iteration of ``scipy.special.lambertw(z, -1)``, operation for operation:
     Halley's step for w*exp(w) - z (Corless et al., "On the Lambert W
     function", 1996, eq. 5.9) from w = log(-z), stopping once a step moves
-    w by at most 1e-8 relative.  So its result equals scipy's bit for bit,
-    and the single-unit guarantee needs no scipy import: that takes about
-    0.2 s, while the ~300 calls behind ``minimize_phi_1`` take under 1 ms.
+    w by at most 1e-8 relative.  So its result equals scipy's bit for bit.
     Where scipy would return NaN after 100 steps, this raises
     ConvergenceError.
     """

@@ -252,7 +252,7 @@ class TestOrderStatisticTail:
             total = sum(order_statistic_tail(d, n, j, T) for j in range(1, k + 1))
             assert total == pytest.approx(expected, abs=1e-10)
 
-    def test_direct_and_beta_routes_agree(self):
+    def test_direct_and_walk_routes_agree(self):
         # same value on both sides of the large-n switch
         d = Exponential(1.0)
         from evpricing import distributions as dist_mod
@@ -260,10 +260,10 @@ class TestOrderStatisticTail:
         old = dist_mod._DIRECT_BINOMIAL_MAX_N
         try:
             dist_mod._DIRECT_BINOMIAL_MAX_N = 10
-            p_beta = order_statistic_tail(d, 1000, 3, 2.0)
+            p_walk = order_statistic_tail(d, 1000, 3, 2.0)
         finally:
             dist_mod._DIRECT_BINOMIAL_MAX_N = old
-        assert p_direct == pytest.approx(p_beta, rel=1e-10)
+        assert p_direct == pytest.approx(p_walk, rel=1e-10)
 
     def test_huge_n_no_underflow(self):
         val = order_statistic_tail(Pareto(2.0), 10 ** 6, 2, 1e4)
@@ -289,8 +289,9 @@ class TestOrderStatisticTailMpmath:
     """Both binomial routes against 60-digit sums, at exceedance probability
     p = c/n for the exact double p = sf(T).  Each tolerance is at least 10x
     the worst error measured over these points: log space 1.3e-15 at n = 10
-    and 7.9e-13 at n = 1000 (the error grows with n * ulp(log p)); betainc
-    8e-15 at n = 1001 and 1.8e-11 at n = 1e6."""
+    and 7.9e-13 at n = 1000 (the error grows with n * ulp(log p)); the mass
+    walk 3.8e-16 at n = 1001 and 5.2e-16 at n = 1e6 (the bands above 1000
+    were set for scipy's betainc, 8e-15 and 1.8e-11 there)."""
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("n,rel", [(10, 2e-14), (1000, 1e-11), (1001, 1e-13),
@@ -301,6 +302,42 @@ class TestOrderStatisticTailMpmath:
             T = math.log(n / c)
             oracle = float(mpmath_binomial_tail(n, j, float(d.sf(T))))
             assert order_statistic_tail(d, n, j, T) == pytest.approx(oracle, rel=rel)
+
+
+def mpmath_capped_tails(n: int, j: int, k: int, p: float):
+    """sum_{i=j..k} P(Bin(n, p) >= i) at 60 digits, each tail as 1 - sum_{m<i} P(m)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p = mp.mpf(p)
+        pmf = [mp.binomial(n, m) * p ** m * (1 - p) ** (n - m) for m in range(k)]
+        return mp.fsum(1 - mp.fsum(pmf[:i]) for i in range(j, k + 1))
+
+
+class TestBinomialWalkMpmath:
+    """The route above _DIRECT_BINOMIAL_MAX_N, a walk over the binomial masses,
+    against 60-digit sums at np from 1e-6 to 100.  Its worst error over this
+    grid is 1.5e-15 (n = 1e6, j = 1, k = 10); scipy's betainc was off by
+    1.3e-11 at n = 1e6, 2.3e-8 at n = 1e9."""
+
+    @pytest.mark.parametrize("j, k", [(1, 1), (1, 3), (2, 2), (3, 3), (1, 10)])
+    @pytest.mark.parametrize("n", [1001, 5000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8, 10 ** 9,
+                                   10 ** 12, 10 ** 15])
+    def test_against_mpmath(self, n, j, k):
+        p = np.geomspace(1e-6, 100.0, 25) / n
+        oracle = [float(mpmath_capped_tails(n, j, k, float(x))) for x in p]
+        assert _binomial_tails(n, j, k, p) == pytest.approx(oracle, rel=5e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(st.integers(51, 1000), st.integers(1001, 10 ** 12)),
+           y=st.floats(1e-6, 50.0), k=st.integers(1, 10))
+    def test_le_cam_poisson_limit(self, n, y, k):
+        # Le Cam (1960): Bin(n, y/n) is within y^2/n of Poisson(y) in total
+        # variation, so the capped means differ by at most k y^2/n; the slack
+        # is for rounding, both sides being right to about 1e-15 relative
+        from evpricing.guarantees import _poisson_tail_sum
+        poisson = _poisson_tail_sum(y, k)
+        binomial = float(_binomial_tails(n, 1, k, np.array(y / n)))
+        assert abs(binomial - poisson) <= k * y * y / n + 1e-14 * poisson
 
 
 class TestBinomialTerms:
@@ -652,6 +689,19 @@ class TestVirtualTailRatio:
         d = Exponential(1.0)
         for t in (0.0, 1.0, 4.0):
             assert virtual_tail_ratio(d, t) == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("rate", [1e-6, 1.0, 1e6])
+    def test_exponential_any_rate(self, rate):
+        # phi(s) = s - 1/rate, so the preimage is t + 1/rate at every scale
+        for t in (0.0, 2.0 / rate, 4.0 / rate):
+            assert virtual_tail_ratio(Exponential(rate), t) == pytest.approx(math.exp(-1.0),
+                                                                             abs=1e-15)
+
+    def test_frechet_scale_free(self):
+        # X -> cX maps phi to c*phi, so the ratio at c*t does not depend on c
+        for t in (2.0, 5.0):
+            ratios = [virtual_tail_ratio(Frechet(0.0, c, 3.0), c * t) for c in (1e-6, 1.0, 1e6)]
+            assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-14)
 
     def test_uniform_half(self):
         # phi(t) = 2t - 1, so the ratio is exactly 1/2 on a grid toward 1

@@ -22,7 +22,7 @@ from evpricing import (
     u_star,
     x_k_root,
 )
-from evpricing.guarantees import Method
+from evpricing.guarantees import Method, _poisson_tail_sum
 
 
 def objective_series_oracle(x: float, alpha: float, k: int, terms: int = 200) -> float:
@@ -111,6 +111,30 @@ class TestPhiK:
         res = phi_k(alpha, k, numeric=True)
         assert res.value == pytest.approx(float(value), rel=1e-12)
         assert res.argmax_x == pytest.approx(float(x_star), abs=1e-6)
+
+
+class TestPoissonTailSum:
+    """E min(k, Poisson(y)), the sum inside phi_k's objective."""
+
+    @pytest.mark.parametrize("k", range(51))
+    def test_against_mpmath(self, k):
+        # oracle: sum_{m<k} m P(m) + k (1 - sum_{m<k} P(m)) at 50 digits,
+        # where it is a normal double.  The walk's worst error over k in 0..50
+        # is 4.0e-16 (y = 14.8, k = 15); scipy's gammainc sum was off by 1.6e-15.
+        mp = pytest.importorskip("mpmath")
+        for y in np.geomspace(1e-6, 1e3, 60):
+            with mp.workdps(50):
+                yy = mp.mpf(float(y))
+                pmf = [mp.exp(-yy) * yy ** m / mp.factorial(m) for m in range(k)]
+                oracle = mp.fsum(m * p for m, p in enumerate(pmf)) + k * (1 - mp.fsum(pmf))
+            if oracle > mp.mpf("1e-290"):
+                assert _poisson_tail_sum(float(y), k) == pytest.approx(
+                    float(oracle), rel=5e-14, abs=0.0), y
+
+    def test_limits(self):
+        # phi_k's objective passes y = inf for x -> 0
+        assert _poisson_tail_sum(math.inf, 7) == 7.0
+        assert _poisson_tail_sum(0.0, 7) == 0.0
 
 
 class TestUStar:

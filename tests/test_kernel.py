@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evpricing
 import evpricing.kernel as kernel
+from evpricing.distributions import _binomial_tails
 from evpricing import (
     BoundedPower,
     BracketError,
@@ -72,26 +74,80 @@ class TestPoissonCdf:
                 diff = poisson_cdf(y, k) - poisson_cdf(y, k - 1)
                 assert diff == pytest.approx(pmf, rel=1e-10)
 
-    @pytest.mark.parametrize("k", [0, 1, 3, 10, 50])
+    @pytest.mark.parametrize("k", range(51))
     def test_against_mpmath_direct_sum(self, k):
-        # oracle: sum_{j<=k} e^-y y^j / j! at 50 digits, where it is a normal double
+        # oracle: sum_{j<=k} e^-y y^j / j! at 50 digits, where it is a normal
+        # double.  The walk's worst error over k in 0..50 is 1.0e-15
+        # (y = 495, k = 40); scipy's gammaincc was off by 1.0e-13 here.
         mp = pytest.importorskip("mpmath")
         for y in np.geomspace(1e-6, 1e3, 60):
             with mp.workdps(50):
                 yy = mp.mpf(float(y))
                 oracle = mp.fsum(mp.exp(-yy) * yy ** j / mp.factorial(j) for j in range(k + 1))
             if oracle > mp.mpf("1e-290"):
-                assert poisson_cdf(float(y), k) == pytest.approx(float(oracle), rel=1e-12), y
+                assert poisson_cdf(float(y), k) == pytest.approx(float(oracle), rel=5e-14,
+                                                                 abs=0.0), y
 
     def test_large_arguments_stable(self):
-        val = poisson_cdf(1e6, 10 ** 6)
-        assert 0.0 < val < 1.0
+        # a million masses walked up from exp(-1e6), which underflows
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            oracle = mp.gammainc(10 ** 6 + 1, 10 ** 6, mp.inf, regularized=True)
+        assert poisson_cdf(1e6, 10 ** 6) == pytest.approx(float(oracle), rel=2e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             poisson_cdf(-0.1, 3)
         with pytest.raises(DomainError):
             poisson_cdf(1.0, -1)
+
+
+def counted_walks(monkeypatch, module) -> list[int]:
+    """Patch module's ``_mass_walk`` to record, per walk, how many ratios it took."""
+    steps = []
+    walk = kernel._mass_walk
+
+    def counting(log_p0, ratio, k):
+        steps.append(0)
+
+        def counted(m):
+            steps[-1] += 1
+            return ratio(m)
+
+        return walk(log_p0, counted, k)
+
+    monkeypatch.setattr(module, "_mass_walk", counting)
+    return steps
+
+
+class TestMassWalk:
+    def test_poisson_masses_and_tail(self):
+        y = 2.5
+        masses, tail = kernel._mass_walk(-y, lambda m: y / (m + 1), 4)
+        expected = [math.exp(-y) * y ** m / math.factorial(m) for m in range(4)]
+        assert masses == pytest.approx(expected, rel=1e-15)
+        assert tail == pytest.approx(1.0 - math.fsum(expected), rel=1e-14)
+
+    def test_k_zero_and_certain_infinity(self):
+        assert kernel._mass_walk(-3.0, lambda m: 3.0 / (m + 1), 0) == ([], 1.0)
+        assert kernel._mass_walk(-math.inf, lambda m: math.inf, 3) == ([0.0] * 3, 1.0)
+
+    @pytest.mark.parametrize("module, call, k, mean, expected", [
+        # exp(-1e300): every mass below k underflows; the walk must still end
+        pytest.param("kernel", lambda: poisson_cdf(1e300, 5), 6, 1e300, 0.0, id="poisson-1e300"),
+        pytest.param("kernel", lambda: poisson_cdf(1e6, 10 ** 6), 10 ** 6 + 1, 1e6, None,
+                     id="poisson-1e6"),
+        pytest.param("distributions",
+                     lambda: float(_binomial_tails(10 ** 15, 1, 3, np.array(0.5))), 3, 5e14, 3.0,
+                     id="binomial-1e15"),
+    ])
+    def test_ends_within_k_plus_sqrt_mean_steps(self, monkeypatch, module, call, k, mean,
+                                                expected):
+        steps = counted_walks(monkeypatch, getattr(evpricing, module))
+        value = call()
+        assert steps and max(steps) <= k + 20.0 * math.sqrt(min(mean, k)) + 10
+        if expected is not None:
+            assert value == expected
 
 
 class TestLambertW:

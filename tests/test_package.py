@@ -47,11 +47,11 @@ def cli(*argv: str) -> str:
 @pytest.mark.parametrize("code", [
     pytest.param("import evpricing", id="import"),
     pytest.param("import evpricing.cli", id="import-cli"),
-    # the README commands that call no special function
+    # the nine README commands
+    pytest.param(cli("guarantees", "--k-max", "50"), id="guarantees"),
     pytest.param(cli("competition", "--dist", "uniform:a=0,b=1", "--n", "500"), id="competition"),
     pytest.param(cli("simulate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3", "--t", "2",
                      "--reps", "100000", "--seed", "7"), id="simulate"),
-    # the README commands whose special functions are computed in Python
     pytest.param(cli("phi1-min"), id="phi1-min"),
     pytest.param(cli("adaptivity-gap"), id="adaptivity-gap"),
     pytest.param(cli("evaluate", "--dist", "pareto:alpha=2", "--n", "100", "--k", "3",
@@ -65,17 +65,19 @@ def cli(*argv: str) -> str:
                  f"    assert main(['fit', '--input', {str(BIDS)!r}, '--k-hill', '97', '--n', '509',"
                  " '--realized-max', '5400', '--histogram-output', tmp + '/fit.hist.csv']) == 0",
                  id="fit"),
+    # the capped counts of the Poisson and binomial laws, walked in Python
+    pytest.param("from evpricing import poisson_cdf\npoisson_cdf(1.0, 2)", id="poisson_cdf"),
+    pytest.param("from evpricing import phi_k\nphi_k(2.5, 3, numeric=True)",
+                 id="phi_k-numeric"),
+    pytest.param("from evpricing import Pareto, order_statistic_tail\n"
+                 "order_statistic_tail(Pareto(2.0), 10 ** 6, 2, 1e3)", id="order_statistic_tail"),
 ])
 def test_no_scipy_without_a_special_function(code):
+    # no call of the package loads scipy: the README commands and each capped-count route
     assert scipy_modules_after(code) == []
 
 
-def test_first_special_function_call_loads_scipy():
-    loaded = scipy_modules_after("from evpricing import kernel\nkernel.poisson_cdf(1.0, 2)")
-    assert "scipy.special" in loaded
-
-
-def test_kernel_is_the_only_module_importing_scipy():
+def test_no_runtime_module_imports_scipy():
     importers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -83,4 +85,4 @@ def test_kernel_is_the_only_module_importing_scipy():
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
-    assert importers == {"kernel.py"}
+    assert importers == set()

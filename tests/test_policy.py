@@ -24,6 +24,7 @@ from evpricing import (
     monte_carlo_evaluate,
     order_statistic_mean,
     phi_1_closed,
+    phi_k_alpha2_closed,
     prophet_value,
     theory_threshold,
 )
@@ -138,10 +139,11 @@ def mpmath_expected_min(n: int, k: int, p: float):
 
 
 class TestKUnitMpmath:
-    """k > 1 on both binomial routes (log space up to n = 1000, betainc above).
-    Each tolerance is at least 10x the worst error measured over these
-    points: prophet 4.9e-13 for n <= 1000 and 4.4e-15 above; policy value
-    4.9e-13 for n <= 1000 and 6.3e-14 above."""
+    """k > 1 on both binomial routes (log space up to n = 1000, the mass walk
+    above).  Each tolerance is at least 10x the worst error measured over
+    these points: prophet 4.9e-13 for n <= 1000 and 3.6e-15 above; policy
+    value 4.9e-13 for n <= 1000 and 1.6e-15 above (the bands above 1000 were
+    set for scipy's betainc, 4.4e-15 and 6.3e-14 there)."""
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-13), (5000, 1e-13)])
@@ -288,6 +290,26 @@ class TestHeavyTailThresholdSearch:
             T = (1.0 - q) ** (-1.0 / alpha)
             assert pareto_fixed_price_value(alpha, n, k, T) <= res.fp_value * (1 + 1e-9)
         assert 0.0 < res.ratio < 1.0
+
+
+class TestMidSizeMarkets:
+    """n = 1e8 and 1e9 with k = 3, where betainc's error of about n ulps kept
+    the prophet quadrature from its 1e-12 target (ConvergenceError)."""
+
+    @pytest.mark.parametrize("n", [10 ** 8, 10 ** 9])
+    def test_pareto_against_closed_forms(self, n):
+        alpha, k = 2.0, 3
+        res = best_fixed_price(Pareto(alpha), n, k)
+        # the closed form of pareto_top_k_mean at 40 digits: in doubles its
+        # lgamma(n + 1) - lgamma(n + 1/2) loses 2.8e-6 relative at n = 1e9
+        prophet = float(mpmath_pareto_prophet(alpha, n, k))
+        assert res.prophet_value == pytest.approx(prophet, rel=1e-9)
+        oracle = (alpha / (alpha - 1.0) * res.threshold
+                  * float(mpmath_expected_min(n, k, res.threshold ** -alpha)))
+        assert res.fp_value == pytest.approx(oracle, rel=1e-9)
+        # the ratio tends to the large-market guarantee phi_3(2) = 0.810153218561,
+        # 0.26/n above it at both sizes
+        assert res.ratio == pytest.approx(phi_k_alpha2_closed(k), abs=1.0 / n)
 
 
 class TestNaNThresholds:
