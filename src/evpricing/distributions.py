@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SpecStringError
-from .kernel import ArrayLike, _mass_walk, find_root, integrate
+from .kernel import ArrayLike, _capped_sum, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -42,8 +42,11 @@ __all__ = [
     "virtual_tail_ratio",
 ]
 
-# Binomial tails walk the masses above this sample size.  Below it the log-space
-# sum stays: the README goldens hold its digits, one of them off in its last place.
+# The unit binomial tail P(Bin(n, p) >= 1) up to this sample size is a log-space
+# sum; every other tail walks the masses.  The README golden of `converge` on
+# Pareto(2) prints the n = 1000 threshold to 12 digits, and golden-section steps
+# fix it at rounding level, so that golden pins the exact bits of this sum (its
+# printed ratio there is one off in the last place against mpmath).
 _DIRECT_BINOMIAL_MAX_N = 1000
 
 
@@ -159,8 +162,6 @@ class DistributionModel(ABC):
 
     def mean(self) -> float:
         """First moment I(0), the tail integral from 0 (nonnegative support only)."""
-        if self.evt_index().gamma >= 1:
-            raise DivergenceError(f"{self!r} has an infinite mean (gamma >= 1)")
         if self.support.lo < 0:
             raise DomainError("mean() supports nonnegative-support models only")
         return _sf_integral(self, 0.0)
@@ -507,38 +508,35 @@ def _log_factorials() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _binomial_terms(n: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, log C(n, m), min(m-j+1, k-j+1)) for m = j..n, read-only: the part of
-    the log-space binomial sum that does not depend on p, made once per (n, j, k)."""
+def _binomial_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, log C(n, m)) for m = 1..n, read-only: the part of the log-space unit
+    tail P(Bin(n, p) >= 1) that does not depend on p, made once per n."""
     lf = _log_factorials()
-    m = np.arange(j, n + 1)
+    m = np.arange(1, n + 1)
     log_coef = lf[n] - lf[m] - lf[n - m]
-    weights = np.minimum(m - j + 1, k - j + 1)
-    for arr in (m, log_coef, weights):
+    for arr in (m, log_coef):
         arr.flags.writeable = False
-    return m, log_coef, weights
-
-
-def _walked_tails(n: int, j: int, k: int, p: float) -> float:
-    """sum_{i=j..k} P(Bin(n, p) >= i) = (k-j+1) P(Bin >= k) + sum_{m=j..k-1} (m-j+1) P(m)."""
-    odds = p / (1.0 - p)
-    masses, tail = _mass_walk(n * math.log1p(-p), lambda m: (n - m) / (m + 1) * odds, k)
-    return math.fsum([(k - j + 1) * tail] + [(m - j + 1) * masses[m] for m in range(j, k)])
+    return m, log_coef
 
 
 def _binomial_tails(n: int, j: int, k: int, p: ArrayLike) -> np.ndarray:
     """sum_{i=j..k} P(Bin(n, p) >= i) for sf values p: P(M_n^j > t) at k = j and
-    E min(k, Bin(n, p)) at j = 1.  Small n weights P(Bin = m) by min(m-j+1, k-j+1)
-    in log space; large n walks the masses of each p."""
+    E min(k, Bin(n, p)) at j = 1, by a walk over the masses of each p.  The unit
+    tail P(Bin >= 1) at n <= _DIRECT_BINOMIAL_MAX_N is the sum of P(Bin = m)
+    over m >= 1 in log space instead."""
     inner = (p > 0.0) & (p < 1.0)
     q = np.where(inner, p, 0.5)
-    if n <= _DIRECT_BINOMIAL_MAX_N:
-        m, log_coef, weights = _binomial_terms(n, j, k)
+    if j == k == 1 and n <= _DIRECT_BINOMIAL_MAX_N:
+        m, log_coef = _binomial_terms(n)
         q = q[..., None]
         logs = log_coef + m * np.log(q) + (n - m) * np.log1p(-q)
-        sums = np.minimum(k - j + 1, (np.exp(logs) * weights).sum(axis=-1))
+        sums = np.minimum(1, np.exp(logs).sum(axis=-1))
     else:
-        sums = np.array([_walked_tails(n, j, k, x) for x in q.ravel().tolist()]).reshape(q.shape)
+        def walked(x: float) -> float:
+            odds = x / (1.0 - x)
+            return _capped_sum(n * math.log1p(-x), lambda m: (n - m) / (m + 1) * odds, j, k)
+
+        sums = np.array([walked(x) for x in q.ravel().tolist()]).reshape(q.shape)
     return np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
 
 
@@ -551,14 +549,19 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
 
 def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
                  n: int = 1) -> float:
-    """int_T^{omega_1} S(u) du for S = of_sf(sf), for a finite mean: by default
-    I(T) = E(X - T)^+.  S falls like sf^j, so its tail index is gamma/j; n is
-    the sample size when S is the tail of an order statistic.
+    """int_T^{omega_1} S(u) du for S = of_sf(sf): by default I(T) = E(X - T)^+.
+    S falls like sf^j, so its tail index is gamma/j, and the integral diverges
+    (DivergenceError) when gamma/j >= 1; n is the sample size when S is the
+    tail of an order statistic.
 
     Taken to an absolute 1e-12*max(1, |T|)*S(T) or to 1e-12 relative,
     whichever is looser, so that T + I(T)/sf(T) is right to
     1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
     """
+    gamma = d.evt_index().gamma / j
+    if gamma >= 1:
+        raise DivergenceError(
+            f"infinite moment: {d!r} gives tail index gamma/j = {gamma:.4g} >= 1 at j={j}")
     lo, hi = d.support.lo, d.support.hi
     # sf is 1 at and below the support: moments from 0 need no scalar sf call.
     s_T = 1.0 if T <= lo else float(d.sf(T))
@@ -577,7 +580,6 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     # the top order statistics of n draws fall from 1 to 0 within a quantile
     # width of about 1/n below omega_1, the domain is split at the quantiles
     # 1 - c/n, c in {1, 30}.  Elsewhere the map and the panels are the plain ones.
-    gamma = d.evt_index().gamma / j
     if gamma > 0.5 and T < lo:
         points = (lo,)
     elif gamma < 0:
@@ -592,12 +594,9 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
 def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
     """sum_{i=j..k} E(M_n^i), one integral over t >= 0 of the summed tails."""
     if not 1 <= j <= k <= n:
-        raise DomainError(f"order statistic requires 1 <= j <= n, got j={j}, n={n}")
+        raise DomainError(f"order statistics require 1 <= j <= k <= n, got j={j}, k={k}, n={n}")
     if d.support.lo < 0:
         raise DomainError("order_statistic_mean requires nonnegative support")
-    ev = d.evt_index()
-    if ev.gamma > 0 and j <= ev.gamma:
-        raise DivergenceError(f"E(M_n^{j}) diverges for gamma={ev.gamma:.4g} (alpha*j <= 1)")
     return _sf_integral(d, 0.0, lambda s: _binomial_tails(n, j, k, s), j, n)
 
 
@@ -619,9 +618,6 @@ def expected_max(d: DistributionModel, n: int) -> float:
     at n = 1 the tail integral I(0), which is G_1 of :mod:`evpricing.competition`."""
     if n < 1:
         raise DomainError(f"expected_max requires n >= 1, got {n}")
-    gamma = d.evt_index().gamma
-    if gamma >= 1:
-        raise DivergenceError(f"E(max) diverges for gamma={gamma:.4g}")
     return _sf_integral(d, 0.0, lambda s: _survival_power(s, n), 1, n)
 
 
@@ -642,8 +638,6 @@ def conditional_mean_above(d: DistributionModel, T: float) -> float:
     s_T = float(d.sf(T))
     if s_T <= 0.0:
         raise DomainError(f"F({T}) = 1: conditioning event has probability 0")
-    if d.evt_index().gamma >= 1:
-        raise DivergenceError("conditional mean diverges: gamma >= 1")
     return T + _sf_integral(d, T) / s_T
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 from .distributions import DistributionModel, EvtFamily
 from .errors import DomainError
-from .kernel import _mass_walk, find_root, lambert_w_minus1, maximize_1d, poisson_cdf
+from .kernel import _capped_sum, find_root, lambert_w_minus1, maximize_1d, poisson_cdf
 
 __all__ = [
     "Method",
@@ -81,8 +81,7 @@ def _gamma_ratio(k: int, alpha: float) -> float:
 
 def _poisson_tail_sum(y: float, k: int) -> float:
     """E min(k, Poisson(y)) = sum_{m<k} m P(m) + k P(N >= k); k at y = inf."""
-    masses, tail = _mass_walk(-y, lambda m: y / (m + 1), k)
-    return math.fsum([k * tail] + [m * masses[m] for m in range(1, k)])
+    return _capped_sum(-y, lambda m: y / (m + 1), 1, k)
 
 
 def phi_k(alpha: float, k: int, numeric: bool = False) -> GuaranteeResult:
@@ -190,8 +189,7 @@ def phi_k_alpha2_closed(k: int) -> float:
     """Closed form of the k-unit guarantee at alpha = 2, evaluated at x_k."""
     x = x_k_root(k)
     m = x ** -2.0
-    pref = math.exp(math.lgamma(k) - math.lgamma(k + 0.5))
-    return pref * (poisson_cdf(m, k - 1) / x + k * x * (1.0 - poisson_cdf(m, k)))
+    return _gamma_ratio(k, 2.0) * (poisson_cdf(m, k - 1) / x + k * x * (1.0 - poisson_cdf(m, k)))
 
 
 def guarantee_value(d: DistributionModel, k: int) -> float:

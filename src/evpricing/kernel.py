@@ -2,8 +2,7 @@
 law, and W_{-1}) and generic one-dimensional numerical routines.
 
 Everything here is a pure function of its inputs and safe to call from any
-number of threads.  Default tolerances are absolute 1e-10 unless the caller
-overrides them.
+number of threads.
 
 ``integrate`` takes a vectorized integrand, called once per 15-node panel
 with an array of abscissae; ``maximize_1d`` and ``find_root`` stay scalar,
@@ -42,9 +41,6 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 #: Number of bracket points scanned before golden-section refinement.
 SCAN_POINTS = 256
 
-#: Default absolute tolerance for every routine in this module.
-DEFAULT_TOL = 1e-10
-
 #: Panels of ``integrate`` before ConvergenceError; iterations of ``find_root``.
 MAX_INTERVALS = 2048
 ROOT_MAX_ITER = 200
@@ -81,6 +77,13 @@ def _mass_walk(log_p0: float, ratio: Callable[[int], float],
     while terms[-1] > _EPS * mass:
         terms.append(terms[-1] * ratio(k + len(terms) - 1))
     return masses, math.ldexp(math.fsum(terms), shift)
+
+
+def _capped_sum(log_p0: float, ratio: Callable[[int], float], j: int, k: int) -> float:
+    """sum_{i=j..k} P(N >= i) = (k-j+1) P(N >= k) + sum_{m=j..k-1} (m-j+1) P(N = m)
+    for the count law N of ``_mass_walk``: E min(k, N) at j = 1, P(N >= j) at k = j."""
+    masses, tail = _mass_walk(log_p0, ratio, k)
+    return math.fsum([(k - j + 1) * tail] + [(m - j + 1) * masses[m] for m in range(j, k)])
 
 
 def poisson_cdf(y: float, k: int) -> float:
@@ -186,7 +189,7 @@ def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
 
 
 def integrate(f: Callable[[np.ndarray], ArrayLike], lo: float, hi: float,
-              tol: float = DEFAULT_TOL, tail_gamma: float = 0.0, points: Sequence[float] = (),
+              tol: float, tail_gamma: float = 0.0, points: Sequence[float] = (),
               rtol: float = 0.0, tail_scale: float = 1.0) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over [lo, hi].
 
@@ -365,7 +368,7 @@ def _golden(f: Callable[[float], float], a: float, b: float,
 
 
 def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = DEFAULT_TOL) -> tuple[float, float]:
+                tol: float) -> tuple[float, float]:
     """Maximize a unimodal f over [lo, hi]: bracketing scan, then golden section.
 
     lo must be finite and below hi; hi may be +inf.  Unimodality is the
@@ -398,7 +401,7 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
-              tol: float = DEFAULT_TOL) -> float:
+              tol: float) -> float:
     """Brent-style bracketed root of f on [lo, hi].
 
     Requires f(lo) * f(hi) <= 0.  Stops once |f(x)| <= tol or the bracket

@@ -1,9 +1,24 @@
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evpricing import Exponential, Pareto, Uniform
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = BENCH / "golden"
+
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+
+#: The README commands by golden-file name, from ``bench/workloads.py`` (only
+#: read): BIDS stands for ``bench/golden/bids.csv`` and HIST for the path of
+#: the histogram output, whose golden copy is ``bench/golden/fit.hist.csv``.
+CLI_COMMANDS = _workloads.CLI_COMMANDS
 
 
 def philox_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:

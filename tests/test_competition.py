@@ -290,7 +290,7 @@ class TestExpectedMax:
             cuts = sorted({mp.mpf(0), *(c * w for c in (1, 30) if c * w < 1), mp.mpf(1)})
             oracle = mp.quad(lambda u: 1 - (1 - u ** 2) ** n, cuts)
         assert expected_max(BoundedPower(1.0, 2.0), n) == pytest.approx(float(oracle),
-                                                                        rel=1e-13)
+                                                                        rel=1e-13, abs=0.0)
 
     def test_integrates_from_zero_below_the_support(self):
         # E max(X, 0) for Gumbel(0, 1) is euler_gamma + E1(1), not E X = euler_gamma;

@@ -253,14 +253,14 @@ class TestOrderStatisticTail:
             assert total == pytest.approx(expected, abs=1e-10)
 
     def test_direct_and_walk_routes_agree(self):
-        # same value on both sides of the large-n switch
+        # same unit tail on both sides of the large-n switch
         d = Exponential(1.0)
         from evpricing import distributions as dist_mod
-        p_direct = order_statistic_tail(d, 1000, 3, 2.0)
+        p_direct = order_statistic_tail(d, 1000, 1, 2.0)
         old = dist_mod._DIRECT_BINOMIAL_MAX_N
         try:
             dist_mod._DIRECT_BINOMIAL_MAX_N = 10
-            p_walk = order_statistic_tail(d, 1000, 3, 2.0)
+            p_walk = order_statistic_tail(d, 1000, 1, 2.0)
         finally:
             dist_mod._DIRECT_BINOMIAL_MAX_N = old
         assert p_direct == pytest.approx(p_walk, rel=1e-10)
@@ -288,10 +288,12 @@ def mpmath_binomial_tail(n: int, j: int, p: float):
 class TestOrderStatisticTailMpmath:
     """Both binomial routes against 60-digit sums, at exceedance probability
     p = c/n for the exact double p = sf(T).  Each tolerance is at least 10x
-    the worst error measured over these points: log space 1.3e-15 at n = 10
-    and 7.9e-13 at n = 1000 (the error grows with n * ulp(log p)); the mass
-    walk 3.8e-16 at n = 1001 and 5.2e-16 at n = 1e6 (the bands above 1000
-    were set for scipy's betainc, 8e-15 and 1.8e-11 there)."""
+    the worst error measured over these points.  The log-space unit tail
+    (j = 1, n <= 1000) is off by 1.3e-15 at n = 10 and 7.9e-13 at n = 1000
+    (the error grows with n * ulp(log p)).  The mass walk, which serves
+    j = 2, 3 at every n, is within 5.2e-16 everywhere; the bands of j = 2, 3
+    up to n = 1000 were set for the log-space sum, and the bands above 1000
+    for scipy's betainc.  TestBinomialWalkMpmath holds the walk to 5e-14."""
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("n,rel", [(10, 2e-14), (1000, 1e-11), (1001, 1e-13),
@@ -301,7 +303,7 @@ class TestOrderStatisticTailMpmath:
         for c in (0.3, 1.0, 3.0, 8.0):
             T = math.log(n / c)
             oracle = float(mpmath_binomial_tail(n, j, float(d.sf(T))))
-            assert order_statistic_tail(d, n, j, T) == pytest.approx(oracle, rel=rel)
+            assert order_statistic_tail(d, n, j, T) == pytest.approx(oracle, rel=rel, abs=0.0)
 
 
 def mpmath_capped_tails(n: int, j: int, k: int, p: float):
@@ -314,16 +316,21 @@ def mpmath_capped_tails(n: int, j: int, k: int, p: float):
 
 
 class TestBinomialWalkMpmath:
-    """The route above _DIRECT_BINOMIAL_MAX_N, a walk over the binomial masses,
-    against 60-digit sums at np from 1e-6 to 100.  Its worst error over this
-    grid is 1.5e-15 (n = 1e6, j = 1, k = 10); scipy's betainc was off by
-    1.3e-11 at n = 1e6, 2.3e-8 at n = 1e9."""
+    """The walk over the binomial masses, the route of every tail but the unit
+    tail (j = k = 1) at n <= _DIRECT_BINOMIAL_MAX_N, against 60-digit sums at
+    np from 1e-6 to min(100, n/2).  Its worst error over this grid is 1.5e-15
+    (n = 1e6, j = 1, k = 10).  The log-space sum it replaced up to n = 1000
+    was off by 1.7e-13 at n = 500 and 1.0e-12 at n = 1000; scipy's betainc,
+    which it replaced above, by 1.3e-11 at n = 1e6 and 2.3e-8 at n = 1e9."""
 
-    @pytest.mark.parametrize("j, k", [(1, 1), (1, 3), (2, 2), (3, 3), (1, 10)])
-    @pytest.mark.parametrize("n", [1001, 5000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8, 10 ** 9,
-                                   10 ** 12, 10 ** 15])
+    @pytest.mark.parametrize("n, j, k", [
+        (n, j, k)
+        for n in (10, 50, 100, 500, 1000, 1001, 5000, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8,
+                  10 ** 9, 10 ** 12, 10 ** 15)
+        for j, k in ((1, 1), (1, 3), (2, 2), (3, 3), (1, 10))
+        if n > 1000 or (j, k) != (1, 1)])
     def test_against_mpmath(self, n, j, k):
-        p = np.geomspace(1e-6, 100.0, 25) / n
+        p = np.geomspace(1e-6, min(100.0, n / 2), 25) / n
         oracle = [float(mpmath_capped_tails(n, j, k, float(x))) for x in p]
         assert _binomial_tails(n, j, k, p) == pytest.approx(oracle, rel=5e-14, abs=0.0)
 
@@ -341,9 +348,9 @@ class TestBinomialWalkMpmath:
 
 
 class TestBinomialTerms:
-    """The p-free part of the log-space route is made once per (n, j, k)."""
+    """The p-free part of the log-space unit tail is made once per n."""
 
-    @pytest.mark.parametrize("n, j, k", [(1, 1, 1), (10, 1, 3), (100, 2, 2), (1000, 1, 10)])
+    @pytest.mark.parametrize("n, j, k", [(1, 1, 1), (10, 1, 1), (100, 1, 1), (1000, 1, 1)])
     def test_tails_bit_equal_to_uncached_sum(self, n, j, k):
         # the formula before memoization, every term in its original order
         from scipy.special import gammaln
@@ -365,9 +372,21 @@ class TestBinomialTerms:
         assert x[-1] == 1001
         assert table.view(np.int64).tolist() == gammaln(x).view(np.int64).tolist()
 
+    def test_only_the_small_unit_tail_is_summed_in_log_space(self, monkeypatch):
+        from evpricing import distributions as dist_mod
+        seen = []
+        terms = dist_mod._binomial_terms
+        monkeypatch.setattr(dist_mod, "_binomial_terms", lambda n: seen.append(n) or terms(n))
+        p = np.array([1e-3, 0.3])
+        for n in (1, 10, 1000, 1001, 10 ** 6):
+            for j, k in ((1, 1), (1, 2), (2, 2), (3, 3), (1, 10)):
+                if k <= n:
+                    _binomial_tails(n, j, k, p)
+        assert seen == [1, 10, 1000]
+
     def test_cached_and_read_only(self):
-        first = _binomial_terms(50, 2, 4)
-        assert _binomial_terms(50, 2, 4) is first
+        first = _binomial_terms(50)
+        assert _binomial_terms(50) is first
         for arr in first:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -507,14 +526,15 @@ class TestSfIntegral:
     ], ids=repr)
     def test_closed_form(self, d, T, exact):
         # Pareto(3): T^-2/2; Exponential(1): e^-T
-        assert _sf_integral(d, T) == pytest.approx(exact, rel=1e-13)
+        assert _sf_integral(d, T) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("d, T", [
         (Gumbel(0.0, 1.0), 30.0),
         (Frechet(0.0, 1.0, 2.5), 1e4),
     ], ids=repr)
     def test_mpmath_oracle(self, d, T):
-        assert _sf_integral(d, T) == pytest.approx(float(mpmath_tail(d, T)[0]), rel=1e-13)
+        assert _sf_integral(d, T) == pytest.approx(float(mpmath_tail(d, T)[0]), rel=1e-13,
+                                                   abs=0.0)
 
     def test_zero_above_the_support(self):
         assert _sf_integral(Uniform(0.0, 1.0), 1.0) == 0.0
@@ -543,7 +563,7 @@ class TestConditionalMean:
     ], ids=repr)
     def test_mpmath_oracle(self, d, T):
         assert conditional_mean_above(d, T) == pytest.approx(mpmath_conditional_mean(d, T),
-                                                             rel=1e-13)
+                                                             rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("loc", [-50.0, 0.0, 50.0, 1e3])
     def test_gumbel_far_below_the_mode_is_the_mean(self, loc):

@@ -5,28 +5,20 @@ regenerates them with ``bench/make_golden.py``; this test only reads them.
 Each command runs in process through ``evpricing.cli.main``.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from evpricing import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-GOLDEN = BENCH / "golden"
-
-_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+from conftest import CLI_COMMANDS, GOLDEN
 
 
-@pytest.mark.parametrize("name", sorted(workloads.CLI_COMMANDS))
+@pytest.mark.parametrize("name", sorted(CLI_COMMANDS))
 def test_readme_command_matches_golden(name, tmp_path, capsys):
     hist = tmp_path / "fit.hist.csv"
     argv = [str(GOLDEN / "bids.csv") if a == "BIDS" else str(hist) if a == "HIST" else a
-            for a in workloads.CLI_COMMANDS[name]]
+            for a in CLI_COMMANDS[name]]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
-    if "HIST" in workloads.CLI_COMMANDS[name]:
+    if "HIST" in CLI_COMMANDS[name]:
         assert hist.read_bytes() == (GOLDEN / "fit.hist.csv").read_bytes()

@@ -109,7 +109,7 @@ class TestPhiK:
             x_star = mp.findroot(first_order, (mp.mpf("0.05"), mp.mpf(5)), solver="anderson")
             value = mp.gamma(k) / mp.gamma(k + 1 - 1 / a) * x_star * expected_min_and_cdf(x_star)[0]
         res = phi_k(alpha, k, numeric=True)
-        assert res.value == pytest.approx(float(value), rel=1e-12)
+        assert res.value == pytest.approx(float(value), rel=1e-12, abs=0.0)
         assert res.argmax_x == pytest.approx(float(x_star), abs=1e-6)
 
 
@@ -164,7 +164,8 @@ class TestUStar:
                 a = mp.mpf(float(alpha))
                 w = mp.lambertw(-mp.exp(-1 / a) / a, -1)
                 oracle = (-(a * w + 1) / a) ** (-1 / a)
-            assert u_star(float(alpha)) == pytest.approx(float(oracle), rel=1e-12), alpha
+            assert u_star(float(alpha)) == pytest.approx(float(oracle), rel=1e-12,
+                                                         abs=0.0), alpha
 
 
 class TestPhi1Closed:

@@ -41,7 +41,7 @@ class TestEndpoints:
             raise AssertionError("evaluated outside a valid interval")
 
         with pytest.raises(DomainError, match="-inf < lo < hi"):
-            routine(f, lo, hi)
+            routine(f, lo, hi, tol=1e-10)
 
 
 class TestPoissonCdf:
@@ -93,7 +93,7 @@ class TestPoissonCdf:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             oracle = mp.gammainc(10 ** 6 + 1, 10 ** 6, mp.inf, regularized=True)
-        assert poisson_cdf(1e6, 10 ** 6) == pytest.approx(float(oracle), rel=2e-13)
+        assert poisson_cdf(1e6, 10 ** 6) == pytest.approx(float(oracle), rel=2e-13, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -137,7 +137,7 @@ class TestMassWalk:
         pytest.param("kernel", lambda: poisson_cdf(1e300, 5), 6, 1e300, 0.0, id="poisson-1e300"),
         pytest.param("kernel", lambda: poisson_cdf(1e6, 10 ** 6), 10 ** 6 + 1, 1e6, None,
                      id="poisson-1e6"),
-        pytest.param("distributions",
+        pytest.param("kernel",
                      lambda: float(_binomial_tails(10 ** 15, 1, 3, np.array(0.5))), 3, 5e14, 3.0,
                      id="binomial-1e15"),
     ])
@@ -204,10 +204,10 @@ class TestIntegrate:
 
     def test_constant(self):
         # a scalar return is taken as constant over the panel
-        assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert integrate(lambda x: 1.0, 0.0, 1.0, tol=1e-10) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_square_tail(self):
-        val = integrate(lambda x: x ** -2.0, 1.0, math.inf)
+        val = integrate(lambda x: x ** -2.0, 1.0, math.inf, tol=1e-10)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -243,9 +243,9 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, 1.0, tol=0.0)
         with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, 1.0, rtol=-1e-12)
+            integrate(lambda x: x, 0.0, 1.0, tol=1e-10, rtol=-1e-12)
         with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, math.inf, tail_scale=0.0)
+            integrate(lambda x: x, 0.0, math.inf, tol=1e-10, tail_scale=0.0)
 
     def test_relative_tolerance_reaches_large_values(self):
         # 50 eps |I| per panel puts the error floor of a value near 1.2e4 at
@@ -265,7 +265,7 @@ class TestIntegrate:
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
-            integrate(lambda x: float("nan"), 0.0, 1.0)
+            integrate(lambda x: float("nan"), 0.0, 1.0, tol=1e-10)
 
     @pytest.mark.parametrize("f,lo,hi", [
         (lambda x: np.exp(-0.7 * x) * (1 + np.sin(x) ** 2), 0.0, math.inf),
@@ -396,7 +396,7 @@ class TestGK15Panel:
         # 0.0 would return it: its own value, with -0.0 made 0.0
         value, _ = kernel._gk15(np.exp, 0.0, 0.5)
         assert integrate(np.exp, 0.0, 0.5, tol=1e-8) == value
-        zero = integrate(lambda x: np.full(15, -0.0), 0.0, 1.0)
+        zero = integrate(lambda x: np.full(15, -0.0), 0.0, 1.0, tol=1e-10)
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 3.0), (-2.5, 0.5),
@@ -558,12 +558,12 @@ class TestTailMap:
         # q = 1000: (1-t)^(-q) leaves the double range at the first panel
         with pytest.raises(ConvergenceError) as info:
             integrate(pareto_sf(1.001), lo, math.inf,
-                      tail_gamma=1.0 / 1.001)
+                      tol=1e-10, tail_gamma=1.0 / 1.001)
         assert info.value.estimated_error == math.inf
 
     def test_divergent_tail_rejected(self):
         with pytest.raises(DomainError):
-            integrate(pareto_sf(0.9), 1.0, math.inf, tail_gamma=1.0 / 0.9)
+            integrate(pareto_sf(0.9), 1.0, math.inf, tol=1e-10, tail_gamma=1.0 / 0.9)
 
     def test_points_split_finite_domain(self):
         # |x - 1/3| has its kink off every dyadic panel edge
@@ -574,13 +574,13 @@ class TestTailMap:
 
 class TestMaximize1d:
     def test_parabola(self):
-        x, fx = maximize_1d(lambda x: -(x - 2.0) ** 2, 0.0, 10.0)
+        x, fx = maximize_1d(lambda x: -(x - 2.0) ** 2, 0.0, 10.0, tol=1e-10)
         assert x == pytest.approx(2.0, abs=1e-8)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_x_exp_minus_x(self):
         # argmax of a smooth interior max is resolvable to ~sqrt(eps) only
-        x, fx = maximize_1d(lambda x: x * math.exp(-x), 0.0, math.inf)
+        x, fx = maximize_1d(lambda x: x * math.exp(-x), 0.0, math.inf, tol=1e-10)
         assert x == pytest.approx(1.0, abs=1e-7)
         assert fx == pytest.approx(math.exp(-1.0), rel=1e-12)
 
@@ -596,15 +596,15 @@ class TestMaximize1d:
 
     def test_flat_objective_reported(self):
         with pytest.raises(FlatObjectiveError):
-            maximize_1d(lambda x: 1.0, 0.0, 1.0)
+            maximize_1d(lambda x: 1.0, 0.0, 1.0, tol=1e-10)
 
 
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+        assert find_root(lambda x: x - 1.0, 0.0, 2.0, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
 
     def test_sqrt2(self):
-        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-10)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_poisson_derivative_vs_sign_change_oracle(self):
@@ -623,4 +623,4 @@ class TestFindRoot:
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-10)

@@ -10,6 +10,8 @@ import pytest
 
 import evpricing
 
+from conftest import CLI_COMMANDS, GOLDEN
+
 MODULES = ["competition", "distributions", "errors", "evtfit", "guarantees", "kernel", "policy"]
 
 
@@ -24,7 +26,6 @@ def test_package_exports_each_public_name(name):
 
 
 SRC = Path(evpricing.__file__).resolve().parent
-BIDS = Path(__file__).resolve().parent.parent / "bench" / "golden" / "bids.csv"
 
 
 def scipy_modules_after(code: str) -> list[str]:
@@ -40,31 +41,20 @@ def scipy_modules_after(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def cli(*argv: str) -> str:
-    return f"from evpricing.cli import main\nassert main({list(argv)!r}) == 0"
+def cli(argv: list[str]) -> str:
+    """Code that runs one README command, its HIST output in a temporary directory."""
+    argv = [str(GOLDEN / "bids.csv") if a == "BIDS" else a for a in argv]
+    return ("import os, tempfile\nfrom evpricing.cli import main\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            f"    argv = [os.path.join(tmp, 'hist.csv') if a == 'HIST' else a for a in {argv!r}]\n"
+            "    assert main(argv) == 0")
 
 
 @pytest.mark.parametrize("code", [
     pytest.param("import evpricing", id="import"),
     pytest.param("import evpricing.cli", id="import-cli"),
-    # the nine README commands
-    pytest.param(cli("guarantees", "--k-max", "50"), id="guarantees"),
-    pytest.param(cli("competition", "--dist", "uniform:a=0,b=1", "--n", "500"), id="competition"),
-    pytest.param(cli("simulate", "--dist", "pareto:alpha=2", "--n", "20", "--k", "3", "--t", "2",
-                     "--reps", "100000", "--seed", "7"), id="simulate"),
-    pytest.param(cli("phi1-min"), id="phi1-min"),
-    pytest.param(cli("adaptivity-gap"), id="adaptivity-gap"),
-    pytest.param(cli("evaluate", "--dist", "pareto:alpha=2", "--n", "100", "--k", "3",
-                     "--t", "2.5"), id="evaluate"),
-    pytest.param(cli("converge", "--dist", "pareto:alpha=2", "--k", "1",
-                     "--n-grid", "10,100,1000"), id="converge-pareto"),
-    pytest.param(cli("converge", "--dist", "exp:rate=1", "--k", "1", "--n-grid", "10,100",
-                     "--mode", "theory", "--u", "0"), id="converge-exp"),
-    pytest.param("import tempfile\nfrom evpricing.cli import main\n"
-                 "with tempfile.TemporaryDirectory() as tmp:\n"
-                 f"    assert main(['fit', '--input', {str(BIDS)!r}, '--k-hill', '97', '--n', '509',"
-                 " '--realized-max', '5400', '--histogram-output', tmp + '/fit.hist.csv']) == 0",
-                 id="fit"),
+    # the README commands
+    *(pytest.param(cli(argv), id=name) for name, argv in CLI_COMMANDS.items()),
     # the capped counts of the Poisson and binomial laws, walked in Python
     pytest.param("from evpricing import poisson_cdf\npoisson_cdf(1.0, 2)", id="poisson_cdf"),
     pytest.param("from evpricing import phi_k\nphi_k(2.5, 3, numeric=True)",

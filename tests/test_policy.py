@@ -139,18 +139,19 @@ def mpmath_expected_min(n: int, k: int, p: float):
 
 
 class TestKUnitMpmath:
-    """k > 1 on both binomial routes (log space up to n = 1000, the mass walk
-    above).  Each tolerance is at least 10x the worst error measured over
-    these points: prophet 4.9e-13 for n <= 1000 and 3.6e-15 above; policy
-    value 4.9e-13 for n <= 1000 and 1.6e-15 above (the bands above 1000 were
-    set for scipy's betainc, 4.4e-15 and 6.3e-14 there)."""
+    """k > 1, where E min(k, Bin(n, p)) walks the binomial masses at every n.
+    The parametrized bands were set for the routes the walk replaced: the
+    log-space sum up to n = 1000 (off by 4.9e-13 there) and scipy's betainc
+    above (4.4e-15 and 6.3e-14).  ``test_walk_band`` holds both values to
+    5e-14, at least 10x the walk's worst error over these points: 3.6e-15
+    for the prophet value and 2.3e-15 for the policy value."""
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-13), (5000, 1e-13)])
     @pytest.mark.parametrize("alpha", [1.656, 2.0, 3.0])
     def test_pareto_prophet(self, alpha, n, rel, k):
         oracle = float(mpmath_pareto_prophet(alpha, n, k))
-        assert prophet_value(Pareto(alpha), n, k) == pytest.approx(oracle, rel=rel)
+        assert prophet_value(Pareto(alpha), n, k) == pytest.approx(oracle, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-12), (5000, 1e-12)])
@@ -161,7 +162,23 @@ class TestKUnitMpmath:
         for c in (0.5, 2.0, 8.0):
             T = (n / c) ** (1.0 / alpha)
             oracle = alpha / (alpha - 1.0) * T * float(mpmath_expected_min(n, k, float(d.sf(T))))
-            assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=rel)
+            assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("n", [50, 1000, 1001, 5000])
+    def test_walk_band(self, n, k):
+        for alpha in (1.656, 2.0, 3.0):
+            oracle = float(mpmath_pareto_prophet(alpha, n, k))
+            assert prophet_value(Pareto(alpha), n, k) == pytest.approx(oracle, rel=5e-14,
+                                                                       abs=0.0)
+        for alpha in (2.0, 3.0):
+            d = Pareto(alpha)
+            for c in (0.5, 2.0, 8.0):
+                T = (n / c) ** (1.0 / alpha)
+                oracle = alpha / (alpha - 1.0) * T * float(
+                    mpmath_expected_min(n, k, float(d.sf(T))))
+                assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=5e-14,
+                                                                            abs=0.0)
 
 
 class TestKUnitProperties:
