@@ -9,6 +9,8 @@ alpha > 1:
 The Poisson-tail form is an exact rewrite of the defining double series
 sum_{j<=k} sum_{s>=j} x^{-s*alpha}/s! * exp(-x^-alpha); it removes truncation
 error, and E min(k, Poisson(y)) is one walk over the Poisson masses below k.
+The maximum is the Lambert-W closed form at k = 1 and, for k >= 2, the root of
+its first-order condition in y = x^-alpha.
 
 Gumbel-type and bounded-support (reversed-Weibull-type) tails need no
 optimization: their guarantee is identically 1.
@@ -17,12 +19,13 @@ optimization: their guarantee is identically 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import DistributionModel, EvtFamily
-from .errors import DomainError
-from .kernel import _capped_sum, find_root, lambert_w_minus1, maximize_1d, poisson_cdf
+from .errors import ConvergenceError, DomainError
+from .kernel import _capped_sum, _mass_walk, find_root, lambert_w_minus1, maximize_1d
 
 __all__ = [
     "Method",
@@ -43,6 +46,10 @@ __all__ = [
 #: tend to 1 monotonically well before this point.  The phi_1 minimum sits at
 #: alpha ~= 1.6566 and the nu/phi_1 maximum at alpha ~= 2.5603.
 ALPHA_SEARCH_HI = 50.0
+
+#: Doublings of y out of [k, k + 1]; y in [2**-64 k, 2**64 k] holds the
+#: stationary point of every double alpha > 1.
+ROOT_DOUBLINGS = 64
 
 
 class Method(Enum):
@@ -76,7 +83,10 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _gamma_ratio(k: int, alpha: float) -> float:
-    return math.exp(math.lgamma(k) - math.lgamma(k + 1.0 - 1.0 / alpha))
+    """Gamma(k)/Gamma(k + 1 - g), g = 1/alpha, by the product of its ratios: a
+    difference of lgammas is off by 1.6e-12 at k = 2000, putting phi_k above 1."""
+    g = 1.0 / alpha
+    return math.prod(j / (j + 1.0 - g) for j in range(1, k)) / math.gamma(2.0 - g)
 
 
 def _poisson_tail_sum(y: float, k: int) -> float:
@@ -84,33 +94,52 @@ def _poisson_tail_sum(y: float, k: int) -> float:
     return _capped_sum(-y, lambda m: y / (m + 1), 1, k)
 
 
-def phi_k(alpha: float, k: int, numeric: bool = False) -> GuaranteeResult:
+def phi_k(alpha: float, k: int) -> GuaranteeResult:
     """k-unit guarantee for Frechet-type tails of shape alpha.
 
-    Closed forms are used when available (k = 1 via the Lambert-W optimizer;
-    alpha = 2 via the Poisson-tail stationary point); pass numeric=True to
-    force the bracketing-scan maximization instead.
+    k = 1 is the Lambert-W closed form; every k >= 2 is the root of the
+    first-order condition (``_stationary_point``).  ``method`` is CLOSED_FORM
+    at k = 1 and at alpha = 2, where the root is the paper's x_k.
     """
     _check_alpha(alpha)
+    if k == 1:
+        return GuaranteeResult(1, alpha, phi_1_closed(alpha), u_star(alpha), Method.CLOSED_FORM)
+    x, value = _stationary_point(alpha, k)
+    method = Method.CLOSED_FORM if alpha == 2.0 else Method.NUMERIC_MAX
+    return GuaranteeResult(k, alpha, value, x, method)
+
+
+def _stationary_point(alpha: float, k: int) -> tuple[float, float]:
+    """(x, value) at the maximum of x E min(k, N), N ~ Poisson(y), y = x^-alpha.
+
+    The root in y of the first-order condition E min(k, N) = alpha y P(N <= k-1),
+    written as k P(N > k) - (alpha - 1) y P(N < k) since y P(m) = (m + 1) P(m + 1):
+    negative below the root, positive above.  The bracket [k, k + 1], which
+    holds the root at alpha = 2, doubles outward until the sign changes.
+    """
     if k < 1:
-        raise DomainError(f"phi_k requires k >= 1, got {k}")
-    if not numeric:
-        if k == 1:
-            u = u_star(alpha)
-            return GuaranteeResult(1, alpha, phi_1_closed(alpha), u, Method.CLOSED_FORM)
-        if alpha == 2.0:
-            x = x_k_root(k)
-            return GuaranteeResult(k, alpha, phi_k_alpha2_closed(k), x,
-                                   Method.CLOSED_FORM)
+        raise DomainError(f"the k-unit guarantee requires k >= 1, got {k}")
 
-    def objective(x: float) -> float:
-        log_y = -alpha * math.log(x)
-        y = math.inf if log_y > 700.0 else math.exp(log_y)
-        return x * _poisson_tail_sum(y, k)
+    def condition(y: float) -> float:
+        masses, tail = _mass_walk(-y, lambda m: y / (m + 1), k + 1)
+        return k * tail - (alpha - 1.0) * y * math.fsum(masses[:k])
 
-    x_star, val = maximize_1d(objective, 0.0, math.inf, tol=1e-10)
-    return GuaranteeResult(k, alpha, _gamma_ratio(k, alpha) * val, x_star,
-                           Method.NUMERIC_MAX)
+    lo, hi = float(k), k + 1.0
+    for _ in range(ROOT_DOUBLINGS):
+        if condition(lo) > 0.0:
+            lo, hi = 0.5 * lo, lo
+        elif condition(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        else:
+            break
+    else:
+        raise ConvergenceError(
+            f"first-order condition of phi_k(alpha={alpha!r}, k={k}) not bracketed "
+            f"within {ROOT_DOUBLINGS} doublings", math.nan, math.inf)
+    # The condition scales like y, so stop on the bracket width alone.
+    y = find_root(condition, lo, hi, tol=sys.float_info.min)
+    x = y ** (-1.0 / alpha)
+    return x, _gamma_ratio(k, alpha) * x * _poisson_tail_sum(y, k)
 
 
 def u_star(alpha: float) -> float:
@@ -168,28 +197,15 @@ def adaptivity_gap() -> tuple[float, float]:
     return alpha_at_max, gap
 
 
-def _objective_derivative_alpha2(y: float, k: int) -> float:
-    """d/dx of the alpha=2 objective, written with Poisson CDFs."""
-    m = y ** -2.0
-    return k * (1.0 - poisson_cdf(m, k)) - m * poisson_cdf(m, k - 1)
-
-
 def x_k_root(k: int) -> float:
-    """Stationary point of the alpha=2 objective, bracketed in
-    [(k+1)^-1/2, k^-1/2]."""
-    if k < 1:
-        raise DomainError(f"x_k_root requires k >= 1, got {k}")
-    lo = (k + 1.0) ** -0.5
-    hi = k ** -0.5
-    return find_root(lambda y: _objective_derivative_alpha2(y, k), lo, hi,
-                     tol=1e-14)
+    """Maximizer x_k of the alpha = 2 objective, the root of its first-order
+    condition; x_k^-2 lies in [k, k + 1]."""
+    return _stationary_point(2.0, k)[0]
 
 
 def phi_k_alpha2_closed(k: int) -> float:
-    """Closed form of the k-unit guarantee at alpha = 2, evaluated at x_k."""
-    x = x_k_root(k)
-    m = x ** -2.0
-    return _gamma_ratio(k, 2.0) * (poisson_cdf(m, k - 1) / x + k * x * (1.0 - poisson_cdf(m, k)))
+    """The k-unit guarantee at alpha = 2, evaluated at x_k."""
+    return _stationary_point(2.0, k)[1]
 
 
 def guarantee_value(d: DistributionModel, k: int) -> float:

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError, FlatObjectiveError
 
 __all__ = [
-    "poisson_cdf",
     "lambert_w_minus1",
     "integrate",
     "maximize_1d",
@@ -84,16 +83,6 @@ def _capped_sum(log_p0: float, ratio: Callable[[int], float], j: int, k: int) ->
     for the count law N of ``_mass_walk``: E min(k, N) at j = 1, P(N >= j) at k = j."""
     masses, tail = _mass_walk(log_p0, ratio, k)
     return math.fsum([(k - j + 1) * tail] + [(m - j + 1) * masses[m] for m in range(j, k)])
-
-
-def poisson_cdf(y: float, k: int) -> float:
-    """P(Poisson(y) <= k): the fsum of the k + 1 lowest masses of ``_mass_walk``,
-    accurate relative to itself however small, capped at 1 against rounding."""
-    if y < 0:
-        raise DomainError(f"poisson_cdf requires y >= 0, got {y}")
-    if k < 0:
-        raise DomainError(f"poisson_cdf requires k >= 0, got {k}")
-    return min(1.0, math.fsum(_mass_walk(-y, lambda m: y / (m + 1), k + 1)[0]))
 
 
 def lambert_w_minus1(z: float) -> float:
@@ -338,22 +327,17 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], lo: float, hi: float,
     return total_val
 
 
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
-    """Interior bracket points: uniform on finite domains, geometric on
-    semi-infinite ones (guarantee objectives are flat near 0 and infinity)."""
-    if hi == math.inf:
-        return max(lo, 0.0) + np.geomspace(1e-8, 1e8, SCAN_POINTS)
-    return np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
-
-
 def _golden(f: Callable[[float], float], a: float, b: float,
             tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f over [a, b]."""
+    """Golden-section maximization of a unimodal f over [a, b], until the
+    bracket is at most tol wide or, a few ulps wide, stops shrinking."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -369,17 +353,17 @@ def _golden(f: Callable[[float], float], a: float, b: float,
 
 def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
                 tol: float) -> tuple[float, float]:
-    """Maximize a unimodal f over [lo, hi]: bracketing scan, then golden section.
+    """Maximize a unimodal f over the finite bracket [lo, hi]: a scan of
+    SCAN_POINTS evenly spaced interior points, then golden section.
 
-    lo must be finite and below hi; hi may be +inf.  Unimodality is the
-    caller's responsibility.  Returns (argmax, max).
+    Unimodality is the caller's responsibility.  Returns (argmax, max).
     Raises FlatObjectiveError when the scan sees no variation above ``tol``.
     """
-    if not -math.inf < lo < hi:
-        raise DomainError(f"maximize_1d requires -inf < lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"maximize_1d requires -inf < lo < hi < inf, got [{lo}, {hi}]")
     if not tol > 0:
         raise DomainError(f"maximize_1d requires tol > 0, got {tol}")
-    xs = _scan_grid(lo, hi)
+    xs = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
     fs = np.array([f(float(x)) for x in xs])
     if not np.all(np.isfinite(fs)):
         raise DomainError("objective returned a non-finite value during the scan")
@@ -388,10 +372,7 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
             f"objective varies by {fs.max() - fs.min():.3e} <= tol across the scan")
     i = int(np.argmax(fs))
     a = lo if i == 0 else float(xs[i - 1])
-    if i == len(xs) - 1:
-        b = float(xs[-1]) * 10.0 if hi == math.inf else hi
-    else:
-        b = float(xs[i + 1])
+    b = hi if i == len(xs) - 1 else float(xs[i + 1])
     x_star, f_star = _golden(f, a, b, tol)
     # The scan point can beat the refined point when the max sits on a
     # domain edge the golden search cannot reach exactly.

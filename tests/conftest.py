@@ -28,6 +28,15 @@ def philox_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:
     return gen.random(n)
 
 
+def mpmath_capped_tails(n: int, j: int, k: int, p: float):
+    """sum_{i=j..k} P(Bin(n, p) >= i) at 60 digits, each tail as 1 - sum_{m<i} P(m)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p = mp.mpf(p)
+        pmf = [mp.binomial(n, m) * p ** m * (1 - p) ** (n - m) for m in range(k)]
+        return mp.fsum(1 - mp.fsum(pmf[:i]) for i in range(j, k + 1))
+
+
 @pytest.fixture
 def nonneg_models():
     return [Pareto(2.0), Exponential(1.0), Uniform(0.0, 1.0)]

@@ -185,7 +185,7 @@ def test_criterion_7_dynamic_program_oracles():
             (f"DP/prophet ratio {ratio:.4f} within 0.01 of {nu2:.4f}",
              abs(ratio - nu2) <= 0.01),
             (f"nu(2) equals sqrt(2/pi)",
-             nu2 == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12))],
+             nu2 == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12, abs=0.0))],
            elapsed, 60.0)
 
 

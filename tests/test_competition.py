@@ -217,7 +217,7 @@ class TestRunningTail:
             fresh = extend_policy(PolicySequence(d), 300)
             resumed = extend_policy(PolicySequence(d, values=fresh.values[:50]), 300)
             assert resumed.values[:50] == fresh.values[:50]
-            assert resumed.values[300] == pytest.approx(fresh.values[300], rel=1e-13)
+            assert resumed.values[300] == pytest.approx(fresh.values[300], rel=1e-13, abs=0.0)
 
     def test_shared_sequence_resumes_without_anchor(self, anchors):
         seq = extend_policy(PolicySequence(Exponential(1.0)), 100)
@@ -278,7 +278,8 @@ class TestExpectedMax:
     @pytest.mark.parametrize("n", [5000, 10 ** 4, 10 ** 5, 10 ** 6])
     def test_uniform_boundary_layer(self, n):
         # the integrand falls from 1 to 0 within 1/n of the upper end
-        assert expected_max(Uniform(0.0, 1.0), n) == pytest.approx(n / (n + 1.0), rel=1e-13)
+        assert expected_max(Uniform(0.0, 1.0), n) == pytest.approx(
+            n / (n + 1.0), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 10, 5000, 10 ** 5, 10 ** 6])
     def test_bounded_power_mpmath_oracle(self, n):
@@ -296,7 +297,7 @@ class TestExpectedMax:
         # E max(X, 0) for Gumbel(0, 1) is euler_gamma + E1(1), not E X = euler_gamma;
         # measured error 3e-15
         exact = EULER_MASCHERONI + float(special.exp1(1.0))
-        assert expected_max(Gumbel(0.0, 1.0), 1) == pytest.approx(exact, rel=1e-12)
+        assert expected_max(Gumbel(0.0, 1.0), 1) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_overflowing_tail_map_is_typed(self):
         with pytest.raises(ConvergenceError):
@@ -429,7 +430,8 @@ class TestFamilyBounds:
 
 class TestQuantileApproximations:
     def test_uniform_plug_in(self):
-        assert quantile_policy_approx(Uniform(0.0, 1.0), 99) == pytest.approx(0.98, rel=1e-12)
+        assert quantile_policy_approx(Uniform(0.0, 1.0), 99) == pytest.approx(
+            0.98, rel=1e-12, abs=0.0)
 
     def test_exponential_plug_in(self):
         assert quantile_policy_approx(Exponential(1.0), 99) == pytest.approx(
@@ -472,7 +474,7 @@ class TestExpectedMaxApprox:
         # within O(n^-2) of the exact n/(n+1)
         n = 1000
         approx = expected_max_approx(Uniform(0.0, 1.0), n)
-        assert approx == pytest.approx(1.0 - 1.0 / n, rel=1e-12)
+        assert approx == pytest.approx(1.0 - 1.0 / n, rel=1e-12, abs=0.0)
         assert abs(approx - n / (n + 1.0)) / (n / (n + 1.0)) <= 1e-5
 
     def test_prophet_ratio_drift(self):

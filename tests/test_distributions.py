@@ -35,6 +35,8 @@ from evpricing.distributions import (
     _unit_clip,
 )
 
+from conftest import mpmath_capped_tails
+
 POSITIVE = st.floats(1e-3, 1e3)
 REAL = st.floats(-1e6, 1e6)
 
@@ -139,13 +141,14 @@ class TestCdfQuantileExamples:
 
     def test_frechet_cdf_at_scale(self):
         # location 0: at t = s the exponent is -1
-        assert Frechet(0.0, 289.0, 2.24).cdf(289.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert Frechet(0.0, 289.0, 2.24).cdf(289.0) == pytest.approx(
+            math.exp(-1.0), rel=1e-12, abs=0.0)
 
     def test_uniform_cdf(self):
         assert Uniform(0.0, 1.0).cdf(0.5) == 0.5
 
     def test_pareto_quantile(self):
-        assert Pareto(2.0).quantile(0.75) == pytest.approx(2.0, rel=1e-14)
+        assert Pareto(2.0).quantile(0.75) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_exponential_quantile_log_n(self):
         n = 64.0
@@ -187,17 +190,17 @@ class TestEvtIndexValues:
 class TestNormalizingSequences:
     def test_pareto_quantile_scaling(self):
         a_n, b_n = Pareto(2.0).normalizing_constants(4)
-        assert a_n == pytest.approx(2.0, rel=1e-14)
+        assert a_n == pytest.approx(2.0, rel=1e-14, abs=0.0)
         assert b_n == 0.0
 
     def test_exponential_at_real_point(self):
         a_n, b_n = Exponential(1.0).normalizing_constants(math.e)
         assert a_n == 1.0
-        assert b_n == pytest.approx(1.0, rel=1e-15)
+        assert b_n == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_uniform(self):
         a_n, b_n = Uniform(0.0, 1.0).normalizing_constants(10)
-        assert a_n == pytest.approx(0.1, rel=1e-14)
+        assert a_n == pytest.approx(0.1, rel=1e-14, abs=0.0)
         assert b_n == 1.0
 
     def test_frechet_matches_quantile(self):
@@ -220,7 +223,7 @@ class TestOrderStatisticTail:
     def test_all_exceed(self):
         d = Uniform(0.0, 1.0)
         p = 0.3
-        assert order_statistic_tail(d, 5, 5, 1 - p) == pytest.approx(p ** 5, rel=1e-10)
+        assert order_statistic_tail(d, 5, 5, 1 - p) == pytest.approx(p ** 5, rel=1e-10, abs=0.0)
 
     def test_binomial_summation_oracle(self):
         # oracle: direct binomial summation with exact combinatorics
@@ -229,7 +232,7 @@ class TestOrderStatisticTail:
         expected = sum(math.comb(n, i) * p ** i * (1 - p) ** (n - i)
                        for i in range(j, n + 1))
         assert expected == 0.15625
-        assert order_statistic_tail(d, n, j, T) == pytest.approx(expected, rel=1e-12)
+        assert order_statistic_tail(d, n, j, T) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_monotone_in_j_T_n(self):
         d = Exponential(1.0)
@@ -276,15 +279,6 @@ class TestOrderStatisticTail:
             order_statistic_tail(Pareto(2.0), 3, 4, 2.0)
 
 
-def mpmath_binomial_tail(n: int, j: int, p: float):
-    """P(Bin(n, p) >= j) = 1 - sum_{i<j} C(n, i) p^i (1-p)^(n-i) at 60 digits."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60):
-        p = mp.mpf(p)
-        return 1 - mp.fsum(mp.binomial(n, i) * p ** i * (1 - p) ** (n - i)
-                           for i in range(j))
-
-
 class TestOrderStatisticTailMpmath:
     """Both binomial routes against 60-digit sums, at exceedance probability
     p = c/n for the exact double p = sf(T).  Each tolerance is at least 10x
@@ -302,17 +296,8 @@ class TestOrderStatisticTailMpmath:
         d = Exponential(1.0)
         for c in (0.3, 1.0, 3.0, 8.0):
             T = math.log(n / c)
-            oracle = float(mpmath_binomial_tail(n, j, float(d.sf(T))))
+            oracle = float(mpmath_capped_tails(n, j, j, float(d.sf(T))))
             assert order_statistic_tail(d, n, j, T) == pytest.approx(oracle, rel=rel, abs=0.0)
-
-
-def mpmath_capped_tails(n: int, j: int, k: int, p: float):
-    """sum_{i=j..k} P(Bin(n, p) >= i) at 60 digits, each tail as 1 - sum_{m<i} P(m)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60):
-        p = mp.mpf(p)
-        pmf = [mp.binomial(n, m) * p ** m * (1 - p) ** (n - m) for m in range(k)]
-        return mp.fsum(1 - mp.fsum(pmf[:i]) for i in range(j, k + 1))
 
 
 class TestBinomialWalkMpmath:
@@ -449,7 +434,7 @@ class TestOrderStatisticMean:
     def test_uniform_top_order_statistics_large_n(self, n, j):
         # P(M_n^j > t) falls from 1 to 0 within a few 1/n of the upper end
         got = order_statistic_mean(Uniform(0.0, 1.0), n, j)
-        assert got == pytest.approx((n + 1.0 - j) / (n + 1.0), rel=1e-13)
+        assert got == pytest.approx((n + 1.0 - j) / (n + 1.0), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n,j", [(3, 1), (6, 2), (6, 5)])
     def test_pareto_beta_moment_closed_form(self, n, j):
@@ -572,7 +557,7 @@ class TestConditionalMean:
         d = Gumbel(loc, 1.0)
         for T in (loc - 10.0, loc - 1e3, -1e6, -1e300):
             assert conditional_mean_above(d, T) == pytest.approx(
-                loc + np.euler_gamma, rel=1e-13), T
+                loc + np.euler_gamma, rel=1e-13, abs=0.0), T
 
     @pytest.mark.parametrize("m, s, alpha", [
         *((m, s, alpha) for m, s in [(0.0, 1.0), (-1.0, 2.0)]
@@ -636,7 +621,7 @@ class TestConditionalMean:
         # X > T is certain below a finite lower end: E(X | X > T) = E X in
         # closed form, and bit for bit the value at the lower end itself
         got = conditional_mean_above(d, T)
-        assert got == pytest.approx(mean, rel=1e-12)
+        assert got == pytest.approx(mean, rel=1e-12, abs=0.0)
         assert got == conditional_mean_above(d, d.support.lo)
 
     def test_saturated_threshold_rejected(self):
@@ -685,7 +670,7 @@ class TestVirtualValuation:
         assert virtual_valuation(Exponential(1.0), 3.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_uniform(self):
-        assert virtual_valuation(Uniform(0.0, 1.0), 0.8) == pytest.approx(0.6, rel=1e-12)
+        assert virtual_valuation(Uniform(0.0, 1.0), 0.8) == pytest.approx(0.6, rel=1e-12, abs=0.0)
 
     def test_pareto_slope_grid(self):
         alpha = 3.0
@@ -721,7 +706,7 @@ class TestVirtualTailRatio:
         # X -> cX maps phi to c*phi, so the ratio at c*t does not depend on c
         for t in (2.0, 5.0):
             ratios = [virtual_tail_ratio(Frechet(0.0, c, 3.0), c * t) for c in (1e-6, 1.0, 1e6)]
-            assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-14)
+            assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-14, abs=0.0)
 
     def test_uniform_half(self):
         # phi(t) = 2t - 1, so the ratio is exactly 1/2 on a grid toward 1

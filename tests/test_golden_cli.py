@@ -5,11 +5,14 @@ regenerates them with ``bench/make_golden.py``; this test only reads them.
 Each command runs in process through ``evpricing.cli.main``.
 """
 
+import re
+import shlex
+
 import pytest
 
 from evpricing import cli
 
-from conftest import CLI_COMMANDS, GOLDEN
+from conftest import BENCH, CLI_COMMANDS, GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(CLI_COMMANDS))
@@ -22,3 +25,15 @@ def test_readme_command_matches_golden(name, tmp_path, capsys):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     if "HIST" in CLI_COMMANDS[name]:
         assert hist.read_bytes() == (GOLDEN / "fit.hist.csv").read_bytes()
+
+
+def test_readme_cli_block_is_the_command_list():
+    # the README's ## CLI block, continuations joined and comments dropped,
+    # with its file names as the placeholders of bench/workloads.py
+    readme = (BENCH.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    names = {"bids.csv": "BIDS", "hist.csv": "HIST"}
+    commands = [[names.get(a, a) for a in shlex.split(line, comments=True)]
+                for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "evpricing" for argv in commands)
+    assert [argv[1:] for argv in commands] == list(CLI_COMMANDS.values())

@@ -8,12 +8,14 @@ from scipy import optimize, special
 
 from evpricing import (
     BoundedPower,
+    ConvergenceError,
     DomainError,
     Exponential,
     Pareto,
     adaptivity_gap,
     guarantee_value,
     kennedy_kertz_nu,
+    maximize_1d,
     minimize_phi_1,
     phi_1_closed,
     phi_k,
@@ -22,7 +24,22 @@ from evpricing import (
     u_star,
     x_k_root,
 )
-from evpricing.guarantees import Method, _poisson_tail_sum
+from evpricing import guarantees
+from evpricing.guarantees import Method, _poisson_tail_sum, _stationary_point
+
+#: The shapes and unit counts of the first-order root checks: 70 cases, and
+#: (1.2, 4), a case of the oracle's earlier grid.
+ROOT_GRID = [(alpha, k) for alpha in (1.05, 1.2, 1.5, 1.657, 2.0, 2.5, 3.0, 5.0, 10.0, 50.0)
+             for k in (1, 2, 3, 5, 10, 20, 50)] + [(1.2, 4)]
+
+
+def numeric_route(alpha: float, k: int) -> tuple[float, float]:
+    """(argmax_x, value) of the first-order root: phi_k itself for k >= 2,
+    ``_stationary_point`` at k = 1, where phi_k takes the Lambert-W form."""
+    if k == 1:
+        return _stationary_point(alpha, 1)
+    res = phi_k(alpha, k)
+    return res.argmax_x, res.value
 
 
 def objective_series_oracle(x: float, alpha: float, k: int, terms: int = 200) -> float:
@@ -43,10 +60,11 @@ class TestPhiK:
 
     def test_closed_matches_numeric_at_two(self):
         closed = phi_k(2.0, 1)
-        numeric = phi_k(2.0, 1, numeric=True)
         assert closed.method is Method.CLOSED_FORM
-        assert numeric.method is Method.NUMERIC_MAX
-        assert closed.value == pytest.approx(numeric.value, abs=1e-8)
+        assert closed.value == pytest.approx(_stationary_point(2.0, 1)[1], abs=1e-8)
+        # the labels: closed at k = 1 and at alpha = 2, numeric otherwise
+        assert phi_k(2.0, 3).method is Method.CLOSED_FORM
+        assert phi_k(2.5, 3).method is Method.NUMERIC_MAX
 
     def test_large_k_approaches_floor(self):
         for k in (100, 1000):
@@ -73,7 +91,7 @@ class TestPhiK:
         # the README's "always dominates", with no slack.  Over 25 geometric
         # alphas in [1.05, 50] and k in (1, 2, 3, 5, 10, 20, 50) the least
         # margin is 2.5e-3, at alpha ~= 2 and k = 50.
-        assert phi_k(alpha, k, numeric=True).value >= sqrt_bound(k)
+        assert numeric_route(alpha, k)[1] >= sqrt_bound(k)
 
     def test_series_rewrite_equals_direct_summation(self):
         # brute-force equivalence of the Poisson-tail rewrite on a 5x5x5 grid
@@ -88,29 +106,57 @@ class TestPhiK:
                     rewrite = x * float(special.gammainc(np.arange(1, k + 1), y).sum())
                     assert rewrite == pytest.approx(direct, abs=1e-9)
 
-    @pytest.mark.parametrize("alpha,k", [(1.5, 3), (3.0, 5), (1.657, 2), (2.5, 10), (1.2, 4)])
+    @pytest.mark.parametrize("alpha,k", ROOT_GRID)
     def test_numeric_against_mpmath_oracle(self, alpha, k):
         # oracle at 40 digits: with Y ~ Poisson(y), y = x^-alpha, the best x
-        # solves d/dx [x E min(k, Y)] = 0, i.e. E min(k, Y) = alpha y P(Y <= k-1)
+        # solves d/dx [x E min(k, Y)] = 0, i.e. E min(k, Y) = alpha y P(Y <= k-1),
+        # bracketed in y over [k/64, 64 k]
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             a = mp.mpf(alpha)
 
-            def expected_min_and_cdf(x):
-                y = x ** -a
+            def expected_min_and_cdf(y):
                 pmf = [mp.exp(-y) * y ** j / mp.factorial(j) for j in range(k)]
                 below = mp.fsum(pmf)
-                return mp.fsum(j * p for j, p in enumerate(pmf)) + k * (1 - below), y, below
+                return mp.fsum(j * p for j, p in enumerate(pmf)) + k * (1 - below), below
 
-            def first_order(x):
-                e_min, y, below = expected_min_and_cdf(x)
-                return e_min - a * y * below
+            def first_order(y):
+                e_min, below = expected_min_and_cdf(y)
+                return 1 - a * y * below / e_min
 
-            x_star = mp.findroot(first_order, (mp.mpf("0.05"), mp.mpf(5)), solver="anderson")
-            value = mp.gamma(k) / mp.gamma(k + 1 - 1 / a) * x_star * expected_min_and_cdf(x_star)[0]
-        res = phi_k(alpha, k, numeric=True)
-        assert res.value == pytest.approx(float(value), rel=1e-12, abs=0.0)
-        assert res.argmax_x == pytest.approx(float(x_star), abs=1e-6)
+            lo, hi = mp.mpf(k) / 64, mp.mpf(k) * 64
+            assert first_order(lo) < 0 < first_order(hi)
+            y_star = mp.findroot(first_order, (lo, hi), solver="illinois")
+            x_star = y_star ** (-1 / a)
+            value = mp.gamma(k) / mp.gamma(k + 1 - 1 / a) * x_star * expected_min_and_cdf(y_star)[0]
+        x, val = numeric_route(alpha, k)
+        assert val == pytest.approx(float(value), rel=1e-13, abs=0.0)
+        assert x == pytest.approx(float(x_star), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha,k", ROOT_GRID)
+    def test_maximality_certificate(self, alpha, k):
+        # no first-order algebra: the objective x E min(k, Poisson(x^-alpha))
+        # at the returned x beats x (1 +- 1e-3) and a 200-point log grid
+        def objective(x):
+            return x * _poisson_tail_sum(x ** -alpha, k)
+
+        x, _ = numeric_route(alpha, k)
+        best = objective(x)
+        assert objective(x * (1.0 - 1e-3)) < best
+        assert objective(x * (1.0 + 1e-3)) < best
+        assert max(objective(float(z)) for z in np.geomspace(x / 100.0, 100.0 * x, 200)) < best
+
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1e6])
+    def test_extreme_shapes_keep_the_floor(self, alpha, k):
+        # at 1 + 1e-12 the maximum sits at x ~= 5e11 for k = 1
+        assert numeric_route(alpha, k)[1] >= sqrt_bound(k)
+
+    def test_unbracketed_root_raises(self, monkeypatch):
+        # the root at alpha = 1 + 1e-12, k = 2 lies ~27 doublings below y = 2
+        monkeypatch.setattr(guarantees, "ROOT_DOUBLINGS", 8)
+        with pytest.raises(ConvergenceError):
+            phi_k(1.0 + 1e-12, 2)
 
 
 class TestPoissonTailSum:
@@ -153,8 +199,7 @@ class TestUStar:
         assert u_star(2.0) == pytest.approx(root, abs=1e-9)
 
     def test_large_alpha_against_numeric_max(self):
-        res = phi_k(200.0, 1, numeric=True)
-        assert u_star(200.0) == pytest.approx(res.argmax_x, abs=1e-6)
+        assert u_star(200.0) == pytest.approx(_stationary_point(200.0, 1)[0], abs=1e-6)
 
     def test_against_mpmath_lambertw(self):
         # oracle at 50 digits: the same closed form through mpmath's W_{-1}
@@ -174,13 +219,13 @@ class TestPhi1Closed:
 
     @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.656, 2.0, 3.0, 10.0, 25.0])
     def test_matches_numeric_max(self, alpha):
-        numeric = phi_k(alpha, 1, numeric=True).value
+        numeric = _stationary_point(alpha, 1)[1]
         assert phi_1_closed(alpha) == pytest.approx(numeric, abs=1e-8)
 
     def test_closed_numeric_agreement_along_grid(self):
         for alpha in np.linspace(1.05, 40.0, 50):
             assert phi_1_closed(float(alpha)) == pytest.approx(
-                phi_k(float(alpha), 1, numeric=True).value, abs=1e-8)
+                _stationary_point(float(alpha), 1)[1], abs=1e-8)
 
     def test_limits_toward_one(self):
         # the guarantee rises back toward 1 on both ends of the shape range
@@ -206,8 +251,10 @@ class TestMinimizePhi1:
 
 class TestSqrtBound:
     def test_values(self):
-        assert sqrt_bound(1) == pytest.approx(1.0 - 1.0 / math.sqrt(2 * math.pi), rel=1e-14)
-        assert sqrt_bound(4) == pytest.approx(1.0 - 1.0 / math.sqrt(8 * math.pi), rel=1e-14)
+        assert sqrt_bound(1) == pytest.approx(
+            1.0 - 1.0 / math.sqrt(2 * math.pi), rel=1e-14, abs=0.0)
+        assert sqrt_bound(4) == pytest.approx(
+            1.0 - 1.0 / math.sqrt(8 * math.pi), rel=1e-14, abs=0.0)
         assert sqrt_bound(100) == pytest.approx(0.96011, abs=5e-6)
 
 
@@ -221,7 +268,7 @@ class TestKennedyKertzNu:
         assert kennedy_kertz_nu(1e4) == pytest.approx(1.0, abs=1e-3)
 
     def test_alpha_two_closed_value(self):
-        assert kennedy_kertz_nu(2.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+        assert kennedy_kertz_nu(2.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12, abs=0.0)
 
     def test_dominates_fixed_price_guarantee(self):
         for alpha in np.linspace(1.02, 45.0, 100):
@@ -284,8 +331,8 @@ class TestXkRoot:
         assert 2 ** -0.5 <= x1 <= 1.0
 
     def test_matches_numeric_argmax(self):
-        res = phi_k(2.0, 1, numeric=True)
-        assert x_k_root(1) == pytest.approx(res.argmax_x, abs=1e-6)
+        # the Lambert-W maximizer at alpha = 2
+        assert x_k_root(1) == pytest.approx(u_star(2.0), abs=1e-6)
 
     def test_bracket_k25(self):
         x25 = x_k_root(25)
@@ -293,10 +340,11 @@ class TestXkRoot:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 25, 200])
     def test_stationarity_residual(self, k):
+        # k P(N > k) - m P(N < k) for N ~ Poisson(m), from explicit terms
         x = x_k_root(k)
         m = x ** -2.0
-        from evpricing import poisson_cdf
-        resid = k * (1.0 - poisson_cdf(m, k)) - m * poisson_cdf(m, k - 1)
+        pmf = [math.exp(j * math.log(m) - m - math.lgamma(j + 1)) for j in range(k + 1)]
+        resid = k * (1.0 - math.fsum(pmf)) - m * math.fsum(pmf[:k])
         assert abs(resid) <= 1e-10
 
 
@@ -317,15 +365,19 @@ class TestPhiKAlpha2Closed:
         assert deficits == sorted(deficits)  # approaching 1 from below
 
     def test_matches_numeric_max(self):
+        # oracle: golden-section maximization of the objective over a finite
+        # bracket around x_k
         for k in (2, 7, 31, 500):
-            numeric = phi_k(2.0, k, numeric=True).value
+            _, val = maximize_1d(lambda x: x * _poisson_tail_sum(x ** -2.0, k),
+                                 0.5 * k ** -0.5, 2.0 * k ** -0.5, tol=1e-10)
+            numeric = math.exp(math.lgamma(k) - math.lgamma(k + 0.5)) * val
             assert phi_k_alpha2_closed(k) == pytest.approx(numeric, abs=1e-7)
 
 
 class TestGuaranteeValue:
     def test_frechet_routes_to_phi_k(self):
         assert guarantee_value(Pareto(2.0), 3) == pytest.approx(
-            phi_k(2.0, 3).value, rel=1e-12)
+            phi_k(2.0, 3).value, rel=1e-12, abs=0.0)
 
     def test_light_tails_get_one(self):
         assert guarantee_value(Exponential(1.0), 5) == 1.0

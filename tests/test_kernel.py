@@ -24,18 +24,19 @@ from evpricing import (
     integrate,
     lambert_w_minus1,
     maximize_1d,
-    poisson_cdf,
 )
 
 
 class TestEndpoints:
     # NaN at either end, an infinite lower end and an empty or reversed
-    # interval are rejected before the routine evaluates anything
-    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (1.0, 1.0), (-math.inf, 0.0),
-                                        (math.nan, 1.0), (0.0, math.nan),
-                                        (math.inf, math.inf)])
-    @pytest.mark.parametrize("routine", [integrate, maximize_1d],
-                             ids=["integrate", "maximize_1d"])
+    # interval are rejected before the routine evaluates anything, and so is
+    # an infinite upper end by the maximizer
+    @pytest.mark.parametrize("routine, lo, hi", [
+        pytest.param(routine, lo, hi, id=f"{routine.__name__}-{lo}-{hi}")
+        for routine in (integrate, maximize_1d)
+        for lo, hi in [(2.0, 1.0), (1.0, 1.0), (-math.inf, 0.0), (math.nan, 1.0),
+                       (0.0, math.nan), (math.inf, math.inf)]
+    ] + [pytest.param(maximize_1d, 0.0, math.inf, id="maximize_1d-0.0-inf")])
     def test_rejected(self, routine, lo, hi):
         def f(x):
             raise AssertionError("evaluated outside a valid interval")
@@ -44,35 +45,45 @@ class TestEndpoints:
             routine(f, lo, hi, tol=1e-10)
 
 
+def walked_cdf(y: float, k: int) -> float:
+    """P(Poisson(y) <= k): the fsum of the k + 1 lowest masses of the walk,
+    the P(N <= k-1) term of phi_k's first-order condition."""
+    return math.fsum(kernel._mass_walk(-y, lambda m: y / (m + 1), k + 1)[0])
+
+
 class TestPoissonCdf:
+    """The Poisson CDF as phi_k's first-order condition sums it."""
+
     def test_single_term(self):
-        assert poisson_cdf(1.0, 0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert walked_cdf(1.0, 0) == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0.0)
 
     def test_zero_mean(self):
-        assert poisson_cdf(0.0, 5) == 1.0
+        assert walked_cdf(0.0, 5) == 1.0
 
     def test_direct_summation_oracle(self):
         # independent oracle: six explicit terms
         y = 5.0
         expected = sum(math.exp(-y) * y ** j / math.factorial(j) for j in range(6))
-        assert poisson_cdf(5.0, 5) == pytest.approx(expected, rel=1e-13)
+        assert walked_cdf(5.0, 5) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_monotone_in_mean_and_count(self):
         ys = np.linspace(0.0, 50.0, 26)
         ks = range(0, 61, 6)
         for k in ks:
-            vals = [poisson_cdf(float(y), k) for y in ys]
+            vals = [walked_cdf(float(y), k) for y in ys]
             assert all(a >= b - 1e-13 for a, b in zip(vals, vals[1:]))
         for y in ys:
-            vals = [poisson_cdf(float(y), k) for k in ks]
+            vals = [walked_cdf(float(y), k) for k in ks]
             assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
 
     def test_increment_is_pmf(self):
+        # the increment P(N <= k) - P(N <= k-1) is the walk's k-th mass, as
+        # small as 7e-39 here, kept relative to itself
         for k in range(1, 31, 3):
             for y in (0.5, 3.0, 11.0, 30.0):
                 pmf = math.exp(k * math.log(y) - y - math.lgamma(k + 1))
-                diff = poisson_cdf(y, k) - poisson_cdf(y, k - 1)
-                assert diff == pytest.approx(pmf, rel=1e-10)
+                mass = kernel._mass_walk(-y, lambda m: y / (m + 1), k + 1)[0][k]
+                assert mass == pytest.approx(pmf, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("k", range(51))
     def test_against_mpmath_direct_sum(self, k):
@@ -85,21 +96,15 @@ class TestPoissonCdf:
                 yy = mp.mpf(float(y))
                 oracle = mp.fsum(mp.exp(-yy) * yy ** j / mp.factorial(j) for j in range(k + 1))
             if oracle > mp.mpf("1e-290"):
-                assert poisson_cdf(float(y), k) == pytest.approx(float(oracle), rel=5e-14,
-                                                                 abs=0.0), y
+                assert walked_cdf(float(y), k) == pytest.approx(float(oracle), rel=5e-14,
+                                                                abs=0.0), y
 
     def test_large_arguments_stable(self):
         # a million masses walked up from exp(-1e6), which underflows
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             oracle = mp.gammainc(10 ** 6 + 1, 10 ** 6, mp.inf, regularized=True)
-        assert poisson_cdf(1e6, 10 ** 6) == pytest.approx(float(oracle), rel=2e-13, abs=0.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            poisson_cdf(-0.1, 3)
-        with pytest.raises(DomainError):
-            poisson_cdf(1.0, -1)
+        assert walked_cdf(1e6, 10 ** 6) == pytest.approx(float(oracle), rel=2e-13, abs=0.0)
 
 
 def counted_walks(monkeypatch, module) -> list[int]:
@@ -125,8 +130,8 @@ class TestMassWalk:
         y = 2.5
         masses, tail = kernel._mass_walk(-y, lambda m: y / (m + 1), 4)
         expected = [math.exp(-y) * y ** m / math.factorial(m) for m in range(4)]
-        assert masses == pytest.approx(expected, rel=1e-15)
-        assert tail == pytest.approx(1.0 - math.fsum(expected), rel=1e-14)
+        assert masses == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert tail == pytest.approx(1.0 - math.fsum(expected), rel=1e-14, abs=0.0)
 
     def test_k_zero_and_certain_infinity(self):
         assert kernel._mass_walk(-3.0, lambda m: 3.0 / (m + 1), 0) == ([], 1.0)
@@ -134,8 +139,8 @@ class TestMassWalk:
 
     @pytest.mark.parametrize("module, call, k, mean, expected", [
         # exp(-1e300): every mass below k underflows; the walk must still end
-        pytest.param("kernel", lambda: poisson_cdf(1e300, 5), 6, 1e300, 0.0, id="poisson-1e300"),
-        pytest.param("kernel", lambda: poisson_cdf(1e6, 10 ** 6), 10 ** 6 + 1, 1e6, None,
+        pytest.param("kernel", lambda: walked_cdf(1e300, 5), 6, 1e300, 0.0, id="poisson-1e300"),
+        pytest.param("kernel", lambda: walked_cdf(1e6, 10 ** 6), 10 ** 6 + 1, 1e6, None,
                      id="poisson-1e6"),
         pytest.param("kernel",
                      lambda: float(_binomial_tails(10 ** 15, 1, 3, np.array(0.5))), 3, 5e14, 3.0,
@@ -228,7 +233,7 @@ class TestIntegrate:
         # a tolerance below the machine error floor can never be reached
         with pytest.raises(ConvergenceError) as info:
             integrate(lambda x: np.exp(-x), 0.0, 1.0, tol=1e-18)
-        assert info.value.best_estimate == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert info.value.best_estimate == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12, abs=0.0)
         assert info.value.estimated_error > 1e-18
 
     def test_converged_error_sum_is_confirmed(self):
@@ -237,7 +242,7 @@ class TestIntegrate:
         alpha, lo = 2.1789295087231055, 591.625
         exact = lo ** (1.0 - alpha) / (alpha - 1.0)
         val = integrate(lambda x: x ** -alpha, lo, math.inf, tol=5e-13 * exact)
-        assert val == pytest.approx(exact, rel=1e-13)
+        assert val == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
@@ -261,7 +266,7 @@ class TestIntegrate:
     def test_relative_tolerance_alone(self):
         val = integrate(lambda x: 1e-300 * np.exp(-x), 0.0, math.inf,
                         tol=0.0, rtol=1e-12)
-        assert val == pytest.approx(1e-300, rel=1e-12)
+        assert val == pytest.approx(1e-300, rel=1e-12, abs=0.0)
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
@@ -466,7 +471,7 @@ class TestVectorizedIntegrand:
         for dom in (semi, piece):
             got = integrate(d.sf, *dom, tol=1e-13, tail_gamma=gamma)
             ref = integrate(scalar_sf, *dom, tol=1e-13, tail_gamma=gamma)
-            assert got == pytest.approx(ref, rel=1e-14)
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def pareto_sf(alpha: float):
@@ -493,13 +498,13 @@ class TestTailMap:
     @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.2, 1.3, 1.4, 1.5, 1.656, 1.9])
     def test_pareto_tail_closed_form(self, alpha, lo):
         assert pareto_tail_quadrature(alpha, lo) == pytest.approx(
-            pareto_tail_integral(alpha, lo), rel=1e-12)
+            pareto_tail_integral(alpha, lo), rel=1e-12, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(alpha=st.floats(1.05, 3.0), lo=st.floats(0.0, 1e3))
     def test_pareto_tail_property(self, alpha, lo):
         assert pareto_tail_quadrature(alpha, lo) == pytest.approx(
-            pareto_tail_integral(alpha, lo), rel=1e-12)
+            pareto_tail_integral(alpha, lo), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.656, 1.9])
     def test_pareto_mapped_integrand_is_constant(self, alpha):
@@ -510,7 +515,7 @@ class TestTailMap:
         val = integrate(lambda x: calls.append(x) or sf(x), 1.0, math.inf,
                         tol=1e-13 / (alpha - 1.0), tail_gamma=1.0 / alpha)
         assert [np.shape(x) for x in calls] == [(15,)]
-        assert val == pytest.approx(1.0 / (alpha - 1.0), rel=1e-14)
+        assert val == pytest.approx(1.0 / (alpha - 1.0), rel=1e-14, abs=0.0)
 
     def test_light_tail_keeps_plain_map(self):
         # q = 1 for every gamma <= 1/2: the same panels as without tail_gamma;
@@ -538,7 +543,7 @@ class TestTailMap:
         val = integrate(lambda x: calls.append(x) or sf(x), T, math.inf,
                         tol=1e-10 / T, tail_gamma=0.5, tail_scale=T / 2.0)
         assert len(calls) == 1
-        assert val == pytest.approx(1.0 / T, rel=1e-14)
+        assert val == pytest.approx(1.0 / T, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [1.3, 1.656])
     def test_tail_scale_maps_points(self, alpha):
@@ -551,7 +556,7 @@ class TestTailMap:
         val = integrate(lambda x: calls.append(x) or sf(x), 0.5, math.inf,
                         tol=1e-13, tail_gamma=1.0 / alpha, points=(1.0,), tail_scale=0.5)
         assert len(calls) == 2
-        assert val == pytest.approx(pareto_tail_integral(alpha, 0.5), rel=1e-13)
+        assert val == pytest.approx(pareto_tail_integral(alpha, 0.5), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("lo", [0.0, 1.0, 2.0])
     def test_overflow_is_a_typed_error(self, lo):
@@ -569,7 +574,7 @@ class TestTailMap:
         # |x - 1/3| has its kink off every dyadic panel edge
         val = integrate(lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0,
                         tol=1e-14, points=(1.0 / 3.0, 5.0))
-        assert val == pytest.approx(5.0 / 18.0, rel=1e-14)
+        assert val == pytest.approx(5.0 / 18.0, rel=1e-14, abs=0.0)
 
 
 class TestMaximize1d:
@@ -580,9 +585,9 @@ class TestMaximize1d:
 
     def test_x_exp_minus_x(self):
         # argmax of a smooth interior max is resolvable to ~sqrt(eps) only
-        x, fx = maximize_1d(lambda x: x * math.exp(-x), 0.0, math.inf, tol=1e-10)
+        x, fx = maximize_1d(lambda x: x * math.exp(-x), 0.0, 100.0, tol=1e-10)
         assert x == pytest.approx(1.0, abs=1e-7)
-        assert fx == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert fx == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0.0)
 
     def test_guarantee_objective_vs_dense_grid(self):
         # oracle: dense grid of 1e6 points on (0, 10)
@@ -590,13 +595,28 @@ class TestMaximize1d:
         xs = np.linspace(1e-6, 10.0, 10 ** 6)
         fs = xs * (1.0 - np.exp(-xs ** -2.0))
         i = int(np.argmax(fs))
-        x, fx = maximize_1d(f, 0.0, math.inf, tol=1e-10)
+        x, fx = maximize_1d(f, 0.0, 10.0, tol=1e-10)
         assert x == pytest.approx(float(xs[i]), abs=2e-5)
         assert fx == pytest.approx(float(fs[i]), abs=1e-9)
 
     def test_flat_objective_reported(self):
         with pytest.raises(FlatObjectiveError):
             maximize_1d(lambda x: 1.0, 0.0, 1.0, tol=1e-10)
+
+    def test_tol_below_the_spacing_of_doubles(self):
+        # near 1e9 doubles are 1.2e-7 apart, so no bracket gets 1e-10 wide;
+        # the search must stop once its bracket stops shrinking
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 10_000:
+                raise AssertionError("still iterating after 10,000 evaluations")
+            return -(x - 1e9) ** 2
+
+        x, fx = maximize_1d(f, 0.0, 2e9, tol=1e-10)
+        assert x == pytest.approx(1e9, rel=1e-15, abs=0.0)
+        assert fx == 0.0
 
 
 class TestFindRoot:
@@ -608,13 +628,14 @@ class TestFindRoot:
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_poisson_derivative_vs_sign_change_oracle(self):
-        # k = 1 objective derivative; oracle: dense-grid sign change
+        # k = 1 objective derivative 1 - P(N <= 1) - m P(N = 0), N ~ Poisson(m),
+        # m = y^-2; oracle: dense-grid sign change
         def fprime(y):
             m = y ** -2.0
-            return 1.0 - poisson_cdf(m, 1) - m * poisson_cdf(m, 0)
+            return 1.0 - math.exp(-m) * (1.0 + 2.0 * m)
 
         ys = np.linspace(2 ** -0.5, 1.0, 200001)
-        vals = np.array([fprime(float(y)) for y in ys])
+        vals = 1.0 - np.exp(-ys ** -2.0) * (1.0 + 2.0 * ys ** -2.0)
         flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
         assert len(flips) == 1
         bracket_mid = 0.5 * (ys[flips[0]] + ys[flips[0] + 1])

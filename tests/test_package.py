@@ -56,9 +56,7 @@ def cli(argv: list[str]) -> str:
     # the README commands
     *(pytest.param(cli(argv), id=name) for name, argv in CLI_COMMANDS.items()),
     # the capped counts of the Poisson and binomial laws, walked in Python
-    pytest.param("from evpricing import poisson_cdf\npoisson_cdf(1.0, 2)", id="poisson_cdf"),
-    pytest.param("from evpricing import phi_k\nphi_k(2.5, 3, numeric=True)",
-                 id="phi_k-numeric"),
+    pytest.param("from evpricing import phi_k\nphi_k(2.5, 3)", id="phi_k-numeric"),
     pytest.param("from evpricing import Pareto, order_statistic_tail\n"
                  "order_statistic_tail(Pareto(2.0), 10 ** 6, 2, 1e3)", id="order_statistic_tail"),
 ])

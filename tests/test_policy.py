@@ -29,6 +29,8 @@ from evpricing import (
     theory_threshold,
 )
 
+from conftest import mpmath_capped_tails
+
 
 def closed_conditional_mean(d, T):
     """Algebraic conditional means for the three reference models."""
@@ -129,15 +131,6 @@ def mpmath_pareto_prophet(alpha: float, n: int, k: int):
                        for j in range(1, k + 1))
 
 
-def mpmath_expected_min(n: int, k: int, p: float):
-    """E min(k, Bin(n, p)) = sum_{j=1..k} (1 - P(Bin < j)) at 60 digits."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60):
-        p = mp.mpf(p)
-        pmf = [mp.binomial(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k)]
-        return mp.fsum(1 - mp.fsum(pmf[:j]) for j in range(1, k + 1))
-
-
 class TestKUnitMpmath:
     """k > 1, where E min(k, Bin(n, p)) walks the binomial masses at every n.
     The parametrized bands were set for the routes the walk replaced: the
@@ -161,7 +154,8 @@ class TestKUnitMpmath:
         d = Pareto(alpha)
         for c in (0.5, 2.0, 8.0):
             T = (n / c) ** (1.0 / alpha)
-            oracle = alpha / (alpha - 1.0) * T * float(mpmath_expected_min(n, k, float(d.sf(T))))
+            oracle = alpha / (alpha - 1.0) * T * float(
+                mpmath_capped_tails(n, 1, k, float(d.sf(T))))
             assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -176,7 +170,7 @@ class TestKUnitMpmath:
             for c in (0.5, 2.0, 8.0):
                 T = (n / c) ** (1.0 / alpha)
                 oracle = alpha / (alpha - 1.0) * T * float(
-                    mpmath_expected_min(n, k, float(d.sf(T))))
+                    mpmath_capped_tails(n, 1, k, float(d.sf(T))))
                 assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=5e-14,
                                                                             abs=0.0)
 
@@ -322,7 +316,7 @@ class TestMidSizeMarkets:
         prophet = float(mpmath_pareto_prophet(alpha, n, k))
         assert res.prophet_value == pytest.approx(prophet, rel=1e-9)
         oracle = (alpha / (alpha - 1.0) * res.threshold
-                  * float(mpmath_expected_min(n, k, res.threshold ** -alpha)))
+                  * float(mpmath_capped_tails(n, 1, k, res.threshold ** -alpha)))
         assert res.fp_value == pytest.approx(oracle, rel=1e-9)
         # the ratio tends to the large-market guarantee phi_3(2) = 0.810153218561,
         # 0.26/n above it at both sizes
@@ -358,7 +352,8 @@ class TestTheoryThreshold:
         assert theory_threshold(Exponential(1.0), math.e, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_bounded_support_epsilon_form(self):
-        assert theory_threshold(Uniform(0.0, 1.0), 100, 0.05) == pytest.approx(0.95, rel=1e-12)
+        assert theory_threshold(Uniform(0.0, 1.0), 100, 0.05) == pytest.approx(
+            0.95, rel=1e-12, abs=0.0)
 
     def test_gumbel_location_scale_form(self):
         from evpricing import Gumbel
