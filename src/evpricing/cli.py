@@ -106,7 +106,7 @@ def _cmd_guarantees(args) -> str:
     alphas = args.alpha_grid or []
     header = "k,phi_k_alpha2,sqrt_bound"
     header += "".join(f",phi_k_alpha_{_fmt(a)}" for a in alphas)
-    rows = ([k, guarantees.phi_k_alpha2_closed(k), guarantees.sqrt_bound(k)]
+    rows = ([k, guarantees.phi_k(2.0, k).value, guarantees.sqrt_bound(k)]
             + [guarantees.phi_k(a, k).value for a in alphas]
             for k in range(1, args.k_max + 1))
     return _csv(header, rows)

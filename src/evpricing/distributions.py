@@ -679,8 +679,12 @@ def virtual_tail_ratio(d: DistributionModel, t: float) -> float:
     def g(s: float) -> float:
         return virtual_valuation(d, s) - t
 
-    # phi(s) <= s, so the preimage sits at or above t.
-    lo = t if math.isinf(sup.lo) else max(t, sup.lo + 1e-12 * max(1.0, abs(sup.lo)))
+    # phi(s) <= s, so the preimage sits at or above t.  The bracket keeps off
+    # the ends of the support, where the density may vanish: by 1e-12 of the
+    # width of a bounded support, and of max(1, |lo|) on a half-line.
+    width = sup.hi - sup.lo
+    pad = 1e-12 * (width if width < math.inf else max(1.0, abs(sup.lo)))
+    lo = t if math.isinf(sup.lo) else max(t, sup.lo + pad)
     if g(lo) > 0:
         # Every value above t already maps above t: the preimage is t itself
         # only when phi(t) >= t, which monotone phi with phi(s) <= s forbids.
@@ -696,8 +700,8 @@ def virtual_tail_ratio(d: DistributionModel, t: float) -> float:
         else:
             raise DomainError("could not bracket the virtual-value preimage")
     else:
-        hi = sup.hi - 1e-12 * max(1.0, abs(sup.hi))
+        hi = sup.hi - pad
         if g(hi) < 0:
             raise DomainError(f"phi stays below t={t} on the support")
-    root = find_root(g, lo, hi, tol=1e-12 * max(abs(t), step))
+    root = find_root(g, lo, hi, tol=1e-12 * step)
     return float(d.sf(root)) / s_t

@@ -19,16 +19,13 @@ optimization: their guarantee is identically 1.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from enum import Enum
 
 from .distributions import DistributionModel, EvtFamily
 from .errors import ConvergenceError, DomainError
 from .kernel import _capped_sum, _mass_walk, find_root, lambert_w_minus1, maximize_1d
 
 __all__ = [
-    "Method",
     "GuaranteeResult",
     "phi_k",
     "u_star",
@@ -37,8 +34,6 @@ __all__ = [
     "sqrt_bound",
     "kennedy_kertz_nu",
     "adaptivity_gap",
-    "x_k_root",
-    "phi_k_alpha2_closed",
     "guarantee_value",
 ]
 
@@ -52,20 +47,14 @@ ALPHA_SEARCH_HI = 50.0
 ROOT_DOUBLINGS = 64
 
 
-class Method(Enum):
-    CLOSED_FORM = "closed-form"
-    NUMERIC_MAX = "numeric-max"
-
-
 @dataclass(frozen=True)
 class GuaranteeResult:
-    """Guarantee value for (k, alpha) with the optimizer that produced it."""
+    """Guarantee value for (k, alpha) and its maximizer argmax_x."""
 
     k: int
     alpha: float
     value: float
     argmax_x: float
-    method: Method
 
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0 + 1e-12:
@@ -98,15 +87,14 @@ def phi_k(alpha: float, k: int) -> GuaranteeResult:
     """k-unit guarantee for Frechet-type tails of shape alpha.
 
     k = 1 is the Lambert-W closed form; every k >= 2 is the root of the
-    first-order condition (``_stationary_point``).  ``method`` is CLOSED_FORM
-    at k = 1 and at alpha = 2, where the root is the paper's x_k.
+    first-order condition (``_stationary_point``).  At alpha = 2 the maximizer
+    is the paper's x_k, with x_k^-2 in [k, k + 1].
     """
     _check_alpha(alpha)
     if k == 1:
-        return GuaranteeResult(1, alpha, phi_1_closed(alpha), u_star(alpha), Method.CLOSED_FORM)
+        return GuaranteeResult(1, alpha, phi_1_closed(alpha), u_star(alpha))
     x, value = _stationary_point(alpha, k)
-    method = Method.CLOSED_FORM if alpha == 2.0 else Method.NUMERIC_MAX
-    return GuaranteeResult(k, alpha, value, x, method)
+    return GuaranteeResult(k, alpha, value, x)
 
 
 def _stationary_point(alpha: float, k: int) -> tuple[float, float]:
@@ -136,8 +124,7 @@ def _stationary_point(alpha: float, k: int) -> tuple[float, float]:
         raise ConvergenceError(
             f"first-order condition of phi_k(alpha={alpha!r}, k={k}) not bracketed "
             f"within {ROOT_DOUBLINGS} doublings", math.nan, math.inf)
-    # The condition scales like y, so stop on the bracket width alone.
-    y = find_root(condition, lo, hi, tol=sys.float_info.min)
+    y = find_root(condition, lo, hi, tol=0.0)
     x = y ** (-1.0 / alpha)
     return x, _gamma_ratio(k, alpha) * x * _poisson_tail_sum(y, k)
 
@@ -195,17 +182,6 @@ def adaptivity_gap() -> tuple[float, float]:
         # printed digits of alpha.
         1.0, ALPHA_SEARCH_HI, tol=1e-9)
     return alpha_at_max, gap
-
-
-def x_k_root(k: int) -> float:
-    """Maximizer x_k of the alpha = 2 objective, the root of its first-order
-    condition; x_k^-2 lies in [k, k + 1]."""
-    return _stationary_point(2.0, k)[0]
-
-
-def phi_k_alpha2_closed(k: int) -> float:
-    """The k-unit guarantee at alpha = 2, evaluated at x_k."""
-    return _stationary_point(2.0, k)[1]
 
 
 def guarantee_value(d: DistributionModel, k: int) -> float:

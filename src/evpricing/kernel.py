@@ -385,11 +385,15 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
               tol: float) -> float:
     """Brent-style bracketed root of f on [lo, hi].
 
-    Requires f(lo) * f(hi) <= 0.  Stops once |f(x)| <= tol or the bracket
-    width falls below tol.
+    Requires f(lo) * f(hi) <= 0.  ``tol`` is a width in units of x: the
+    root is returned once the bracket around it is at most about
+    tol + 4 eps |x| wide, or when f(x) is exactly 0.  tol = 0 asks for the
+    root to rounding.  Raises ConvergenceError, with the last iterate and
+    the bracket width attached, if ROOT_MAX_ITER steps do not close the
+    bracket.
     """
-    if not tol > 0:
-        raise DomainError(f"find_root requires tol > 0, got {tol}")
+    if not tol >= 0:
+        raise DomainError(f"find_root requires tol >= 0, got {tol}")
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
         return lo
@@ -410,7 +414,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
             fa, fb, fc = fb, fc, fb
         half_width = 0.5 * (c - b)
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        if abs(half_width) <= tol1 or abs(fb) <= tol:
+        if abs(half_width) <= tol1 or fb == 0.0:
             return b
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
@@ -437,4 +441,5 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         else:
             b += tol1 if half_width > 0 else -tol1
         fb = f(b)
-    return b
+    raise ConvergenceError(
+        f"bracketed root not found within {ROOT_MAX_ITER} steps", b, abs(c - b))

@@ -34,7 +34,7 @@ from evpricing import (
     minimize_phi_1,
     monte_carlo_evaluate,
     per_bidder_max,
-    phi_k_alpha2_closed,
+    phi_k,
     quantile_policy_approx,
     sqrt_bound,
     virtual_tail_ratio,
@@ -82,9 +82,9 @@ def test_criterion_2_adaptivity_gap():
 
 def test_criterion_3_guarantee_curve():
     t0 = time.perf_counter()
-    floor_ok = all(phi_k_alpha2_closed(k) >= sqrt_bound(k) for k in range(1, 51))
+    floor_ok = all(phi_k(2.0, k).value >= sqrt_bound(k) for k in range(1, 51))
     k_big = 10 ** 4
-    deficit = (1.0 - phi_k_alpha2_closed(k_big)) * math.sqrt(2.0 * math.pi * k_big)
+    deficit = (1.0 - phi_k(2.0, k_big).value) * math.sqrt(2.0 * math.pi * k_big)
     elapsed = time.perf_counter() - t0
     report(3, "guarantee curve dominates the k-unit floor",
            [("phi_k(2) >= floor for k in 1..50", floor_ok),

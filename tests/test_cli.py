@@ -9,7 +9,7 @@ from evpricing import (
     Frechet,
     empirical_competition_complexity,
     fixed_price_value_exact,
-    phi_k_alpha2_closed,
+    phi_k,
     prophet_value,
     sqrt_bound,
     Pareto,
@@ -41,7 +41,7 @@ class TestGuaranteesCmd:
         code, out, _ = run_cli(capsys, "guarantees", "--k-max", "1")
         assert code == 0
         _, phi, bound = out.strip().split("\n")[1].split(",")
-        assert float(phi) == pytest.approx(phi_k_alpha2_closed(1), abs=1e-9)
+        assert float(phi) == pytest.approx(phi_k(2.0, 1).value, abs=1e-9)
         assert float(bound) == pytest.approx(sqrt_bound(1), abs=1e-9)
 
     def test_zero_kmax_is_usage_error(self, capsys):
@@ -56,6 +56,17 @@ class TestGuaranteesCmd:
         assert code == 0
         header = out.split("\n")[0]
         assert header.endswith("phi_k_alpha_1.5,phi_k_alpha_3")
+
+    def test_alpha2_column_is_phi_k(self, capsys):
+        # phi_k_alpha2 and the --alpha-grid 2 column take one route, row by row
+        code, out, _ = run_cli(capsys, "guarantees", "--k-max", "50", "--alpha-grid", "2")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "k,phi_k_alpha2,sqrt_bound,phi_k_alpha_2"
+        assert len(lines) == 51
+        for line in lines[1:]:
+            _, phi, _, phi_grid = line.split(",")
+            assert phi == phi_grid
 
 
 class TestScalarCmds:

@@ -714,6 +714,28 @@ class TestVirtualTailRatio:
         for t in (0.3, 0.7, 0.95, 0.999):
             assert virtual_tail_ratio(d, t) == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_bounded_scale_free(self, c):
+        # phi(s) = 2s - c and (3s - c)/2: the ratios 1/2 and 4/9 at every scale,
+        # with the preimage 5e-5 c and 6.7e-5 c below the upper end
+        assert virtual_tail_ratio(Uniform(0.0, c), 0.9999 * c) == pytest.approx(
+            0.5, rel=1e-10, abs=0.0)
+        assert virtual_tail_ratio(BoundedPower(c, 2.0), 0.9999 * c) == pytest.approx(
+            4.0 / 9.0, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("loc", [1e3, 1e6])
+    @pytest.mark.parametrize("t", [-1.0, 0.0, 2.0])
+    def test_gumbel_location_free(self, loc, t):
+        # phi(s) - loc depends on z = s - loc alone: solve z - sf(z)/pdf(z) = t
+        # at 30 digits, and the ratio sf(z)/sf(t) holds at every location
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            sf = lambda z: -mp.expm1(-mp.exp(-z))
+            z = mp.findroot(lambda z: z - sf(z) * mp.exp(z + mp.exp(-z)) - t, t + 1)
+            oracle = float(sf(z) / sf(mp.mpf(t)))
+        assert virtual_tail_ratio(Gumbel(loc, 1.0), loc + t) == pytest.approx(
+            oracle, rel=1e-9, abs=0.0)
+
 
 class TestFrechetMaxStability:
     def test_cdf_power_matches_rescaled(self):

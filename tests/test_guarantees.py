@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 
+import evpricing
 from evpricing import (
     BoundedPower,
     ConvergenceError,
     DomainError,
     Exponential,
+    GuaranteeResult,
     Pareto,
     adaptivity_gap,
     guarantee_value,
@@ -19,13 +22,11 @@ from evpricing import (
     minimize_phi_1,
     phi_1_closed,
     phi_k,
-    phi_k_alpha2_closed,
     sqrt_bound,
     u_star,
-    x_k_root,
 )
 from evpricing import guarantees
-from evpricing.guarantees import Method, _poisson_tail_sum, _stationary_point
+from evpricing.guarantees import _poisson_tail_sum, _stationary_point
 
 #: The shapes and unit counts of the first-order root checks: 70 cases, and
 #: (1.2, 4), a case of the oracle's earlier grid.
@@ -60,11 +61,15 @@ class TestPhiK:
 
     def test_closed_matches_numeric_at_two(self):
         closed = phi_k(2.0, 1)
-        assert closed.method is Method.CLOSED_FORM
         assert closed.value == pytest.approx(_stationary_point(2.0, 1)[1], abs=1e-8)
-        # the labels: closed at k = 1 and at alpha = 2, numeric otherwise
-        assert phi_k(2.0, 3).method is Method.CLOSED_FORM
-        assert phi_k(2.5, 3).method is Method.NUMERIC_MAX
+
+    def test_one_public_route(self):
+        # phi_k is the only public k-unit guarantee, and its result carries no
+        # route label
+        for name in ("x_k_root", "phi_k_alpha2_closed", "Method"):
+            assert not hasattr(evpricing, name), name
+        assert [f.name for f in dataclasses.fields(GuaranteeResult)] == [
+            "k", "alpha", "value", "argmax_x"]
 
     def test_large_k_approaches_floor(self):
         for k in (100, 1000):
@@ -327,21 +332,21 @@ class TestAdaptivityGap:
 
 class TestXkRoot:
     def test_bracket_k1(self):
-        x1 = x_k_root(1)
+        x1 = _stationary_point(2.0, 1)[0]
         assert 2 ** -0.5 <= x1 <= 1.0
 
     def test_matches_numeric_argmax(self):
         # the Lambert-W maximizer at alpha = 2
-        assert x_k_root(1) == pytest.approx(u_star(2.0), abs=1e-6)
+        assert _stationary_point(2.0, 1)[0] == pytest.approx(u_star(2.0), abs=1e-6)
 
     def test_bracket_k25(self):
-        x25 = x_k_root(25)
+        x25 = phi_k(2.0, 25).argmax_x
         assert 25.0 <= x25 ** -2.0 <= 26.0
 
     @pytest.mark.parametrize("k", [1, 2, 5, 25, 200])
     def test_stationarity_residual(self, k):
         # k P(N > k) - m P(N < k) for N ~ Poisson(m), from explicit terms
-        x = x_k_root(k)
+        x = _stationary_point(2.0, k)[0] if k == 1 else phi_k(2.0, k).argmax_x
         m = x ** -2.0
         pmf = [math.exp(j * math.log(m) - m - math.lgamma(j + 1)) for j in range(k + 1)]
         resid = k * (1.0 - math.fsum(pmf)) - m * math.fsum(pmf[:k])
@@ -350,16 +355,16 @@ class TestXkRoot:
 
 class TestPhiKAlpha2Closed:
     def test_matches_single_unit_closed_form(self):
-        assert phi_k_alpha2_closed(1) == pytest.approx(phi_1_closed(2.0), abs=1e-7)
+        assert _stationary_point(2.0, 1)[1] == pytest.approx(phi_1_closed(2.0), abs=1e-7)
 
     def test_dominates_floor_through_200(self):
         for k in range(1, 201):
-            assert phi_k_alpha2_closed(k) >= sqrt_bound(k)
+            assert phi_k(2.0, k).value >= sqrt_bound(k)
 
     def test_deficit_normalization_tightens(self):
         deficits = []
         for k in (100, 1000, 10000):
-            v = phi_k_alpha2_closed(k)
+            v = phi_k(2.0, k).value
             deficits.append((1.0 - v) * math.sqrt(2.0 * math.pi * k))
         assert all(0.85 <= d <= 1.15 for d in deficits)
         assert deficits == sorted(deficits)  # approaching 1 from below
@@ -371,7 +376,7 @@ class TestPhiKAlpha2Closed:
             _, val = maximize_1d(lambda x: x * _poisson_tail_sum(x ** -2.0, k),
                                  0.5 * k ** -0.5, 2.0 * k ** -0.5, tol=1e-10)
             numeric = math.exp(math.lgamma(k) - math.lgamma(k + 0.5)) * val
-            assert phi_k_alpha2_closed(k) == pytest.approx(numeric, abs=1e-7)
+            assert phi_k(2.0, k).value == pytest.approx(numeric, abs=1e-7)
 
 
 class TestGuaranteeValue:

@@ -645,3 +645,29 @@ class TestFindRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-10)
+
+    def test_tol_is_a_width_not_a_residual(self):
+        # phi_k's first-order condition at alpha = 1 + 1e-12, k = 1: its values
+        # near the root are about 1e-24, far below tol, so only the width stops it
+        a = (1.0 + 1e-12) - 1.0
+
+        def condition(y):
+            masses, tail = kernel._mass_walk(-y, lambda m: y / (m + 1), 2)
+            return tail - a * y * masses[0]
+
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            exact = float(mp.findroot(
+                lambda y: -mp.expm1(-y) - y * mp.exp(-y) - a * y * mp.exp(-y), mp.mpf("2e-12")))
+        root = find_root(condition, 2.0 ** -39, 2.0 ** -38, tol=1e-14)
+        assert abs(root - exact) <= 1e-14
+
+    def test_zero_tol_is_rounding(self):
+        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=0.0)
+        assert abs(root - math.sqrt(2.0)) <= 4.0 * math.ulp(math.sqrt(2.0))
+
+    def test_unclosed_bracket_raises(self):
+        # a sign step at 1 on [0, 1e308]: ROOT_MAX_ITER bisections leave a
+        # bracket ~1e248 wide, which is not a root
+        with pytest.raises(ConvergenceError):
+            find_root(lambda x: math.copysign(1.0, x - 1.0), 0.0, 1e308, tol=1e-10)

@@ -24,7 +24,7 @@ from evpricing import (
     monte_carlo_evaluate,
     order_statistic_mean,
     phi_1_closed,
-    phi_k_alpha2_closed,
+    phi_k,
     prophet_value,
     theory_threshold,
 )
@@ -320,7 +320,7 @@ class TestMidSizeMarkets:
         assert res.fp_value == pytest.approx(oracle, rel=1e-9)
         # the ratio tends to the large-market guarantee phi_3(2) = 0.810153218561,
         # 0.26/n above it at both sizes
-        assert res.ratio == pytest.approx(phi_k_alpha2_closed(k), abs=1.0 / n)
+        assert res.ratio == pytest.approx(phi_k(alpha, k).value, abs=1.0 / n)
 
 
 class TestNaNThresholds:
