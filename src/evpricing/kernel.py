@@ -4,13 +4,13 @@ law, and W_{-1}) and generic one-dimensional numerical routines.
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 
-``integrate`` takes a vectorized integrand, called once per 15-node panel
-with an array of abscissae; ``maximize_1d`` and ``find_root`` stay scalar,
-as their objectives are evaluated one point at a time.  ``integrate`` is the
-only place that decides when a quadrature has converged: it stops once its
-error estimate is at most max(tol, rtol*|I|) and raises ConvergenceError
-otherwise, so callers state their tolerances and never accept a failed
-result themselves.
+``integrate`` takes a vectorized integrand on a finite bracket, called once
+per 15-node panel with an array of abscissae; ``maximize_1d`` and
+``find_root`` stay scalar, as their objectives are evaluated one point at a
+time.  ``integrate`` is the only place that decides when a quadrature has
+converged: it stops once its error estimate is at most max(tol, rtol*|I|)
+and raises ConvergenceError otherwise, so callers state their tolerances and
+never accept a failed result themselves.
 """
 
 from __future__ import annotations
@@ -178,11 +178,8 @@ def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
 
 
 def integrate(f: Callable[[np.ndarray], ArrayLike], lo: float, hi: float,
-              tol: float, tail_gamma: float = 0.0, points: Sequence[float] = (),
-              rtol: float = 0.0, tail_scale: float = 1.0) -> float:
-    """Globally adaptive Gauss-Kronrod quadrature of f over [lo, hi].
-
-    lo must be finite and below hi; hi may be +inf.
+              tol: float, points: Sequence[float] = (), rtol: float = 0.0) -> float:
+    """Globally adaptive Gauss-Kronrod quadrature of f over the finite [lo, hi].
 
     f is vectorized: it receives the 15 nodes of one panel as a float array
     of shape (15,) and returns their values, an array of the same shape (a
@@ -194,102 +191,38 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], lo: float, hi: float,
     confirmed by an exact sum, satisfies err <= max(tol, rtol*|I|) for the
     current integral estimate I.  ``tol`` is absolute and ``rtol`` relative;
     rtol = 0 makes the target purely absolute, tol = 0 purely relative.
+    The Kronrod nodes are interior, so f is never evaluated at lo or hi.
 
-    Semi-infinite domains [lo, inf) are mapped to [0, 1) through
-    x = lo + h((1-t)^(-q) - 1), with Jacobian h q (1-t)^(-q-1),
-    h = ``tail_scale`` and q = max(1, gamma/(1-gamma)) for the extreme-value
-    index ``tail_gamma`` of the integrand.  A tail x^(-1/gamma) then becomes
-    a bounded integrand near t = 1 (exactly constant for Pareto), where the
-    plain map x = lo + t/(1-t) (q = 1) would leave the endpoint singularity
-    (1-t)^(1/gamma - 2) for gamma > 1/2.  Tails with gamma <= 1/2, Gumbel
-    (gamma = 0) among them, keep q = 1.  The scale h is the length on which
-    the integrand falls above lo, such as the reciprocal hazard sf/pdf of a
-    survival function (T/alpha for a Pareto tail from T); with h = 1 a tail
-    far from the origin needs many panels near t = 0, and an h far beyond
-    where the integrand lives maps every node past it.
-    The Kronrod nodes are interior, so the endpoint t = 1 is never
-    evaluated.  ``tail_scale`` has no effect on a finite domain.
-
-    ``points`` are interior abscissae where f may have a kink (the support's
-    lower end, for instance); the domain is split there from the start, as
-    no Gauss-Kronrod error estimate can see a kink that falls between its
-    outermost node and the panel edge.
+    ``points`` are interior abscissae where f may have a kink; the domain is
+    split there from the start, as no Gauss-Kronrod error estimate can see a
+    kink that falls between its outermost node and the panel edge.
 
     Raises ConvergenceError, with the best estimate attached, if the
-    error target cannot be reached within MAX_INTERVALS panels, and
-    with estimate NaN and error inf if the map leaves the double range
-    before the tail is resolved (gamma close to 1: Pareto maxima at
-    alpha = 1.01).
+    error target cannot be reached within MAX_INTERVALS panels.
     """
-    if not -math.inf < lo < hi:
-        raise DomainError(f"integrate requires -inf < lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"integrate requires -inf < lo < hi < inf, got [{lo}, {hi}]")
     if not (tol >= 0 and rtol >= 0 and (tol > 0 or rtol > 0)):
         raise DomainError(
             f"integrate requires tol, rtol >= 0, not both 0, got tol={tol}, rtol={rtol}")
-    if not 0 < tail_scale < math.inf:
-        raise DomainError(f"integrate requires a finite tail_scale > 0, got {tail_scale}")
-    if hi == math.inf:
-        h = tail_scale
-        if not tail_gamma < 1:
-            raise DomainError(
-                f"integrate over [lo, inf) requires tail_gamma < 1, got {tail_gamma}")
-        q = max(1.0, tail_gamma / (1.0 - tail_gamma))
-        # Products with h come last, so that h = 1 leaves every value bit for
-        # bit as without it.  q = 1 is written out: through the general branch
-        # (min of 6 interleaved runs, 2-vCPU VM) conditional_mean_above(
-        # Exponential(1), 3) took 0.24 ms, not 0.17; expected_max(Frechet(0, 1,
-        # 2.5), 30) 1.70 ms, not 1.38; empirical_competition_complexity(
-        # Exponential(1), 35) 1.31 ms, not 1.20; best_fixed_price(Pareto(2),
-        # 1000, 1) 41.8 ms, not 30.7.  It also moved Exponential thresholds by
-        # up to 5.6e-9 relative.
-        if q == 1.0:
-            def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
-                return f(lo + h * (t / om)) / (om * om) * h
-        else:
-            def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
-                with np.errstate(over="ignore"):
-                    w = om ** -q
-                    jac = q * w / om * h
-                    if np.isinf(jac).any():
-                        raise ConvergenceError(
-                            f"tail map overflows the double range before a tail "
-                            f"of index gamma={tail_gamma:.6g} is resolved",
-                            math.nan, math.inf)
-                    return f(lo + h * w - h) * jac
-
-        def g(t: np.ndarray) -> np.ndarray:
-            om = 1.0 - t
-            if om.min() > 0.0:
-                return mapped(t, om)
-            # A node that rounds to t = 1 contributes 0; om = 1 stands in for
-            # it so that f sees only finite abscissae.
-            inside = om > 0.0
-            return np.where(inside, mapped(t, np.where(inside, om, 1.0)), 0.0)
-
-        a, b = 0.0, 1.0
-        cuts = [1.0 - ((h + p - lo) / h) ** (-1.0 / q) for p in points if p > lo]
-    else:
-        g, a, b = f, lo, hi
-        cuts = points
-
-    inner = sorted({c for c in cuts if a < c < b}) if cuts else ()
+    inner = sorted({c for c in points if lo < c < hi}) if points else ()
     # Heap entries: (-error, id, a, b, value, error).  Entries with key 0.0
     # are panels too narrow to split further; their error is kept in the sum.
     if not inner:
-        v0, e0 = _gk15(g, a, b)
+        v0, e0 = _gk15(f, lo, hi)
         if e0 <= max(tol, rtol * abs(v0)):
             # One panel met the target (as every DP step and most short
             # finite pieces do): the sums below would return its value, with
             # -0.0 made 0.0 by their start at 0.0.
             return 0.0 + v0
-        heap = [(-e0, 0, a, b, v0, e0)]
+        heap = [(-e0, 0, lo, hi, v0, e0)]
         total_val, total_err = v0, e0
     else:
-        edges = [a, *inner, b]
+        edges = [lo, *inner, hi]
         heap = []
         total_val = total_err = 0.0
         for a0, b0 in zip(edges, edges[1:]):
-            v0, e0 = _gk15(g, a0, b0)
+            v0, e0 = _gk15(f, a0, b0)
             heap.append((-e0, len(heap), a0, b0, v0, e0))
             total_val += v0
             total_err += e0
@@ -306,8 +239,8 @@ def integrate(f: Callable[[np.ndarray], ArrayLike], lo: float, hi: float,
             if all(entry[0] == 0.0 for entry in heap):
                 break
             continue
-        v1, e1 = _gk15(g, a0, mid)
-        v2, e2 = _gk15(g, mid, b0)
+        v1, e1 = _gk15(f, a0, mid)
+        v2, e2 = _gk15(f, mid, b0)
         heapq.heappush(heap, (-e1, next_id, a0, mid, v1, e1))
         heapq.heappush(heap, (-e2, next_id + 1, mid, b0, v2, e2))
         next_id += 2

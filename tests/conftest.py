@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import os
 from pathlib import Path
@@ -28,8 +29,10 @@ def philox_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:
     return gen.random(n)
 
 
+@functools.lru_cache(maxsize=None)
 def mpmath_capped_tails(n: int, j: int, k: int, p: float):
-    """sum_{i=j..k} P(Bin(n, p) >= i) at 60 digits, each tail as 1 - sum_{m<i} P(m)."""
+    """sum_{i=j..k} P(Bin(n, p) >= i) at 60 digits, each tail as 1 - sum_{m<i} P(m);
+    computed once per point however many tests check it."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
         p = mp.mpf(p)

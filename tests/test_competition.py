@@ -235,10 +235,12 @@ class TestExpectedMax:
         assert expected_max(Exponential(1.0), 3) == pytest.approx(harmonic(3), abs=1e-9)
 
     def test_pareto_quadrature_oracle(self):
-        # oracle: the defining integral evaluated independently
-        oracle = integrate(
-            lambda t: 1.0 - (1.0 - np.minimum(1.0, t ** -2.0)) ** 2,
-            0.0, math.inf, tol=1e-8)
+        # oracle: the defining integral by mpmath's quadrature; it is 1 on
+        # [0, 1] and 2/t^2 - 1/t^4 above, 8/3 in all
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            oracle = float(mp.quad(lambda t: 1 - (1 - min(1, t ** -2)) ** 2, [0, 1, mp.inf]))
+        assert oracle == pytest.approx(8.0 / 3.0, abs=1e-12)
         assert expected_max(Pareto(2.0), 2) == pytest.approx(oracle, abs=1e-7)
 
     @pytest.mark.parametrize("n", [1, 100])

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evpricing
 import evpricing.kernel as kernel
-from evpricing.distributions import _binomial_tails
+from evpricing.distributions import _binomial_tails, _sf_integral
 from evpricing import (
     BoundedPower,
     BracketError,
     ConvergenceError,
+    DivergenceError,
     DomainError,
     Exponential,
     FlatObjectiveError,
@@ -28,15 +29,14 @@ from evpricing import (
 
 
 class TestEndpoints:
-    # NaN at either end, an infinite lower end and an empty or reversed
-    # interval are rejected before the routine evaluates anything, and so is
-    # an infinite upper end by the maximizer
+    # NaN at either end, an infinite end and an empty or reversed interval
+    # are rejected before the routine evaluates anything
     @pytest.mark.parametrize("routine, lo, hi", [
         pytest.param(routine, lo, hi, id=f"{routine.__name__}-{lo}-{hi}")
         for routine in (integrate, maximize_1d)
         for lo, hi in [(2.0, 1.0), (1.0, 1.0), (-math.inf, 0.0), (math.nan, 1.0),
-                       (0.0, math.nan), (math.inf, math.inf)]
-    ] + [pytest.param(maximize_1d, 0.0, math.inf, id="maximize_1d-0.0-inf")])
+                       (0.0, math.nan), (math.inf, math.inf), (0.0, math.inf)]
+    ])
     def test_rejected(self, routine, lo, hi):
         def f(x):
             raise AssertionError("evaluated outside a valid interval")
@@ -202,9 +202,15 @@ def test_lambert_w_bit_equal_to_scipy():
     assert [lambert_w_minus1(float(z)).hex() for z in zs] == expected
 
 
+def unit_map(f, lo: float):
+    """f on [lo, inf) as an integrand on [0, 1): x = lo + t/(1-t), dx = dt/(1-t)^2."""
+    return lambda t: f(lo + t / (1.0 - t)) / (1.0 - t) ** 2
+
+
 class TestIntegrate:
     def test_exponential_tail(self):
-        val = integrate(lambda x: np.exp(-x), 0.0, math.inf, tol=1e-10)
+        # int_0^inf e^-x = 1, the Exponential(1) tail from its lower end
+        val = _sf_integral(Exponential(1.0), 0.0)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_constant(self):
@@ -212,7 +218,8 @@ class TestIntegrate:
         assert integrate(lambda x: 1.0, 0.0, 1.0, tol=1e-10) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_square_tail(self):
-        val = integrate(lambda x: x ** -2.0, 1.0, math.inf, tol=1e-10)
+        # int_1^inf x^-2 = 1, the Pareto(2) tail from its lower end
+        val = _sf_integral(Pareto(2.0), 1.0)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -241,7 +248,7 @@ class TestIntegrate:
         # here it fell below tol while the exact sum had not, which raised
         alpha, lo = 2.1789295087231055, 591.625
         exact = lo ** (1.0 - alpha) / (alpha - 1.0)
-        val = integrate(lambda x: x ** -alpha, lo, math.inf, tol=5e-13 * exact)
+        val = integrate(unit_map(lambda x: x ** -alpha, lo), 0.0, 1.0, tol=5e-13 * exact)
         assert val == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_bad_tolerance(self):
@@ -249,22 +256,18 @@ class TestIntegrate:
             integrate(lambda x: x, 0.0, 1.0, tol=0.0)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, 1.0, tol=1e-10, rtol=-1e-12)
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, math.inf, tol=1e-10, tail_scale=0.0)
 
     def test_relative_tolerance_reaches_large_values(self):
         # 50 eps |I| per panel puts the error floor of a value near 1.2e4 at
         # 1.3e-10, above an absolute 1e-10; 1e-12 relative is reachable
-        def f(x):
-            return 1.2e4 * np.exp(-x)
-
-        dom = (0.0, math.inf)
+        f = unit_map(lambda x: 1.2e4 * np.exp(-x), 0.0)
+        dom = (0.0, 1.0)
         with pytest.raises(ConvergenceError):
             integrate(f, *dom, tol=1e-10)
         assert integrate(f, *dom, tol=1e-10, rtol=1e-12) == pytest.approx(1.2e4, rel=1e-12)
 
     def test_relative_tolerance_alone(self):
-        val = integrate(lambda x: 1e-300 * np.exp(-x), 0.0, math.inf,
+        val = integrate(unit_map(lambda x: 1e-300 * np.exp(-x), 0.0), 0.0, 1.0,
                         tol=0.0, rtol=1e-12)
         assert val == pytest.approx(1e-300, rel=1e-12, abs=0.0)
 
@@ -281,10 +284,14 @@ class TestIntegrate:
         (lambda x: 1.0 / (1.0 + abs(x - 0.3)), 0.0, 1.0),
     ])
     def test_parity_with_library_quadrature(self, f, lo, hi):
-        # independent oracle: a different adaptive quadrature implementation
+        # independent oracle: a different adaptive quadrature implementation;
+        # a half-line is mapped to [0, 1) first
         from scipy.integrate import quad
-        expected, _ = quad(f, lo, hi if math.isfinite(hi) else np.inf, limit=200)
-        got = integrate(f, lo, hi, tol=1e-10)
+        expected, _ = quad(f, lo, hi, limit=200)
+        if math.isfinite(hi):
+            got = integrate(f, lo, hi, tol=1e-10)
+        else:
+            got = integrate(unit_map(f, lo), 0.0, 1.0, tol=1e-10)
         assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -428,10 +435,26 @@ class TestGK15Panel:
                 assert Fraction(err) > 1000 * Fraction(eps) * mass, d
 
 
+def counted_sf(monkeypatch, model_class) -> list:
+    """Patch model_class.sf to record every array it is called on."""
+    calls = []
+    sf = model_class.sf
+
+    def counting(self, t):
+        if np.ndim(t) > 0:
+            calls.append(t)
+        return sf(self, t)
+
+    monkeypatch.setattr(model_class, "sf", counting)
+    return calls
+
+
 class TestVectorizedIntegrand:
     @pytest.mark.parametrize("hi,tail_gamma", [(3.0, 0.0), (math.inf, 0.0),
                                                (math.inf, 0.6)])
     def test_one_call_per_panel(self, monkeypatch, hi, tail_gamma):
+        # a finite bracket, and the half-lines of _sf_integral under the
+        # plain map (Exponential) and the tail-adapted one (Frechet)
         panels = []
         gk15 = kernel._gk15
 
@@ -440,13 +463,18 @@ class TestVectorizedIntegrand:
             return gk15(f, a, b)
 
         monkeypatch.setattr(kernel, "_gk15", counting_gk15)
-        calls = []
+        if math.isfinite(hi):
+            calls = []
 
-        def f(x):
-            calls.append(x)
-            return 1.0 / (1.0 + (x - 0.3) ** 2) ** 2
+            def f(x):
+                calls.append(x)
+                return 1.0 / (1.0 + (x - 0.3) ** 2) ** 2
 
-        integrate(f, 0.0, hi, tol=1e-13, tail_gamma=tail_gamma)
+            integrate(f, 0.0, hi, tol=1e-13)
+        else:
+            d = Frechet(0.0, 1.0, 1.0 / tail_gamma) if tail_gamma else Exponential(1.0)
+            calls = counted_sf(monkeypatch, type(d))
+            _sf_integral(d, 0.0)
         assert len(panels) > 1
         assert len(calls) == len(panels)
         for x in calls:
@@ -458,24 +486,17 @@ class TestVectorizedIntegrand:
                                    Exponential(1.0), Gumbel(0.0, 1.0), Uniform(0.0, 1.0),
                                    BoundedPower(1.0, 2.0)],
                              ids=repr)
-    def test_array_sf_matches_per_node_scalar_sf(self, d):
+    def test_array_sf_matches_per_node_scalar_sf(self, monkeypatch, d):
         # numpy's array pow can differ from the 0-d path by an ulp; the
         # integrals of both must still agree to rounding
-        def scalar_sf(x):
-            return np.array([float(d.sf(float(u))) for u in x])
-
         lo = d.support.lo if math.isfinite(d.support.lo) else -2.0
-        gamma = d.evt_index().gamma
-        semi = (lo, d.support.hi)
         piece = (float(d.quantile(0.3)), float(d.quantile(0.7)))
-        for dom in (semi, piece):
-            got = integrate(d.sf, *dom, tol=1e-13, tail_gamma=gamma)
-            ref = integrate(scalar_sf, *dom, tol=1e-13, tail_gamma=gamma)
-            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
-
-
-def pareto_sf(alpha: float):
-    return lambda x: np.where(x < 1.0, 1.0, np.maximum(x, 1.0) ** -alpha)
+        got = (_sf_integral(d, lo), integrate(d.sf, *piece, tol=1e-13))
+        sf = type(d).sf
+        monkeypatch.setattr(type(d), "sf", lambda self, x: (
+            np.array([float(sf(self, float(u))) for u in x]) if np.ndim(x) else sf(self, x)))
+        ref = (_sf_integral(d, lo), integrate(d.sf, *piece, tol=1e-13))
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def pareto_tail_integral(alpha: float, lo: float) -> float:
@@ -485,90 +506,66 @@ def pareto_tail_integral(alpha: float, lo: float) -> float:
     return lo ** (1.0 - alpha) / (alpha - 1.0)
 
 
-def pareto_tail_quadrature(alpha: float, lo: float) -> float:
-    # the kink of the survival function at the support's lower end 1 is
-    # declared; no panel can see it between its outermost node and its edge
-    exact = pareto_tail_integral(alpha, lo)
-    return integrate(pareto_sf(alpha), lo, math.inf, tol=1e-13 * exact,
-                     tail_gamma=1.0 / alpha, points=(1.0,))
-
-
 class TestTailMap:
+    """The map of a half-line to [0, 1) in ``distributions._sf_integral``, on
+    real models: x = T + h((1-t)^(-q) - 1), q = max(1, gamma/(1-gamma)), h the
+    reciprocal hazard at T, and the support's lower end a breakpoint."""
+
     @pytest.mark.parametrize("lo", [0.0, 0.5, 1.0, 2.0, 100.0])
     @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.2, 1.3, 1.4, 1.5, 1.656, 1.9])
     def test_pareto_tail_closed_form(self, alpha, lo):
-        assert pareto_tail_quadrature(alpha, lo) == pytest.approx(
+        assert _sf_integral(Pareto(alpha), lo) == pytest.approx(
             pareto_tail_integral(alpha, lo), rel=1e-12, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(alpha=st.floats(1.05, 3.0), lo=st.floats(0.0, 1e3))
+    # the kink at 1 just above T, before the first node, for a tail with q = 1
+    @example(alpha=2.0, lo=0.99609375)
     def test_pareto_tail_property(self, alpha, lo):
-        assert pareto_tail_quadrature(alpha, lo) == pytest.approx(
+        assert _sf_integral(Pareto(alpha), lo) == pytest.approx(
             pareto_tail_integral(alpha, lo), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.656, 1.9])
-    def test_pareto_mapped_integrand_is_constant(self, alpha):
-        # from the support's lower end the mapped Pareto integrand is exactly
-        # q = 1/(alpha - 1): one 15-point panel meets a 1e-13 relative target
-        sf = pareto_sf(alpha)
-        calls = []
-        val = integrate(lambda x: calls.append(x) or sf(x), 1.0, math.inf,
-                        tol=1e-13 / (alpha - 1.0), tail_gamma=1.0 / alpha)
+    def test_pareto_mapped_integrand_is_constant(self, monkeypatch, alpha):
+        # from the support's lower end (h = 1) the mapped Pareto integrand is
+        # exactly q = 1/(alpha - 1): one 15-point panel
+        calls = counted_sf(monkeypatch, Pareto)
+        val = _sf_integral(Pareto(alpha), 1.0)
         assert [np.shape(x) for x in calls] == [(15,)]
         assert val == pytest.approx(1.0 / (alpha - 1.0), rel=1e-14, abs=0.0)
 
     def test_light_tail_keeps_plain_map(self):
-        # q = 1 for every gamma <= 1/2: the same panels as without tail_gamma;
-        # a unit tail_scale is the map without one, bit for bit
-        f = pareto_sf(2.0)
-        dom = (0.5, math.inf)
-        plain = integrate(f, *dom, tol=1e-12)
-        for gamma in (-1.0, 0.0, 0.3, 0.5):
-            assert integrate(f, *dom, tol=1e-12, tail_gamma=gamma) == plain
-            assert integrate(f, *dom, tol=1e-12, tail_gamma=gamma, tail_scale=1.0) == plain
-
-    def test_unit_tail_scale_is_identity_for_heavy_tails(self):
-        f = pareto_sf(1.3)
-        dom = (0.0, math.inf)
-        plain = integrate(f, *dom, tol=1e-12, tail_gamma=1.0 / 1.3, points=(1.0,))
-        assert integrate(f, *dom, tol=1e-12, tail_gamma=1.0 / 1.3, points=(1.0,),
-                         tail_scale=1.0) == plain
+        # q = 1 for every gamma <= 1/2, and h = 1 where sf(T) > 1/2: the plain
+        # map x = T + t/(1-t), bit for bit, with the support's lower end
+        # mapped to a breakpoint when T is below it
+        for d, T in [(Pareto(2.0), 0.5), (Pareto(3.0), 1.0), (Exponential(1.0), 0.0),
+                     (Gumbel(0.0, 1.0), -1.0), (Frechet(0.0, 1.0, 2.5), 0.5)]:
+            lo = d.support.lo
+            points = (1.0 - (1.0 + lo - T) ** -1.0,) if T < lo else ()
+            plain = integrate(unit_map(d.sf, T), 0.0, 1.0, points=points,
+                              tol=1e-12 * max(1.0, abs(T)) * float(d.sf(T)), rtol=1e-12)
+            assert _sf_integral(d, T) == plain, d
 
     @pytest.mark.parametrize("T", [2.0, 1e4, 1e8])
-    def test_scaled_pareto_tail_needs_one_panel(self, T):
-        # x = T + (T/2) t/(1-t) maps the Pareto(2) tail to 2/(T (2-t)^2),
-        # smooth on [0, 1]; the unit map needs dozens of panels at T = 1e4
-        calls = []
-        sf = pareto_sf(2.0)
-        val = integrate(lambda x: calls.append(x) or sf(x), T, math.inf,
-                        tol=1e-10 / T, tail_gamma=0.5, tail_scale=T / 2.0)
-        assert len(calls) == 1
+    def test_scaled_pareto_tail_needs_one_panel(self, monkeypatch, T):
+        # h = sf/pdf = T/2 maps the Pareto(2) tail to 2/(T (2-t)^2), smooth
+        # on [0, 1]: at the 1e-12 relative target one panel and its two
+        # halves, where the unit map needs 35 panels at T = 1e4 and 199 at 1e8
+        calls = counted_sf(monkeypatch, Pareto)
+        val = _sf_integral(Pareto(2.0), T)
+        assert len(calls) == 3
         assert val == pytest.approx(1.0 / T, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("alpha", [1.3, 1.656])
-    def test_tail_scale_maps_points(self, alpha):
-        # with h = lo = 1/2 the map is x = w/2: the piece below the kink at 1
-        # is smooth and the Pareto tail above it constant, one panel each,
-        # once the kink is mapped through (p - lo)/h; left inside a panel it
-        # costs dozens
-        calls = []
-        sf = pareto_sf(alpha)
-        val = integrate(lambda x: calls.append(x) or sf(x), 0.5, math.inf,
-                        tol=1e-13, tail_gamma=1.0 / alpha, points=(1.0,), tail_scale=0.5)
-        assert len(calls) == 2
-        assert val == pytest.approx(pareto_tail_integral(alpha, 0.5), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("lo", [0.0, 1.0, 2.0])
     def test_overflow_is_a_typed_error(self, lo):
         # q = 1000: (1-t)^(-q) leaves the double range at the first panel
         with pytest.raises(ConvergenceError) as info:
-            integrate(pareto_sf(1.001), lo, math.inf,
-                      tol=1e-10, tail_gamma=1.0 / 1.001)
+            _sf_integral(Pareto(1.001), lo)
         assert info.value.estimated_error == math.inf
 
     def test_divergent_tail_rejected(self):
-        with pytest.raises(DomainError):
-            integrate(pareto_sf(0.9), 1.0, math.inf, tol=1e-10, tail_gamma=1.0 / 0.9)
+        with pytest.raises(DivergenceError):
+            _sf_integral(Pareto(0.9), 1.0)
 
     def test_points_split_finite_domain(self):
         # |x - 1/3| has its kink off every dyadic panel edge

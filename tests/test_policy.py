@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -122,8 +123,10 @@ class TestProphetValue:
             assert prophet_value(d, n, 5) == pytest.approx(loop, rel=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def mpmath_pareto_prophet(alpha: float, n: int, k: int):
-    """sum_{j=1..k} Gamma(j-1/a) Gamma(n+1) / (Gamma(j) Gamma(n+1-1/a)) at 40 digits."""
+    """sum_{j=1..k} Gamma(j-1/a) Gamma(n+1) / (Gamma(j) Gamma(n+1-1/a)) at 40 digits,
+    once per point however many tests check it."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         g = 1 / mp.mpf(alpha)
