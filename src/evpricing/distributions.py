@@ -588,12 +588,12 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
         return of_sf(d.sf(x))
 
     # A panel's error estimate cannot see a kink between its outermost node
-    # and its edge.  So on a bounded support, where the top order statistics
-    # of n draws fall from 1 to 0 within a quantile width of about 1/n below
-    # omega_1, the domain is split at the quantiles 1 - c/n, c in {1, 30}; on
-    # a half-line the support's lower end is a breakpoint when T is below it.
+    # and its edge.  So the support's lower end is a breakpoint when T is
+    # below it; and on a bounded support, where the top order statistics of
+    # n draws fall from 1 to 0 within a quantile width of about 1/n below
+    # omega_1, the domain is also split at the quantiles 1 - c/n, c in {1, 30}.
     if math.isfinite(hi):
-        points = [float(d.quantile(1.0 - c / n)) for c in (1, 30) if c < n]
+        points = [lo] + [float(d.quantile(1.0 - c / n)) for c in (1, 30) if c < n]
         return integrate(S, T, hi, tol=tol, rtol=1e-12, points=points)
     # Below the median of a Gumbel or Frechet model the hazard at T is tiny
     # and rises fast above it, so sf/pdf there would map every node beyond
@@ -666,6 +666,14 @@ def expected_max(d: DistributionModel, n: int) -> float:
     return _sf_integral(d, 0.0, lambda s: _survival_power(s, n), 1, n)
 
 
+def _conditioning_floor(d: DistributionModel) -> float:
+    """The lowest T at which E(X | X > T) is taken as T + I(T)/sf(T): the
+    support's lower end, or on an infinite lower end (Gumbel) its 2**-53
+    quantile (see ``conditional_mean_above``)."""
+    lo = d.support.lo
+    return float(d.quantile(2.0 ** -53)) if lo == -math.inf else lo
+
+
 def conditional_mean_above(d: DistributionModel, T: float) -> float:
     """E(X | X > T) = T + I(T)/sf(T), with the tail integral I of ``_sf_integral``.
 
@@ -675,9 +683,7 @@ def conditional_mean_above(d: DistributionModel, T: float) -> float:
     double-exponential, so the mass below it moves E(X | X > T) by less than
     1e-15 relative, while T + I(T)/sf(T) would lose digits in proportion to |T|.
     """
-    lo = d.support.lo
-    if lo == -math.inf:
-        lo = float(d.quantile(2.0 ** -53))
+    lo = _conditioning_floor(d)
     if T < lo:
         T = lo
     s_T = float(d.sf(T))

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DistributionModel, EvtFamily
 from .errors import ConvergenceError, DomainError
 from .kernel import _capped_sum, _mass_walk, find_root, lambert_w_minus1, maximize_1d
@@ -147,8 +149,9 @@ def phi_1_closed(alpha: float) -> float:
 def minimize_phi_1() -> tuple[float, float]:
     """Worst shape for the single-unit guarantee: the unique interior minimum
     of phi_1 on (1, ALPHA_SEARCH_HI).  Returns (alpha_star, value)."""
-    alpha_star, neg = maximize_1d(lambda a: -phi_1_closed(a), 1.0, ALPHA_SEARCH_HI,
-                                  tol=1e-9)
+    alpha_star, neg = maximize_1d(
+        lambda xs: np.array([-phi_1_closed(float(a)) for a in xs]), 1.0, ALPHA_SEARCH_HI,
+        tol=1e-9)
     return alpha_star, -neg
 
 
@@ -176,7 +179,8 @@ def adaptivity_gap() -> tuple[float, float]:
     exact 2.560311013), while gap is accurate to about 1e-15.
     """
     alpha_at_max, gap = maximize_1d(
-        lambda a: kennedy_kertz_nu(a) / phi_1_closed(a),
+        lambda xs: np.array([kennedy_kertz_nu(float(a)) / phi_1_closed(float(a))
+                             for a in xs]),
         # Requested bracket width; the achievable accuracy in alpha is ~1e-8
         # (see above).  Changing it moves the golden-section path and so the
         # printed digits of alpha.

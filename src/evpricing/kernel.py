@@ -5,12 +5,13 @@ Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 
 ``integrate`` takes a vectorized integrand on a finite bracket, called once
-per 15-node panel with an array of abscissae; ``maximize_1d`` and
-``find_root`` stay scalar, as their objectives are evaluated one point at a
-time.  ``integrate`` is the only place that decides when a quadrature has
-converged: it stops once its error estimate is at most max(tol, rtol*|I|)
-and raises ConvergenceError otherwise, so callers state their tolerances and
-never accept a failed result themselves.
+per 15-node panel with an array of abscissae; ``maximize_1d`` takes a
+vectorized objective, called once on its whole scan grid and then on
+one-point arrays; ``find_root`` stays scalar.  ``integrate`` is the only
+place that decides when a quadrature has converged: it stops once its error
+estimate is at most max(tol, rtol*|I|) and raises ConvergenceError
+otherwise, so callers state their tolerances and never accept a failed
+result themselves.
 """
 
 from __future__ import annotations
@@ -284,10 +285,17 @@ def _golden(f: Callable[[float], float], a: float, b: float,
     return d, fd
 
 
-def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
+def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                 tol: float) -> tuple[float, float]:
     """Maximize a unimodal f over the finite bracket [lo, hi]: a scan of
     SCAN_POINTS evenly spaced interior points, then golden section.
+
+    f is vectorized: it maps a sorted float array to an array of the same
+    shape.  The scan is one call on all SCAN_POINTS points; each
+    golden-section step, and the second look at the scan's best point, is a
+    call on a one-element array.  The returned maximum is always a one-point
+    value, so a batch that differs from one-point calls in the last digits
+    can move only the golden-section bracket.
 
     Unimodality is the caller's responsibility.  Returns (argmax, max).
     Raises FlatObjectiveError when the scan sees no variation above ``tol``.
@@ -296,8 +304,12 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
         raise DomainError(f"maximize_1d requires -inf < lo < hi < inf, got [{lo}, {hi}]")
     if not tol > 0:
         raise DomainError(f"maximize_1d requires tol > 0, got {tol}")
+
+    def at(x: float) -> float:
+        return float(f(np.array([x]))[0])
+
     xs = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
-    fs = np.array([f(float(x)) for x in xs])
+    fs = f(xs)
     if not np.all(np.isfinite(fs)):
         raise DomainError("objective returned a non-finite value during the scan")
     if fs.max() - fs.min() <= tol:
@@ -306,11 +318,13 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float,
     i = int(np.argmax(fs))
     a = lo if i == 0 else float(xs[i - 1])
     b = hi if i == len(xs) - 1 else float(xs[i + 1])
-    x_star, f_star = _golden(f, a, b, tol)
+    x_star, f_star = _golden(at, a, b, tol)
     # The scan point can beat the refined point when the max sits on a
     # domain edge the golden search cannot reach exactly.
-    if fs[i] > f_star:
-        return float(xs[i]), float(fs[i])
+    x_i = float(xs[i])
+    f_i = at(x_i)
+    if f_i > f_star:
+        return x_i, f_i
     return x_star, f_star
 
 

@@ -18,11 +18,12 @@ from .distributions import (
     DistributionModel,
     EvtFamily,
     _binomial_tails,
+    _conditioning_floor,
     _order_statistics_mean,
-    conditional_mean_above,
+    _sf_integral,
 )
 from .errors import DomainError
-from .kernel import maximize_1d
+from .kernel import integrate, maximize_1d
 
 __all__ = [
     "PolicyEvaluation",
@@ -41,6 +42,9 @@ _T_SEARCH_TAIL = 1e-12
 
 #: Threshold search tolerance, relative to max(1, 1e-3 * upper search end).
 _T_SEARCH_TOL = 1e-9
+
+#: Relative tolerance of each finite piece of sf between two grid thresholds.
+_PIECE_RTOL = 1e-13
 
 #: Replications are drawn in fixed blocks of this size; each block is an
 #: independent substream keyed by (block index, seed).
@@ -76,8 +80,6 @@ class PolicyEvaluation:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not -1e-12 <= self.ratio <= 1.0 + 1e-6:
             raise DomainError(f"ratio {self.ratio} outside [0, 1]")
-        if self.fp_value > self.prophet_value * (1.0 + 1e-6) + 1e-9:
-            raise DomainError("policy value exceeds the prophet benchmark")
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,45 @@ def _check_n_k(n: int, k: int, T: float = 0.0) -> None:
         raise DomainError("threshold T is NaN")
 
 
+def _fixed_price_values(d: DistributionModel, n: int, k: int, Ts: np.ndarray) -> np.ndarray:
+    """Expected welfare E(X | X > T) * E min(k, Bin(n, sf(T))) of the
+    threshold-T policy at each T of the sorted array Ts.
+
+    sf is called once on the grid and ``_binomial_tails`` once.  As in
+    ``conditional_mean_above``, T is raised to ``_conditioning_floor`` for
+    the conditional mean.  I(T) = E(X - T)^+ comes from ``_sf_integral`` at
+    the top threshold only and is carried down the grid as I(T_i) =
+    I(T_{i+1}) + int_{T_i}^{T_{i+1}} sf: finite pieces of a positive
+    integrand, each to _PIECE_RTOL, with no cancellation.  On one point this
+    is conditional_mean_above(d, T) * _binomial_tails(n, 1, k, sf(T)) bit
+    for bit.
+    """
+    def sf(x: np.ndarray) -> np.ndarray:
+        # One threshold takes sf's scalar path, as conditional_mean_above
+        # does: numpy's array pow may differ from it in the last place.
+        return d.sf(x) if len(x) > 1 else np.array([d.sf(x[0])])
+
+    s = sf(Ts)
+    if not s[-1] > 0.0:
+        raise DomainError(f"threshold T={Ts[int(np.argmax(s <= 0.0))]} has F(T) = 1; "
+                          "nothing is ever sold")
+    floor = _conditioning_floor(d)
+    T = np.where(Ts < floor, floor, Ts)
+    # sf is 1 below every finite lower end, so only Gumbel needs sf at its floor.
+    s_T = s if Ts[0] >= floor else sf(T)
+    tail = np.empty_like(T)
+    tail[-1] = _sf_integral(d, float(T[-1]))
+    for i in range(len(T) - 2, -1, -1):
+        a, b = float(T[i]), float(T[i + 1])
+        tail[i] = tail[i + 1] + (integrate(d.sf, a, b, tol=0.0, rtol=_PIECE_RTOL)
+                                 if a < b else 0.0)
+    return (T + tail / s_T) * _binomial_tails(n, 1, k, s)
+
+
 def fixed_price_value_exact(d: DistributionModel, n: int, k: int, T: float) -> float:
     """Expected welfare of the threshold-T policy with n buyers and k units."""
     _check_n_k(n, k, T)
-    if float(d.sf(T)) <= 0.0:
-        raise DomainError(f"threshold T={T} has F(T) = 1; nothing is ever sold")
-    return conditional_mean_above(d, T) * float(_binomial_tails(n, 1, k, d.sf(T)))
+    return float(_fixed_price_values(d, n, k, np.array([T], dtype=float))[0])
 
 
 def prophet_value(d: DistributionModel, n: int, k: int) -> float:
@@ -117,12 +152,14 @@ def prophet_value(d: DistributionModel, n: int, k: int) -> float:
 
 
 def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
-    """Optimize the threshold over (omega_0, F^{-1}(1 - 1e-12))."""
+    """Optimize the threshold over (max(omega_0, 0), F^{-1}(1 - 1e-12)): one
+    grid pass of the policy value over the scan of ``maximize_1d``, then
+    golden-section steps on single thresholds."""
     _check_n_k(n, k)
     prophet = prophet_value(d, n, k)
     lo = max(d.support.lo, 0.0)
     hi = float(d.quantile(1.0 - _T_SEARCH_TAIL))
-    t_star, fp = maximize_1d(lambda T: fixed_price_value_exact(d, n, k, T),
+    t_star, fp = maximize_1d(lambda Ts: _fixed_price_values(d, n, k, Ts),
                              lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
     return PolicyEvaluation(n, k, t_star, fp, prophet)
 

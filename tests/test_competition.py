@@ -283,6 +283,13 @@ class TestExpectedMax:
         assert expected_max(Uniform(0.0, 1.0), n) == pytest.approx(
             n / (n + 1.0), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+    def test_uniform_above_zero_closed_form(self, n):
+        # E max_n of Uniform(a, b) with 0 < a is a + (b - a) n/(n + 1); the
+        # integral from 0 has a kink at a
+        assert expected_max(Uniform(1.0, 4.0), n) == pytest.approx(
+            1.0 + 3.0 * n / (n + 1.0), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("n", [2, 10, 5000, 10 ** 5, 10 ** 6])
     def test_bounded_power_mpmath_oracle(self, n):
         # int_0^1 1 - (1 - (1-t)^2)^n dt at 40 digits, split at the layer

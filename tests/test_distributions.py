@@ -528,6 +528,19 @@ class TestSfIntegral:
         assert _sf_integral(d, T) == pytest.approx(float(mpmath_tail(d, T)[0]), rel=1e-13,
                                                    abs=0.0)
 
+    @pytest.mark.parametrize("d, T, exact", [
+        # Uniform(a, b) below a: (a - T) + (b - a)/2
+        (Uniform(1.0, 4.0), 0.99609375, 1.50390625),
+        (Uniform(1.0, 4.0), 0.5, 2.0),
+        (Uniform(1.0, 4.0), -2.0, 4.5),
+        # BoundedPower(omega, alpha) below 0: -T + omega/(alpha + 1)
+        (BoundedPower(2.0, 1.5), -1e-3, 0.801),
+        (BoundedPower(2.0, 1.5), -0.5, 1.3),
+    ], ids=repr)
+    def test_bounded_support_below_its_lower_end(self, d, T, exact):
+        # the kink of sf at the support's lower end is a breakpoint
+        assert _sf_integral(d, T) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_zero_above_the_support(self):
         assert _sf_integral(Uniform(0.0, 1.0), 1.0) == 0.0
         assert _sf_integral(Uniform(0.0, 1.0), 2.0) == 0.0

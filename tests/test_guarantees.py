@@ -373,8 +373,10 @@ class TestPhiKAlpha2Closed:
         # oracle: golden-section maximization of the objective over a finite
         # bracket around x_k
         for k in (2, 7, 31, 500):
-            _, val = maximize_1d(lambda x: x * _poisson_tail_sum(x ** -2.0, k),
-                                 0.5 * k ** -0.5, 2.0 * k ** -0.5, tol=1e-10)
+            _, val = maximize_1d(
+                lambda xs: np.array([float(x) * _poisson_tail_sum(float(x) ** -2.0, k)
+                                     for x in xs]),
+                0.5 * k ** -0.5, 2.0 * k ** -0.5, tol=1e-10)
             numeric = math.exp(math.lgamma(k) - math.lgamma(k + 0.5)) * val
             assert phi_k(2.0, k).value == pytest.approx(numeric, abs=1e-7)
 

@@ -582,23 +582,35 @@ class TestMaximize1d:
 
     def test_x_exp_minus_x(self):
         # argmax of a smooth interior max is resolvable to ~sqrt(eps) only
-        x, fx = maximize_1d(lambda x: x * math.exp(-x), 0.0, 100.0, tol=1e-10)
+        x, fx = maximize_1d(lambda x: x * np.exp(-x), 0.0, 100.0, tol=1e-10)
         assert x == pytest.approx(1.0, abs=1e-7)
         assert fx == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0.0)
 
     def test_guarantee_objective_vs_dense_grid(self):
         # oracle: dense grid of 1e6 points on (0, 10)
-        f = lambda x: x * (1.0 - math.exp(-x ** -2.0))
+        f = lambda x: x * (1.0 - np.exp(-x ** -2.0))
         xs = np.linspace(1e-6, 10.0, 10 ** 6)
-        fs = xs * (1.0 - np.exp(-xs ** -2.0))
+        fs = f(xs)
         i = int(np.argmax(fs))
         x, fx = maximize_1d(f, 0.0, 10.0, tol=1e-10)
         assert x == pytest.approx(float(xs[i]), abs=2e-5)
         assert fx == pytest.approx(float(fs[i]), abs=1e-9)
 
+    def test_vectorized_objective_contract(self):
+        # one call on the whole scan grid, then one-point arrays only
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return -(x - 2.0) ** 2
+
+        maximize_1d(f, 0.0, 10.0, tol=1e-10)
+        assert shapes[0] == (kernel.SCAN_POINTS,)
+        assert set(shapes[1:]) == {(1,)}
+
     def test_flat_objective_reported(self):
         with pytest.raises(FlatObjectiveError):
-            maximize_1d(lambda x: 1.0, 0.0, 1.0, tol=1e-10)
+            maximize_1d(np.ones_like, 0.0, 1.0, tol=1e-10)
 
     def test_tol_below_the_spacing_of_doubles(self):
         # near 1e9 doubles are 1.2e-7 apart, so no bracket gets 1e-10 wide;

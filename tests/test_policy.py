@@ -15,6 +15,7 @@ from evpricing import (
     DomainError,
     Exponential,
     Frechet,
+    Gumbel,
     Pareto,
     PolicyEvaluation,
     SimulationConfig,
@@ -29,6 +30,10 @@ from evpricing import (
     prophet_value,
     theory_threshold,
 )
+
+from evpricing.distributions import _binomial_tails, conditional_mean_above
+from evpricing.kernel import SCAN_POINTS
+from evpricing.policy import _fixed_price_values
 
 from conftest import mpmath_capped_tails
 
@@ -93,6 +98,73 @@ class TestFixedPriceExact:
             a = fixed_price_value_exact(d, 8, 2, T)
             b = fixed_price_value_exact(d, 8, 2, T + step)
             assert abs(a - b) <= 1e-4 * max(1.0, a)
+
+
+#: One model of each kind, its shape or location drawn by hypothesis.
+SIX_KINDS = {
+    "pareto": lambda x: Pareto(1.5 + 3.0 * x),
+    "exp": lambda x: Exponential(0.5 + 2.0 * x),
+    "uniform": lambda x: Uniform(2.0 * x, 2.0 * x + 3.0),
+    "frechet": lambda x: Frechet(0.0, 1.0, 1.5 + 3.0 * x),
+    "gumbel": lambda x: Gumbel(-2.0 + 7.0 * x, 1.0),
+    "bpower": lambda x: BoundedPower(2.0, 0.5 + 3.0 * x),
+}
+
+
+def six_kind_thresholds(kind, x, qs, shift):
+    """The model, and sorted thresholds at quantile levels qs, moved down by
+    shift so that some fall below a finite lower end or the Gumbel floor."""
+    d = SIX_KINDS[kind](x)
+    Ts = np.sort(np.asarray(d.quantile(np.array(qs)), dtype=float) - shift)
+    return d, Ts
+
+
+six_kind_grids = dict(
+    kind=st.sampled_from(sorted(SIX_KINDS)), x=st.floats(0.0, 1.0),
+    qs=st.lists(st.floats(1e-300, 1.0 - 1e-6), min_size=1, max_size=40),
+    shift=st.sampled_from([0.0, 0.5, 5.0]), n=st.sampled_from([1, 3, 30, 1000, 5000]),
+    k_draw=st.integers(1, 10))
+
+
+class TestFixedPriceGrid:
+    """The grid evaluator behind fixed_price_value_exact and the threshold search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**six_kind_grids)
+    def test_grid_matches_one_point_values(self, kind, x, qs, shift, n, k_draw):
+        # band set from the tolerances before measuring: I(T) at the top of
+        # the grid to 1e-12, each finite piece below it to 1e-13
+        d, Ts = six_kind_thresholds(kind, x, qs, shift)
+        k = min(n, k_draw)
+        grid = _fixed_price_values(d, n, k, Ts)
+        for T, v in zip(Ts, grid):
+            assert v == pytest.approx(fixed_price_value_exact(d, n, k, float(T)),
+                                      rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**six_kind_grids)
+    def test_one_point_is_bit_equal_to_the_product(self, kind, x, qs, shift, n, k_draw):
+        d, Ts = six_kind_thresholds(kind, x, qs[:1], shift)
+        T, k = float(Ts[0]), min(n, k_draw)
+        assert fixed_price_value_exact(d, n, k, T) == (
+            conditional_mean_above(d, T) * float(_binomial_tails(n, 1, k, d.sf(T))))
+
+    @pytest.mark.parametrize("d, n, k", [
+        (Pareto(2.0), 1000, 1), (Pareto(1.656), 10 ** 5, 1), (Exponential(1.0), 10 ** 4, 1),
+        (Uniform(1.0, 4.0), 100, 3), (Frechet(0.0, 1.0, 2.5), 1000, 2),
+    ], ids=repr)
+    def test_search_is_one_grid_pass(self, monkeypatch, d, n, k):
+        sizes = []
+
+        def counting(*args):
+            sizes.append(len(args[-1]))
+            return _fixed_price_values(*args)
+
+        monkeypatch.setattr(evpricing.policy, "_fixed_price_values", counting)
+        best_fixed_price(d, n, k)
+        assert sizes[0] == SCAN_POINTS
+        assert set(sizes[1:]) == {1}
+        assert len(sizes) - 1 <= 80
 
 
 class TestProphetValue:
