@@ -17,9 +17,6 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import competition as comp
-from . import evtfit, guarantees, policy
-from .distributions import parse_distribution
 from .errors import EvPricingError, SpecStringError
 
 
@@ -100,7 +97,12 @@ def _parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
 
 
+# Each handler imports the modules it runs, so a command loads no other part
+# of the library.
+
+
 def _cmd_guarantees(args) -> str:
+    from . import guarantees
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
     alphas = args.alpha_grid or []
@@ -113,16 +115,20 @@ def _cmd_guarantees(args) -> str:
 
 
 def _cmd_phi1_min(args) -> str:
+    from . import guarantees
     alpha, value = guarantees.minimize_phi_1()
     return _json_dumps({"alpha": alpha, "value": value})
 
 
 def _cmd_adaptivity_gap(args) -> str:
+    from . import guarantees
     alpha, gap = guarantees.adaptivity_gap()
     return _json_dumps({"alpha": alpha, "gap": gap})
 
 
 def _cmd_evaluate(args) -> str:
+    from . import policy
+    from .distributions import parse_distribution
     t = _threshold(args)
     d = parse_distribution(args.dist)
     ev = policy.PolicyEvaluation(args.n, args.k, t,
@@ -135,6 +141,8 @@ def _cmd_evaluate(args) -> str:
 
 
 def _cmd_converge(args) -> str:
+    from . import policy
+    from .distributions import parse_distribution
     d = parse_distribution(args.dist)
     rows = policy.convergence_table(d, args.k, args.n_grid,
                                     mode=args.mode, u=args.u)
@@ -144,8 +152,10 @@ def _cmd_converge(args) -> str:
 
 
 def _cmd_competition(args) -> str:
+    from .competition import empirical_competition_complexity
+    from .distributions import parse_distribution
     d = parse_distribution(args.dist)
-    rec = comp.empirical_competition_complexity(d, args.n)
+    rec = empirical_competition_complexity(d, args.n)
     return _json_dumps({
         "n": rec.n, "m_star": rec.m_star,
         "empirical_ratio": rec.empirical_ratio,
@@ -154,13 +164,16 @@ def _cmd_competition(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    from . import policy
+    from .distributions import parse_distribution
     t = _threshold(args)
     d = parse_distribution(args.dist)
-    cfg = policy.SimulationConfig(replications=args.reps, seed=args.seed)
+    cfg = (policy.SimulationConfig(args.reps) if args.seed is None
+           else policy.SimulationConfig(args.reps, args.seed))
     mean, stderr = policy.monte_carlo_evaluate(d, args.n, args.k, t, cfg)
     return _json_dumps({
         "n": args.n, "k": args.k, "threshold": t,
-        "replications": args.reps, "seed": args.seed,
+        "replications": args.reps, "seed": cfg.seed,
         "mean": mean, "stderr": stderr,
     })
 
@@ -178,6 +191,7 @@ def _check_distinct_outputs(flags: dict[str, str | None]) -> None:
 
 
 def _cmd_fit(args) -> dict[str | None, str]:
+    from . import evtfit
     _check_distinct_outputs({"--output": args.output,
                              "--histogram-output": args.histogram_output,
                              "--scan-output": args.scan_output})
@@ -268,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=policy.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: evpricing.policy.DEFAULT_SEED")
     add_output_flag(p)
     p.set_defaults(func=_cmd_simulate)
 

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import DistributionModel, EvtFamily
 from .errors import ConvergenceError, DomainError
 from .kernel import _capped_sum, _mass_walk, find_root, lambert_w_minus1, maximize_1d
+
+if TYPE_CHECKING:
+    from .distributions import DistributionModel
 
 __all__ = [
     "GuaranteeResult",
@@ -194,6 +197,8 @@ def guarantee_value(d: DistributionModel, k: int) -> float:
     Frechet-type models route through phi_k; Gumbel-type and bounded-support
     models achieve 1 with no optimization.
     """
+    # imported here so that the guarantee functions above never load the models
+    from .distributions import EvtFamily
     ev = d.evt_index()
     if ev.family is EvtFamily.FRECHET:
         return phi_k(1.0 / ev.gamma, k).value

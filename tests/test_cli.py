@@ -262,6 +262,14 @@ class TestSimulateCmd:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    def test_default_seed_is_the_library_default(self, capsys):
+        argv = ("simulate", "--dist", "exp:rate=1", "--n", "10", "--k", "1",
+                "--t", "1.5", "--reps", "2000")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert '"seed": 20250214' in out
+        assert run_cli(capsys, *argv, "--seed", "20250214")[1] == out
+
 
 class TestFitCmd:
     @pytest.fixture

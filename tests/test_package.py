@@ -15,11 +15,16 @@ from conftest import CLI_COMMANDS, GOLDEN
 MODULES = ["competition", "distributions", "errors", "evtfit", "guarantees", "kernel", "policy"]
 
 
+def public_names(name: str) -> list[str]:
+    """A submodule's __all__, or every public name of one without it (errors)."""
+    module = importlib.import_module(f"evpricing.{name}")
+    return getattr(module, "__all__", [s for s in vars(module) if not s.startswith("_")])
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_package_exports_each_public_name(name):
-    # a module's __all__, or every public name of one without it (errors)
     module = importlib.import_module(f"evpricing.{name}")
-    names = getattr(module, "__all__", [s for s in vars(module) if not s.startswith("_")])
+    names = public_names(name)
     assert names
     for symbol in names:
         assert getattr(evpricing, symbol, None) is getattr(module, symbol), symbol
@@ -28,17 +33,23 @@ def test_package_exports_each_public_name(name):
 SRC = Path(evpricing.__file__).resolve().parent
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """Run code in a fresh interpreter; return the scipy modules it loaded.
+def in_fresh_interpreter(code: str, result: str):
+    """Run code in a fresh interpreter; return the JSON value of the expression result.
 
-    The test process has loaded scipy itself, so only a new process can tell.
+    The test process has loaded scipy and every evpricing module itself, so only a
+    new process can tell what a piece of code loads.
     """
-    script = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-                     " if m.split('.')[0] == 'scipy')))")
+    script = code + f"\nimport json, sys\nprint(json.dumps({result}))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def modules_after(code: str, package: str) -> list[str]:
+    """The modules of a package that code loads in a fresh interpreter."""
+    return in_fresh_interpreter(
+        code, f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r})")
 
 
 def cli(argv: list[str]) -> str:
@@ -62,7 +73,7 @@ def cli(argv: list[str]) -> str:
 ])
 def test_no_scipy_without_a_special_function(code):
     # no call of the package loads scipy: the README commands and each capped-count route
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def test_no_runtime_module_imports_scipy():
@@ -74,3 +85,49 @@ def test_no_runtime_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
     assert importers == set()
+
+
+_GUARANTEE = ["errors", "guarantees", "kernel"]
+_POLICY = ["distributions", "errors", "kernel", "policy"]
+
+#: The evpricing modules beside evpricing.cli that each README command loads.
+COMMAND_MODULES = {
+    "guarantees": _GUARANTEE, "phi1-min": _GUARANTEE, "adaptivity-gap": _GUARANTEE,
+    "evaluate": _POLICY, "converge-pareto": _POLICY, "converge-exp": _POLICY,
+    "simulate": _POLICY,
+    "competition": ["competition", "distributions", "errors", "kernel"],
+    "fit": [m for m in MODULES if m != "competition"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_COMMANDS))
+def test_readme_command_loads_only_its_modules(name):
+    loaded = modules_after(cli(CLI_COMMANDS[name]), "evpricing")
+    assert loaded == sorted(["evpricing", "evpricing.cli",
+                             *(f"evpricing.{m}" for m in COMMAND_MODULES[name])])
+
+
+@pytest.mark.parametrize("code, modules", [
+    pytest.param("import evpricing", [], id="import"),
+    pytest.param("import evpricing.cli\nevpricing.cli.build_parser()", ["cli", "errors"],
+                 id="build_parser"),
+    pytest.param("import evpricing\nevpricing.kernel", ["errors", "kernel"], id="submodule"),
+    pytest.param("from evpricing import guarantees", _GUARANTEE, id="from-submodule"),
+    pytest.param("from evpricing import cli", ["cli", "errors"], id="from-cli"),
+    pytest.param("import evpricing\nevpricing.Pareto", MODULES, id="public-name"),
+    pytest.param("import evpricing\ndir(evpricing)", MODULES, id="dir"),
+])
+def test_package_loads_submodules_on_first_use(code, modules):
+    assert modules_after(code, "evpricing") == sorted(
+        ["evpricing", *(f"evpricing.{m}" for m in modules)])
+
+
+def test_star_import_and_dir_give_the_public_names():
+    # the seven submodules and every name each one exports, as the package's
+    # star-imports of each submodule gave them
+    expected = set(MODULES).union(*map(public_names, MODULES))
+    star = in_fresh_interpreter(
+        "from evpricing import *\n_star = sorted(s for s in globals() if s[0] != '_')", "_star")
+    listed = in_fresh_interpreter("import evpricing",
+                                  "[s for s in dir(evpricing) if not s.startswith('_')]")
+    assert star == listed == sorted(expected)

@@ -456,6 +456,35 @@ class TestMonteCarlo:
         b = monte_carlo_evaluate(Exponential(1.0), 8, 2, 1.0, cfg)
         assert a == b
 
+    def test_readme_command_bits(self):
+        # evpricing simulate --dist pareto:alpha=2 --n 20 --k 3 --t 2 --reps 100000 --seed 7
+        mean, stderr = monte_carlo_evaluate(Pareto(2.0), 20, 3, 2.0,
+                                            SimulationConfig(replications=10 ** 5, seed=7))
+        assert (mean.hex(), stderr.hex()) == ("0x1.7143bce310a58p+3", "0x1.096d7104aa489p-5")
+
+    # the suite makes every RuntimeWarning an error (pyproject.toml)
+    @pytest.mark.parametrize("d", [Pareto(2.0), Exponential(1.0), Uniform(0.0, 1.0),
+                                   Frechet(0.0, 1.0, 2.0), Gumbel(0.0, 1.0),
+                                   BoundedPower(1.0, 2.0)], ids=lambda d: type(d).__name__)
+    def test_every_kind_draws_without_warnings(self, d):
+        T = float(d.quantile(0.6))
+        mean, stderr = monte_carlo_evaluate(d, 7, 2, T, SimulationConfig(replications=1000))
+        assert abs(mean - fixed_price_value_exact(d, 7, 2, T)) <= 4.0 * stderr
+
+    def test_zero_draw_on_an_infinite_lower_end(self, monkeypatch):
+        # random() returns exactly 0.0 with probability 2**-53 a draw; for Gumbel it
+        # maps to -inf, which never exceeds T, and raises nothing
+        class ZeroDraws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr(np.random, "Generator", ZeroDraws)
+        cfg = SimulationConfig(replications=100)
+        assert monte_carlo_evaluate(Gumbel(0.0, 1.0), 5, 2, -50.0, cfg) == (0.0, 0.0)
+
     def test_replication_floor(self):
         with pytest.raises(DomainError):
             monte_carlo_evaluate(Pareto(2.0), 5, 1, 1.5,
