@@ -161,6 +161,11 @@ class DistributionModel(ABC):
             out = self._quantile(arr)
         return _maybe_scalar(out, arr.ndim == 0)
 
+    def _standard(self) -> tuple[float, float, DistributionModel]:
+        """(loc, scale, Z) with X = loc + scale*Z: the one place that decides the
+        unit of valuation.  Functionals with a unit-carrying constant reduce to Z."""
+        return 0.0, 1.0, self
+
     def mean(self) -> float:
         """First moment I(0), the tail integral from 0 (nonnegative support only)."""
         if self.support.lo < 0:
@@ -238,6 +243,9 @@ class Exponential(DistributionModel):
     def _quantile(self, q):
         return -np.log1p(-q) / self.rate
 
+    def _standard(self):
+        return 0.0, 1.0 / self.rate, Exponential(1.0)
+
     def evt_index(self) -> EvtIndex:
         return EvtIndex(0.0)
 
@@ -275,6 +283,9 @@ class Uniform(DistributionModel):
 
     def _quantile(self, q):
         return self.a + q * (self.b - self.a)
+
+    def _standard(self):
+        return self.a, self.b - self.a, Uniform(0.0, 1.0)
 
     def evt_index(self) -> EvtIndex:
         return EvtIndex(-1.0)
@@ -326,6 +337,9 @@ class Frechet(DistributionModel):
             out = self.m + self.s * y ** (-1.0 / self.alpha)
         return np.where(q == 0.0, self.m, out)
 
+    def _standard(self):
+        return self.m, self.s, Frechet(0.0, 1.0, self.alpha)
+
     def evt_index(self) -> EvtIndex:
         return EvtIndex(1.0 / self.alpha)
 
@@ -371,6 +385,9 @@ class Gumbel(DistributionModel):
         with np.errstate(divide="ignore"):
             return self.loc - self.scale * np.log(-np.log(q))
 
+    def _standard(self):
+        return self.loc, self.scale, Gumbel(0.0, 1.0)
+
     def evt_index(self) -> EvtIndex:
         return EvtIndex(0.0)
 
@@ -415,6 +432,9 @@ class BoundedPower(DistributionModel):
 
     def _quantile(self, q):
         return self.omega * (1.0 - (1.0 - q) ** (1.0 / self.alpha))
+
+    def _standard(self):
+        return 0.0, self.omega, BoundedPower(1.0, self.alpha)
 
     def evt_index(self) -> EvtIndex:
         return EvtIndex(-1.0 / self.alpha)
@@ -555,6 +575,9 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     (DivergenceError) when gamma/j >= 1; n is the sample size when S is the
     tail of an order statistic.
 
+    Reduced to the standard member Z of ``_standard``, scale times Z's integral
+    from (T - loc)/scale, so that T, tol and h below are in standard units.
+
     Taken to an absolute 1e-12*max(1, |T|)*S(T) or to 1e-12 relative,
     whichever is looser, so that T + I(T)/sf(T) is right to
     1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
@@ -566,12 +589,15 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     would leave the endpoint singularity (1-t)^(1/gamma - 2) for gamma > 1/2.
     Tails with gamma <= 1/2, Gumbel (gamma = 0) among them, keep q = 1.  The
     scale h is the reciprocal hazard sf/pdf at T, the length on which sf falls
-    above T (T/alpha for Pareto, 1/rate for Exponential), or 1 where
+    above T (T/alpha for Pareto, 1 for Exponential(1)), or 1 where
     sf(T) > 1/2.  The Kronrod nodes are interior, so the endpoint t = 1 is
     never evaluated.  Raises ConvergenceError, with estimate NaN and error
     inf, if the map leaves the double range before the tail is resolved
     (gamma close to 1: Pareto maxima at alpha = 1.01).
     """
+    loc, scale, z = d._standard()
+    if loc != 0.0 or scale != 1.0:
+        return scale * _sf_integral(z, (T - loc) / scale, of_sf, j, n)
     gamma = d.evt_index().gamma / j
     if gamma >= 1:
         raise DivergenceError(
@@ -589,11 +615,12 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
 
     # A panel's error estimate cannot see a kink between its outermost node
     # and its edge.  So the support's lower end is a breakpoint when T is
-    # below it; and on a bounded support, where the top order statistics of
-    # n draws fall from 1 to 0 within a quantile width of about 1/n below
-    # omega_1, the domain is also split at the quantiles 1 - c/n, c in {1, 30}.
+    # below it.  On a bounded support the summed tails of the top k of n draws
+    # fall from k to 0 and bend where n*sf is 1 to k, within a quantile width
+    # of about k/n below omega_1: the ladder 1 - c/n, c = 4^i < n, splits it.
     if math.isfinite(hi):
-        points = [lo] + [float(d.quantile(1.0 - c / n)) for c in (1, 30) if c < n]
+        ladder = [4 ** i for i in range(int(n).bit_length()) if 4 ** i < n]
+        points = [lo] + [float(d.quantile(1.0 - c / n)) for c in ladder]
         return integrate(S, T, hi, tol=tol, rtol=1e-12, points=points)
     # Below the median of a Gumbel or Frechet model the hazard at T is tiny
     # and rises fast above it, so sf/pdf there would map every node beyond
@@ -717,11 +744,15 @@ def virtual_tail_ratio(d: DistributionModel, t: float) -> float:
     """(1 - F_phi(t)) / (1 - F(t)) where F_phi is the law of phi(X).
 
     Computed as sf(phi^{-1}(t)) / sf(t); the inverse is found by bracketed
-    root search, after a numeric monotonicity check of phi.
+    root search, after a numeric monotonicity check of phi; on the standard
+    member of ``_standard`` at (t - loc)/scale, as the ratio is unit-free.
     """
     sup = d.support
     if not sup.lo <= t < sup.hi:
         raise DomainError(f"t={t} must lie inside the support {sup}")
+    loc, scale, z = d._standard()
+    if loc != 0.0 or scale != 1.0:
+        return virtual_tail_ratio(z, (t - loc) / scale)
     _probe_monotone_virtual(d, t)
     s_t = float(d.sf(t))
     if s_t <= 0.0:

@@ -40,7 +40,7 @@ __all__ = [
 #: is numerically zero past it.
 _T_SEARCH_TAIL = 1e-12
 
-#: Threshold search tolerance, relative to max(1, 1e-3 * upper search end).
+#: Threshold search width in standard units, relative to max(1, 1e-3 * upper end).
 _T_SEARCH_TOL = 1e-9
 
 #: Relative tolerance of each finite piece of sf between two grid thresholds.
@@ -154,14 +154,17 @@ def prophet_value(d: DistributionModel, n: int, k: int) -> float:
 def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     """Optimize the threshold over (max(omega_0, 0), F^{-1}(1 - 1e-12)): one
     grid pass of the policy value over the scan of ``maximize_1d``, then
-    golden-section steps on single thresholds."""
+    golden-section steps on single thresholds.  It runs on the x of
+    T = loc + scale*x (``_standard``), on the value over scale: the tolerance,
+    a width in x, and the spread the scan compares with it are unit-free."""
     _check_n_k(n, k)
     prophet = prophet_value(d, n, k)
-    lo = max(d.support.lo, 0.0)
-    hi = float(d.quantile(1.0 - _T_SEARCH_TAIL))
-    t_star, fp = maximize_1d(lambda Ts: _fixed_price_values(d, n, k, Ts),
+    loc, scale, z = d._standard()
+    lo = (max(d.support.lo, 0.0) - loc) / scale
+    hi = float(z.quantile(1.0 - _T_SEARCH_TAIL))
+    x_star, fp = maximize_1d(lambda xs: _fixed_price_values(d, n, k, loc + scale * xs) / scale,
                              lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
-    return PolicyEvaluation(n, k, t_star, fp, prophet)
+    return PolicyEvaluation(n, k, loc + scale * x_star, scale * fp, prophet)
 
 
 def theory_threshold(d: DistributionModel, n: float, U: float) -> float:

@@ -21,6 +21,9 @@ _spec.loader.exec_module(_workloads)
 #: the histogram output, whose golden copy is ``bench/golden/fit.hist.csv``.
 CLI_COMMANDS = _workloads.CLI_COMMANDS
 
+#: The models of the competition-dp workload, as (spec, ...) tuples.
+COMPETITION_MIX = _workloads.COMPETITION_MIX
+
 
 def philox_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """Deterministic uniforms on [0, 1) from a keyed Philox substream."""

@@ -194,6 +194,15 @@ class TestProphetValue:
             loop = sum(order_statistic_mean(d, n, j) for j in range(1, 6))
             assert prophet_value(d, n, 5) == pytest.approx(loop, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [5000, 10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("k", [10, 100, 200, 300])
+    def test_uniform_boundary_layer_closed_form(self, n, k):
+        # E(M_n^j) = (n + 1 - j)/(n + 1); E min(k, Bin(n, sf)) bends where
+        # n*sf is 1 to k, within k/n of the upper end, for every k
+        exact = k - k * (k + 1) / (2.0 * (n + 1))
+        assert prophet_value(Uniform(0.0, 1.0), n, k) == pytest.approx(exact, rel=1e-13,
+                                                                       abs=0.0)
+
 
 @functools.lru_cache(maxsize=None)
 def mpmath_pareto_prophet(alpha: float, n: int, k: int):

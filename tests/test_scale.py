@@ -1,0 +1,167 @@
+"""The unit of valuation: every result is a ratio, so none may depend on it.
+
+Each model is loc + scale*Z for the standard member Z of ``_standard``.  The
+checks here are closed forms at scales far from 1, fixed probes, and the
+metamorphic relation X -> c*X (Chen et al., "Metamorphic testing", ACM CSUR
+2018): the functionals with a unit scale by c, and the ratios stay put.
+"""
+
+import functools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evpricing import (
+    BoundedPower,
+    Exponential,
+    Frechet,
+    Gumbel,
+    Pareto,
+    Uniform,
+    best_fixed_price,
+    conditional_mean_above,
+    empirical_competition_complexity,
+    expected_max,
+    parse_distribution,
+    prophet_value,
+    virtual_tail_ratio,
+)
+
+from conftest import CLI_COMMANDS, COMPETITION_MIX
+
+SCALES = [1e-8, 1.0, 1e8]
+FRECHET_ALPHA = 2.5
+
+
+@functools.lru_cache(maxsize=None)
+def harmonic(n: int):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return mp.harmonic(n)
+
+
+class TestExpectedMaxAtScale:
+    """E max of n draws against closed forms at scales 1e-8, 1 and 1e8."""
+
+    @pytest.mark.parametrize("n", [1, 10, 10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("c", SCALES)
+    def test_exponential_harmonic(self, c, n):
+        # H_n/rate
+        rate = 1.0 / c
+        assert expected_max(Exponential(rate), n) == pytest.approx(
+            float(harmonic(n) / rate), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 10, 10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("c", SCALES)
+    def test_uniform(self, c, n):
+        # c*n/(n + 1)
+        assert expected_max(Uniform(0.0, c), n) == pytest.approx(
+            c * n / (n + 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 10, 10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("c", SCALES)
+    def test_frechet_max_stability(self, c, n):
+        # the max of n is Frechet(0, s*n^(1/alpha), alpha), of mean s*Gamma(1 - 1/alpha)*n^(1/alpha)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(FRECHET_ALPHA)
+            exact = float(c * mp.gamma(1 - 1 / a) * mp.mpf(n) ** (1 / a))
+        assert expected_max(Frechet(0.0, c, FRECHET_ALPHA), n) == pytest.approx(
+            exact, rel=1e-13, abs=0.0)
+
+
+def gumbel_conditional_mean(loc: float, scale: float, T: float) -> float:
+    """T + int_T^inf sf / sf(T) at 40 digits, in the model's own units."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def sf(x):
+            return -mp.expm1(-mp.exp(-(x - loc) / scale))
+        T = mp.mpf(T)
+        cuts = [T, *(T + c * scale for c in (1, 10, 100)), mp.inf]
+        return float(T + mp.quad(sf, cuts) / sf(T))
+
+
+class TestScaleProbes:
+    """Fixed cases that took the unit of valuation for 1."""
+
+    def test_exponential_mean(self):
+        assert Exponential(1e6).mean() == pytest.approx(1e-6, rel=1e-13, abs=0.0)
+
+    def test_frechet_prophet(self):
+        at_one = prophet_value(Frechet(0.0, 1.0, FRECHET_ALPHA), 1000, 1)
+        assert prophet_value(Frechet(0.0, 1e-8, FRECHET_ALPHA), 1000, 1) == pytest.approx(
+            1e-8 * at_one, rel=1e-13, abs=0.0)
+
+    def test_exponential_virtual_tail_ratio(self):
+        # phi(s) = s - 1/rate: the preimage of 0 is 1/rate, 1e-13 above the lower end
+        assert virtual_tail_ratio(Exponential(1e13), 0.0) == pytest.approx(
+            math.exp(-1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.01, 0.3])
+    def test_gumbel_conditional_mean(self, q):
+        d = Gumbel(0.0, 1e-4)
+        T = float(d.quantile(q))
+        assert conditional_mean_above(d, T) == pytest.approx(
+            gumbel_conditional_mean(0.0, 1e-4, T), rel=1e-13, abs=0.0)
+
+
+def test_benchmark_and_readme_models_are_standard_members():
+    # every model the README commands and the competition-dp workload run
+    # takes the identity case, where (T - 0)/1 and 0 + 1*x are exact: the
+    # reduction cannot move a golden digit
+    specs = [argv[argv.index("--dist") + 1] for argv in CLI_COMMANDS.values()
+             if "--dist" in argv]
+    specs += [entry[0] for entry in COMPETITION_MIX]
+    assert specs
+    for spec in specs:
+        assert parse_distribution(spec)._standard()[:2] == (0.0, 1.0), spec
+
+
+def test_pareto_is_its_own_standard_member():
+    d = Pareto(2.0)
+    assert d._standard() == (0.0, 1.0, d)
+
+
+#: c*X by kind, for X the member of scale 1 with the given shape and, for
+#: Frechet and Gumbel, location.
+SCALED = {
+    "exp": lambda shape, loc, c: Exponential(1.0 / c),
+    "uniform": lambda shape, loc, c: Uniform(0.0, c),
+    "frechet": lambda shape, loc, c: Frechet(c * loc, c, shape),
+    "gumbel": lambda shape, loc, c: Gumbel(c * loc, c),
+    "bpower": lambda shape, loc, c: BoundedPower(c, shape),
+}
+
+
+class TestScaleEquivariance:
+    """X -> c*X over the five kinds with a scale (Pareto's support starts at
+    1, so it has none and is its own standard member)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(SCALED)),
+           shape=st.floats(1.5, 6.0), loc=st.floats(-5.0, 5.0),
+           log_c=st.floats(-8.0, 8.0), q=st.floats(0.01, 0.9),
+           n=st.integers(1, 60), k=st.integers(1, 3))
+    def test_functionals_scale_and_ratios_stay(self, kind, shape, loc, log_c, q, n, k):
+        c = 10.0 ** log_c
+        k = min(k, n)
+        one, dc = SCALED[kind](shape, loc, 1.0), SCALED[kind](shape, loc, c)
+        (loc_1, scale_1, z), (loc_c, scale_c, _) = one._standard(), dc._standard()
+        x = float(z.quantile(q))
+
+        def same(f_one, f_c, factor):
+            assert f_c == pytest.approx(factor * f_one, rel=1e-12, abs=0.0)
+
+        same(expected_max(one, n), expected_max(dc, n), c)
+        same(conditional_mean_above(one, loc_1 + scale_1 * x),
+             conditional_mean_above(dc, loc_c + scale_c * x), c)
+        same(virtual_tail_ratio(one, float(one.quantile(q))),
+             virtual_tail_ratio(dc, float(dc.quantile(q))), 1.0)
+        assert (empirical_competition_complexity(dc, n).m_star
+                == empirical_competition_complexity(one, n).m_star)
+        if dc.support.lo >= 0.0:
+            same(one.mean(), dc.mean(), c)
+            same(prophet_value(one, n, k), prophet_value(dc, n, k), c)
+            same(best_fixed_price(one, n, k).ratio, best_fixed_price(dc, n, k).ratio, 1.0)
