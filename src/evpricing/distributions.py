@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import ArrayLike, _capped_sum, find_root, integrate
+from .kernel import _capped_sum, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -42,6 +42,8 @@ __all__ = [
     "virtual_valuation",
     "virtual_tail_ratio",
 ]
+
+ArrayLike = float | np.ndarray
 
 # The unit binomial tail P(Bin(n, p) >= 1) up to this sample size is a log-space
 # sum; every other tail walks the masses.  The README golden of `converge` on

@@ -209,7 +209,7 @@ def fit_scale(values: Sequence[float], alpha_hat: float) -> tuple[float, float]:
     def loss(s: float) -> float:
         return (s * g1 - xbar) ** 2 + (s * s * g_var - s2) ** 2
 
-    s_hat, neg = maximize_1d(lambda xs: np.array([-loss(float(s)) for s in xs]),
+    s_hat, neg = maximize_1d(lambda xs: [-loss(s) for s in xs],
                              0.0, 10.0 * xbar, tol=1e-9 * max(1.0, xbar))
     return s_hat, -neg
 

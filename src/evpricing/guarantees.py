@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 from .kernel import _capped_sum, _mass_walk, find_root, lambert_w_minus1, maximize_1d
 
@@ -71,9 +69,9 @@ class GuaranteeResult:
 
 
 def _check_alpha(alpha: float) -> None:
-    # Frechet shapes at or below 1 have infinite mean; the ratio is undefined.
-    if not alpha > 1:
-        raise DomainError(f"guarantee requires alpha > 1, got {alpha}")
+    # Shapes at or below 1 have infinite mean, and an infinite shape is no Frechet law.
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"guarantee requires 1 < alpha < inf, got alpha={alpha}")
 
 
 def _gamma_ratio(k: int, alpha: float) -> float:
@@ -152,9 +150,8 @@ def phi_1_closed(alpha: float) -> float:
 def minimize_phi_1() -> tuple[float, float]:
     """Worst shape for the single-unit guarantee: the unique interior minimum
     of phi_1 on (1, ALPHA_SEARCH_HI).  Returns (alpha_star, value)."""
-    alpha_star, neg = maximize_1d(
-        lambda xs: np.array([-phi_1_closed(float(a)) for a in xs]), 1.0, ALPHA_SEARCH_HI,
-        tol=1e-9)
+    alpha_star, neg = maximize_1d(lambda xs: [-phi_1_closed(a) for a in xs],
+                                  1.0, ALPHA_SEARCH_HI, tol=1e-9)
     return alpha_star, -neg
 
 
@@ -182,8 +179,7 @@ def adaptivity_gap() -> tuple[float, float]:
     exact 2.560311013), while gap is accurate to about 1e-15.
     """
     alpha_at_max, gap = maximize_1d(
-        lambda xs: np.array([kennedy_kertz_nu(float(a)) / phi_1_closed(float(a))
-                             for a in xs]),
+        lambda xs: [kennedy_kertz_nu(a) / phi_1_closed(a) for a in xs],
         # Requested bracket width; the achievable accuracy in alpha is ~1e-8
         # (see above).  Changing it moves the golden-section path and so the
         # printed digits of alpha.

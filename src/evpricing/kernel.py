@@ -4,23 +4,22 @@ law, and W_{-1}) and generic one-dimensional numerical routines.
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 
-``integrate`` takes a vectorized integrand on a finite bracket, called once
-per 15-node panel with an array of abscissae; ``maximize_1d`` takes a
-vectorized objective, called once on its whole scan grid and then on
-one-point arrays; ``find_root`` stays scalar.  ``integrate`` is the only
-place that decides when a quadrature has converged: it stops once its error
-estimate is at most max(tol, rtol*|I|) and raises ConvergenceError
-otherwise, so callers state their tolerances and never accept a failed
-result themselves.
+``integrate``, the only routine here that needs numpy, takes a vectorized
+integrand on a finite bracket, called once per 15-node panel with an array of
+abscissae; ``maximize_1d`` takes a batched objective, called once on the
+list of its scan grid and then on one-point lists; ``find_root`` stays
+scalar.  ``integrate`` is the only place that decides when a quadrature has
+converged: it stops once its error estimate is at most max(tol, rtol*|I|)
+and raises ConvergenceError otherwise, so callers state their tolerances and
+never accept a failed result themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Sequence, Union
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError, FlatObjectiveError
 
@@ -31,10 +30,11 @@ __all__ = [
     "find_root",
 ]
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 # log 2 split as in fdlibm: s*_LN2_HI is exact for |s| < 2**21.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
@@ -132,10 +132,12 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
 # The 15 abscissae of one panel on [-1, 1]: the centre, -x_0..-x_6, then
 # +x_0..+x_6.  c + h*(-x) rounds exactly as c - h*x, and the centre is -0.0
 # so that c + h*(-0.0) is c itself, -0.0 included.
-_NODES = np.array((-0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
+_NODES = (-0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7]
+#: np.array(_NODES), built by the first panel so that only quadrature imports numpy.
+_node_array = None
 
 
-def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
+def _gk15(f: Callable[[np.ndarray], Any], a: float,
           b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (integral, error estimate).
 
@@ -144,10 +146,14 @@ def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
     the centre first, then the pairs f(c - h*x_i) + f(c + h*x_i) from the
     outermost node inwards, added left to right (QUADPACK's qk15 order).
     """
+    global _node_array
+    if _node_array is None:
+        import numpy
+        _node_array = numpy.array(_NODES)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    vals = np.asarray(f(c + h * _NODES), dtype=float)
-    vals = [float(vals)] * 15 if vals.ndim == 0 else vals.reshape(15).tolist()
+    vals = f(c + h * _node_array)
+    vals = vals.reshape(15).tolist() if getattr(vals, "ndim", 0) else [float(vals)] * 15
     fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = vals
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
     g0, g1, g2, g3 = _WG
@@ -178,7 +184,7 @@ def _gk15(f: Callable[[np.ndarray], ArrayLike], a: float,
     return resk, err
 
 
-def integrate(f: Callable[[np.ndarray], ArrayLike], lo: float, hi: float,
+def integrate(f: Callable[[np.ndarray], Any], lo: float, hi: float,
               tol: float, points: Sequence[float] = (), rtol: float = 0.0) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over the finite [lo, hi].
 
@@ -285,15 +291,16 @@ def _golden(f: Callable[[float], float], a: float, b: float,
     return d, fd
 
 
-def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+def maximize_1d(f: Callable[[list[float]], Sequence[float]], lo: float, hi: float,
                 tol: float) -> tuple[float, float]:
     """Maximize a unimodal f over the finite bracket [lo, hi]: a scan of
     SCAN_POINTS evenly spaced interior points, then golden section.
 
-    f is vectorized: it maps a sorted float array to an array of the same
-    shape.  The scan is one call on all SCAN_POINTS points; each
+    f is batched: it maps a sorted list of floats to a sequence of their
+    values.  The scan is one call on all SCAN_POINTS points, which are
+    ``np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]`` bit for bit; each
     golden-section step, and the second look at the scan's best point, is a
-    call on a one-element array.  The returned maximum is always a one-point
+    call on a one-element list.  The returned maximum is always a one-point
     value, so a batch that differs from one-point calls in the last digits
     can move only the golden-section bracket.
 
@@ -306,25 +313,28 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         raise DomainError(f"maximize_1d requires tol > 0, got {tol}")
 
     def at(x: float) -> float:
-        return float(f(np.array([x]))[0])
+        return float(f([x])[0])
 
-    xs = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
+    # linspace's rounding: i*step + lo, or (i/div)*(hi - lo) + lo where step underflows to 0
+    div = SCAN_POINTS + 1
+    step = (hi - lo) / div
+    xs = [i * step + lo if step else (i / div) * (hi - lo) + lo for i in range(1, div)]
     fs = f(xs)
-    if not np.all(np.isfinite(fs)):
+    if not all(map(math.isfinite, fs)):
         raise DomainError("objective returned a non-finite value during the scan")
-    if fs.max() - fs.min() <= tol:
+    top = max(fs)
+    if top - min(fs) <= tol:
         raise FlatObjectiveError(
-            f"objective varies by {fs.max() - fs.min():.3e} <= tol across the scan")
-    i = int(np.argmax(fs))
-    a = lo if i == 0 else float(xs[i - 1])
-    b = hi if i == len(xs) - 1 else float(xs[i + 1])
+            f"objective varies by {top - min(fs):.3e} <= tol across the scan")
+    i = fs.index(top)
+    a = lo if i == 0 else xs[i - 1]
+    b = hi if i == len(xs) - 1 else xs[i + 1]
     x_star, f_star = _golden(at, a, b, tol)
     # The scan point can beat the refined point when the max sits on a
     # domain edge the golden search cannot reach exactly.
-    x_i = float(xs[i])
-    f_i = at(x_i)
+    f_i = at(xs[i])
     if f_i > f_star:
-        return x_i, f_i
+        return xs[i], f_i
     return x_star, f_star
 
 

@@ -162,8 +162,9 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     loc, scale, z = d._standard()
     lo = (max(d.support.lo, 0.0) - loc) / scale
     hi = float(z.quantile(1.0 - _T_SEARCH_TAIL))
-    x_star, fp = maximize_1d(lambda xs: _fixed_price_values(d, n, k, loc + scale * xs) / scale,
-                             lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
+    x_star, fp = maximize_1d(
+        lambda xs: (_fixed_price_values(d, n, k, loc + scale * np.array(xs)) / scale).tolist(),
+        lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
     return PolicyEvaluation(n, k, loc + scale * x_star, scale * fp, prophet)
 
 

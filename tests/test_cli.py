@@ -68,6 +68,13 @@ class TestGuaranteesCmd:
             _, phi, _, phi_grid = line.split(",")
             assert phi == phi_grid
 
+    def test_infinite_shape_is_computation_error(self, capsys):
+        # the k = 1 column used to fail inside W_{-1}, with a message that named no shape
+        code, out, err = run_cli(capsys, "guarantees", "--k-max", "2", "--alpha-grid", "inf")
+        assert code == 1
+        assert err == "error: guarantee requires 1 < alpha < inf, got alpha=inf\n"
+        assert out == ""
+
 
 class TestScalarCmds:
     def test_phi1_min(self, capsys):

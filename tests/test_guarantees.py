@@ -83,6 +83,26 @@ class TestPhiK:
         with pytest.raises(DomainError):
             phi_k(0.8, 3)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: phi_k(math.inf, 1), id="phi_k-1"),
+        pytest.param(lambda: phi_k(math.inf, 2), id="phi_k-2"),
+        pytest.param(lambda: phi_k(math.inf, 10), id="phi_k-10"),
+        pytest.param(lambda: u_star(math.inf), id="u_star"),
+        pytest.param(lambda: phi_1_closed(math.inf), id="phi_1_closed"),
+        pytest.param(lambda: kennedy_kertz_nu(math.inf), id="kennedy_kertz_nu"),
+    ])
+    def test_rejects_infinite_shape(self, call):
+        # an infinite shape is no Frechet law: k >= 2 and nu used to return 1.0,
+        # and k = 1 failed inside W_{-1} with a message that named no shape
+        with pytest.raises(DomainError, match=r"1 < alpha < inf, got alpha=inf"):
+            call()
+
+    def test_huge_finite_shape_is_one(self):
+        for k in (1, 2, 10):
+            assert phi_k(1e300, k).value == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        for value in (u_star(1e300), phi_1_closed(1e300), kennedy_kertz_nu(1e300)):
+            assert value == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("alpha", [1.2, 1.656, 2.0, 3.0, 8.0])
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     def test_value_in_unit_interval(self, alpha, k):
@@ -374,8 +394,7 @@ class TestPhiKAlpha2Closed:
         # bracket around x_k
         for k in (2, 7, 31, 500):
             _, val = maximize_1d(
-                lambda xs: np.array([float(x) * _poisson_tail_sum(float(x) ** -2.0, k)
-                                     for x in xs]),
+                lambda xs: [x * _poisson_tail_sum(x ** -2.0, k) for x in xs],
                 0.5 * k ** -0.5, 2.0 * k ** -0.5, tol=1e-10)
             numeric = math.exp(math.lgamma(k) - math.lgamma(k + 0.5)) * val
             assert phi_k(2.0, k).value == pytest.approx(numeric, abs=1e-7)

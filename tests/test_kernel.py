@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import evpricing
@@ -576,13 +576,13 @@ class TestTailMap:
 
 class TestMaximize1d:
     def test_parabola(self):
-        x, fx = maximize_1d(lambda x: -(x - 2.0) ** 2, 0.0, 10.0, tol=1e-10)
+        x, fx = maximize_1d(lambda xs: [-(x - 2.0) ** 2 for x in xs], 0.0, 10.0, tol=1e-10)
         assert x == pytest.approx(2.0, abs=1e-8)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_x_exp_minus_x(self):
         # argmax of a smooth interior max is resolvable to ~sqrt(eps) only
-        x, fx = maximize_1d(lambda x: x * np.exp(-x), 0.0, 100.0, tol=1e-10)
+        x, fx = maximize_1d(lambda xs: [x * math.exp(-x) for x in xs], 0.0, 100.0, tol=1e-10)
         assert x == pytest.approx(1.0, abs=1e-7)
         assert fx == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0.0)
 
@@ -592,40 +592,99 @@ class TestMaximize1d:
         xs = np.linspace(1e-6, 10.0, 10 ** 6)
         fs = f(xs)
         i = int(np.argmax(fs))
-        x, fx = maximize_1d(f, 0.0, 10.0, tol=1e-10)
+        x, fx = maximize_1d(lambda xs: f(np.array(xs)).tolist(), 0.0, 10.0, tol=1e-10)
         assert x == pytest.approx(float(xs[i]), abs=2e-5)
         assert fx == pytest.approx(float(fs[i]), abs=1e-9)
 
     def test_vectorized_objective_contract(self):
-        # one call on the whole scan grid, then one-point arrays only
-        shapes = []
+        # one call on the list of the whole scan grid, then one-point lists only
+        calls = []
 
-        def f(x):
-            shapes.append(x.shape)
-            return -(x - 2.0) ** 2
+        def f(xs):
+            calls.append(xs)
+            return [-(x - 2.0) ** 2 for x in xs]
 
         maximize_1d(f, 0.0, 10.0, tol=1e-10)
-        assert shapes[0] == (kernel.SCAN_POINTS,)
-        assert set(shapes[1:]) == {(1,)}
+        assert all(type(xs) is list and all(type(x) is float for x in xs) for xs in calls)
+        assert len(calls[0]) == kernel.SCAN_POINTS
+        assert {len(xs) for xs in calls[1:]} == {1}
+
+    def test_first_maximum_of_the_scan(self):
+        # a plateau over the scan: the bracket is around its first point, as
+        # np.argmax picks it, so the maximum found is the plateau's left end
+        x, fx = maximize_1d(lambda xs: [min(x, 5.0) for x in xs], 0.0, 10.0, tol=1e-10)
+        assert fx == 5.0
+        assert x <= 5.0 + 1e-9
 
     def test_flat_objective_reported(self):
         with pytest.raises(FlatObjectiveError):
-            maximize_1d(np.ones_like, 0.0, 1.0, tol=1e-10)
+            maximize_1d(lambda xs: [1.0] * len(xs), 0.0, 1.0, tol=1e-10)
 
     def test_tol_below_the_spacing_of_doubles(self):
         # near 1e9 doubles are 1.2e-7 apart, so no bracket gets 1e-10 wide;
         # the search must stop once its bracket stops shrinking
         calls = []
 
-        def f(x):
-            calls.append(x)
+        def f(xs):
+            calls.append(xs)
             if len(calls) > 10_000:
                 raise AssertionError("still iterating after 10,000 evaluations")
-            return -(x - 1e9) ** 2
+            return [-(x - 1e9) ** 2 for x in xs]
 
         x, fx = maximize_1d(f, 0.0, 2e9, tol=1e-10)
         assert x == pytest.approx(1e9, rel=1e-15, abs=0.0)
         assert fx == 0.0
+
+
+def scan_grid(lo: float, hi: float) -> list[float]:
+    """The points maximize_1d scans on [lo, hi], read from a flat objective."""
+    grids = []
+
+    def flat(xs):
+        grids.append(xs)
+        return [0.0] * len(xs)
+
+    with pytest.raises(FlatObjectiveError):
+        maximize_1d(flat, lo, hi, tol=1.0)
+    (grid,) = grids
+    return grid
+
+
+#: Subnormal locations: there a bracket a few subnormals wide makes the scan's step 0.
+subnormal_multiples = st.integers(-10 ** 6, 10 ** 6).map(lambda m: m * 5e-324)
+
+
+@st.composite
+def brackets(draw):
+    lo = draw(st.floats(-1e14, 1e14) | subnormal_multiples)
+    width = draw(st.floats(0.0, 1e14) | st.integers(1, 10 ** 4).map(lambda m: m * 5e-324))
+    hi = lo + width
+    assume(lo < hi)
+    return lo, hi
+
+
+class TestScanGrid:
+    @settings(max_examples=500, deadline=None)
+    @given(bracket=brackets())
+    @example(bracket=(0.0, 5e-324))
+    @example(bracket=(-5e-322, 5e-322))
+    @example(bracket=(-1e14, 1e14))
+    @example(bracket=(1.0, 1.0 + 2.0 ** -52))
+    def test_grid_is_linspace_bit_for_bit(self, bracket):
+        lo, hi = bracket
+        expected = np.linspace(lo, hi, kernel.SCAN_POINTS + 2)[1:-1].tolist()
+        assert [x.hex() for x in scan_grid(lo, hi)] == [x.hex() for x in expected]
+
+    def test_step_underflow_takes_the_subnormal_branch(self):
+        # (hi - lo)/257 rounds to 0 here, and linspace scales i/257 by the width
+        assert (100 * 5e-324) / (kernel.SCAN_POINTS + 1) == 0.0
+        grid = scan_grid(0.0, 100 * 5e-324)
+        assert grid == np.linspace(0.0, 100 * 5e-324, kernel.SCAN_POINTS + 2)[1:-1].tolist()
+        assert grid[-1] > 0.0
+
+    def test_float_constants_match_numpy(self):
+        assert kernel._EPS == np.finfo(float).eps
+        assert kernel._TINY == np.finfo(float).tiny
 
 
 class TestFindRoot:

@@ -107,6 +107,28 @@ def test_readme_command_loads_only_its_modules(name):
                              *(f"evpricing.{m}" for m in COMMAND_MODULES[name])])
 
 
+#: The README commands that run on the standard library alone.
+NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap")
+
+
+@pytest.mark.parametrize("code", [
+    *(pytest.param(cli(CLI_COMMANDS[name]), id=name) for name in NUMPY_FREE),
+    pytest.param("from evpricing.guarantees import phi_k\nphi_k(2.5, 3)", id="phi_k"),
+    pytest.param("from evpricing.guarantees import minimize_phi_1\nminimize_phi_1()",
+                 id="minimize_phi_1"),
+    pytest.param("from evpricing.guarantees import adaptivity_gap\nadaptivity_gap()",
+                 id="adaptivity_gap"),
+])
+def test_guarantees_need_no_numpy(code):
+    assert modules_after(code, "numpy") == []
+
+
+@pytest.mark.parametrize("name", sorted(set(CLI_COMMANDS) - set(NUMPY_FREE)))
+def test_other_readme_commands_load_numpy(name):
+    # the import floor of these commands is numpy's
+    assert "numpy" in modules_after(cli(CLI_COMMANDS[name]), "numpy")
+
+
 @pytest.mark.parametrize("code, modules", [
     pytest.param("import evpricing", [], id="import"),
     pytest.param("import evpricing.cli\nevpricing.cli.build_parser()", ["cli", "errors"],
