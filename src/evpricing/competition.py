@@ -4,13 +4,14 @@ The dynamic-programming value sequence G_0 = 0, G_{n+1} = E max(X, G_n) is
 extended through its tail-integral form G_{n+1} = G_n + I(G_n), with
 I(g) = int_g^{omega_1} (1 - F(u)) du.  The tail I is carried along the
 sequence: I(G_{n+1}) = I(G_n) - int_{G_n}^{G_{n+1}} (1 - F(u)) du, so a step
-costs one short finite quadrature.  The full tail I(g), the routine of
-:mod:`evpricing.distributions` behind ``mean()`` and ``conditional_mean_above``,
-only starts the sequence (G_1 is the mean) and re-anchors the running tail
-after cancellation has eaten into it.  The competition complexity at market
-size n is the least m with G_m >= E max(M_n, 0) for the maximum M_n of n
-draws (``expected_max``, by the rule of the anchors, so G_1 at n = 1),
-reported as m/n next to the closed form (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+costs one short finite quadrature, to an absolute tolerance in proportion to
+the step: the one quadrature outside :mod:`evpricing.distributions`.  The full
+tail I(g) of that module only starts the sequence (G_1 is the mean) and
+re-anchors the running tail after cancellation has eaten into it.  The
+competition complexity at market size n is the least m with G_m >= E max(M_n,
+0) for the maximum M_n of n draws (``expected_max``, by the rule of the
+anchors, so G_1 at n = 1), reported as m/n next to the closed form
+(1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 """
 
 from __future__ import annotations
@@ -175,11 +176,15 @@ def quantile_policy_approx(d: DistributionModel, n: int) -> float:
 
 
 def expected_max_approx(d: DistributionModel, n: int) -> float:
-    """Family-specific closed approximation of E(max of n draws)."""
+    """Family-specific closed approximation of E(max of n draws), on the
+    standard member Z of ``_standard``: loc + scale * E_Z."""
     ev = d.evt_index()
     gamma = ev.gamma
     if gamma >= 1:
         raise DomainError(f"approximation requires gamma < 1, got {gamma}")
+    loc, scale, z = d._standard()
+    if loc != 0.0 or scale != 1.0:
+        return loc + scale * expected_max_approx(z, n)
     if ev.family is EvtFamily.FRECHET:
         return math.gamma(1.0 - gamma) * float(d.quantile(1.0 - 1.0 / n))
     if ev.family is EvtFamily.GUMBEL:

@@ -4,10 +4,12 @@ conditional means and virtual valuations.  Every operation is pure.
 
 This module alone maps a model's tail to a finite bracket and picks its
 quadrature options, by one rule, ``_sf_integral`` from T of a survival-type
-function: sf itself for I(T) = E(X - T)^+ behind ``mean()``,
-``conditional_mean_above`` and the anchors of :mod:`evpricing.competition`,
-and from 0 the survival functions of the maximum and of the order statistics
-for their means.
+function: sf itself for I(T) = E(X - T)^+ behind ``mean()``, the conditional
+means and the anchors of :mod:`evpricing.competition`, and from 0 the survival
+functions of the maximum and of the order statistics for their means.  The
+conditional means on a grid of thresholds, for the policy value and for
+``conditional_mean_above``, are one sweep (``_conditional_means``); only the DP
+pieces of :mod:`evpricing.competition` set their own tolerance.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ ArrayLike = float | np.ndarray
 # fix it at rounding level, so that golden pins the exact bits of this sum (its
 # printed ratio there is one off in the last place against mpmath).
 _DIRECT_BINOMIAL_MAX_N = 1000
+
+#: Relative tolerance of each finite piece of sf in ``_conditional_means``.
+_PIECE_RTOL = 1e-13
 
 
 class EvtFamily(Enum):
@@ -695,30 +700,43 @@ def expected_max(d: DistributionModel, n: int) -> float:
     return _sf_integral(d, 0.0, lambda s: _survival_power(s, n), 1, n)
 
 
-def _conditioning_floor(d: DistributionModel) -> float:
-    """The lowest T at which E(X | X > T) is taken as T + I(T)/sf(T): the
-    support's lower end, or on an infinite lower end (Gumbel) its 2**-53
-    quantile (see ``conditional_mean_above``)."""
+def _sf_points(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
+    """sf on the array Ts, on its scalar path at one point, as a scalar caller
+    gets it: numpy's array pow may differ from it in the last place."""
+    return d.sf(Ts) if len(Ts) > 1 else np.array([d.sf(Ts[0])])
+
+
+def _conditional_means(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
+    """E(X | X > T) = T + I(T)/sf(T) at each T of the sorted array Ts.
+
+    Below a finite lower end of the support X > T is certain, and T is raised
+    to that end.  On an infinite lower end (Gumbel) T is raised to the 2**-53
+    quantile: the double-exponential left tail below it moves E(X | X > T) by
+    less than 1e-15 relative, while T + I(T)/sf(T) would lose digits in
+    proportion to |T|.  I(T) is ``_sf_integral`` at the top threshold, carried
+    down the grid as I(T_i) = I(T_{i+1}) + int_{T_i}^{T_{i+1}} sf: finite
+    pieces of a positive integrand, each to _PIECE_RTOL, with no cancellation.
+    """
     lo = d.support.lo
-    return float(d.quantile(2.0 ** -53)) if lo == -math.inf else lo
+    floor = float(d.quantile(2.0 ** -53)) if lo == -math.inf else lo
+    T = np.where(Ts < floor, floor, Ts)
+    s = _sf_points(d, T)
+    if not s[-1] > 0.0:
+        raise DomainError(f"F({float(T[-1])}) = 1: conditioning event has probability 0")
+    tail = np.empty_like(T)
+    tail[-1] = _sf_integral(d, float(T[-1]))
+    for i in range(len(T) - 2, -1, -1):
+        a, b = float(T[i]), float(T[i + 1])
+        tail[i] = tail[i + 1] + (integrate(d.sf, a, b, tol=0.0, rtol=_PIECE_RTOL)
+                                 if a < b else 0.0)
+    return T + tail / s
 
 
 def conditional_mean_above(d: DistributionModel, T: float) -> float:
-    """E(X | X > T) = T + I(T)/sf(T), with the tail integral I of ``_sf_integral``.
-
-    Below a finite lower end of the support the event X > T is certain and
-    the result is E X: T is raised to that end first.  On an infinite lower
-    end (Gumbel) T is raised to the 2**-53 quantile: the left tail there is
-    double-exponential, so the mass below it moves E(X | X > T) by less than
-    1e-15 relative, while T + I(T)/sf(T) would lose digits in proportion to |T|.
-    """
-    lo = _conditioning_floor(d)
-    if T < lo:
-        T = lo
-    s_T = float(d.sf(T))
-    if s_T <= 0.0:
-        raise DomainError(f"F({T}) = 1: conditioning event has probability 0")
-    return T + _sf_integral(d, T) / s_T
+    """E(X | X > T), the one-point case of ``_conditional_means``."""
+    if math.isnan(T):
+        raise DomainError("threshold T is NaN")
+    return float(_conditional_means(d, np.array([T], dtype=float))[0])
 
 
 def virtual_valuation(d: DistributionModel, t: float) -> float:

@@ -3,7 +3,8 @@
 The exact route rests on the product identity for the policy payoff: selling
 to the first min(k, #exceedances) buyers above a threshold T earns, in
 expectation, E(X | X > T) times the summed tail probabilities of the top-k
-order statistics.  Its two factors live in :mod:`evpricing.distributions`.
+order statistics.  Its two factors live in :mod:`evpricing.distributions`,
+each one grid pass over the thresholds, so this module takes no quadrature.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from .distributions import (
     DistributionModel,
     EvtFamily,
     _binomial_tails,
-    _conditioning_floor,
+    _conditional_means,
     _order_statistics_mean,
-    _sf_integral,
+    _sf_points,
 )
 from .errors import DomainError
-from .kernel import integrate, maximize_1d
+from .kernel import maximize_1d
 
 __all__ = [
     "PolicyEvaluation",
@@ -42,9 +43,6 @@ _T_SEARCH_TAIL = 1e-12
 
 #: Threshold search width in standard units, relative to max(1, 1e-3 * upper end).
 _T_SEARCH_TOL = 1e-9
-
-#: Relative tolerance of each finite piece of sf between two grid thresholds.
-_PIECE_RTOL = 1e-13
 
 #: Replications are drawn in fixed blocks of this size; each block is an
 #: independent substream keyed by (block index, seed).
@@ -106,37 +104,10 @@ def _check_n_k(n: int, k: int, T: float = 0.0) -> None:
 
 def _fixed_price_values(d: DistributionModel, n: int, k: int, Ts: np.ndarray) -> np.ndarray:
     """Expected welfare E(X | X > T) * E min(k, Bin(n, sf(T))) of the
-    threshold-T policy at each T of the sorted array Ts.
-
-    sf is called once on the grid and ``_binomial_tails`` once.  As in
-    ``conditional_mean_above``, T is raised to ``_conditioning_floor`` for
-    the conditional mean.  I(T) = E(X - T)^+ comes from ``_sf_integral`` at
-    the top threshold only and is carried down the grid as I(T_i) =
-    I(T_{i+1}) + int_{T_i}^{T_{i+1}} sf: finite pieces of a positive
-    integrand, each to _PIECE_RTOL, with no cancellation.  On one point this
-    is conditional_mean_above(d, T) * _binomial_tails(n, 1, k, sf(T)) bit
-    for bit.
-    """
-    def sf(x: np.ndarray) -> np.ndarray:
-        # One threshold takes sf's scalar path, as conditional_mean_above
-        # does: numpy's array pow may differ from it in the last place.
-        return d.sf(x) if len(x) > 1 else np.array([d.sf(x[0])])
-
-    s = sf(Ts)
-    if not s[-1] > 0.0:
-        raise DomainError(f"threshold T={Ts[int(np.argmax(s <= 0.0))]} has F(T) = 1; "
-                          "nothing is ever sold")
-    floor = _conditioning_floor(d)
-    T = np.where(Ts < floor, floor, Ts)
-    # sf is 1 below every finite lower end, so only Gumbel needs sf at its floor.
-    s_T = s if Ts[0] >= floor else sf(T)
-    tail = np.empty_like(T)
-    tail[-1] = _sf_integral(d, float(T[-1]))
-    for i in range(len(T) - 2, -1, -1):
-        a, b = float(T[i]), float(T[i + 1])
-        tail[i] = tail[i + 1] + (integrate(d.sf, a, b, tol=0.0, rtol=_PIECE_RTOL)
-                                 if a < b else 0.0)
-    return (T + tail / s_T) * _binomial_tails(n, 1, k, s)
+    threshold-T policy at each T of the sorted array Ts: one grid pass of each
+    factor.  On one point this is conditional_mean_above(d, T) *
+    _binomial_tails(n, 1, k, sf(T)) bit for bit."""
+    return _conditional_means(d, Ts) * _binomial_tails(n, 1, k, _sf_points(d, Ts))
 
 
 def fixed_price_value_exact(d: DistributionModel, n: int, k: int, T: float) -> float:
@@ -169,7 +140,8 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
 
 
 def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
-    """Threshold sequence backed by the extreme-value limit, per family.
+    """Threshold sequence backed by the extreme-value limit, per family, on
+    the standard member Z of ``_standard``: loc + scale * T_Z.
 
     Frechet- and Gumbel-type: a_n * U + b_n (b_n = 0 for Frechet-type).
     Bounded support: (1 - U) * omega_1, with U playing the epsilon role.
@@ -178,6 +150,9 @@ def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
         raise DomainError(f"theory_threshold requires n >= 1, got {n}")
     if math.isnan(U):
         raise DomainError("limit ratio U is NaN")
+    loc, scale, z = d._standard()
+    if loc != 0.0 or scale != 1.0:
+        return loc + scale * theory_threshold(z, n, U)
     if d.evt_index().family is EvtFamily.REVERSED_WEIBULL:
         return (1.0 - U) * d.support.hi
     a_n, b_n = d.normalizing_constants(n)

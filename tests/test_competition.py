@@ -486,6 +486,20 @@ class TestExpectedMaxApprox:
         assert approx == pytest.approx(1.0 - 1.0 / n, rel=1e-12, abs=0.0)
         assert abs(approx - n / (n + 1.0)) / (n / (n + 1.0)) <= 1e-5
 
+    @pytest.mark.parametrize("m", [100.0, -1.0])
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_frechet_location_and_scale_carry_through(self, m, s):
+        # E max = m + s E Z_max, and the approximation reduces to Z the same
+        # way: the gap to expected_max is the m = 0, s = 1 gap times s, up to
+        # the 1e-12 relative quadrature tolerance of both expected_max values
+        n, alpha = 100, 2.0
+        gap0 = expected_max_approx(Frechet(0.0, 1.0, alpha), n) - expected_max(
+            Frechet(0.0, 1.0, alpha), n)
+        d = Frechet(m, s, alpha)
+        exact = expected_max(d, n)
+        assert expected_max_approx(d, n) - exact == pytest.approx(
+            s * gap0, rel=0.0, abs=2e-12 * exact)
+
     def test_prophet_ratio_drift(self):
         # E_{n-1}/E_n = 1 - gamma/n + o(1/n) for the heavy-tail family
         d = Pareto(2.0)

@@ -29,6 +29,7 @@ from evpricing.distributions import (
     EvtIndex,
     _binomial_tails,
     _binomial_terms,
+    _conditional_means,
     _log_factorials,
     _sf_integral,
     _survival_power,
@@ -645,13 +646,47 @@ class TestConditionalMean:
         assert got == pytest.approx(mean, rel=1e-12, abs=0.0)
         assert got == conditional_mean_above(d, d.support.lo)
 
+    @pytest.mark.parametrize("d", [Pareto(2.0), Uniform(0.0, 1.0), Gumbel(0.0, 1.0)], ids=repr)
+    def test_nan_threshold_rejected_by_name(self, d):
+        with pytest.raises(DomainError, match="threshold T is NaN"):
+            conditional_mean_above(d, math.nan)
+
     def test_saturated_threshold_rejected(self):
         with pytest.raises(DomainError):
             conditional_mean_above(Uniform(0.0, 1.0), 1.0)
+        with pytest.raises(DomainError, match="probability 0"):
+            _conditional_means(Uniform(0.0, 1.0), np.array([0.2, 0.5, 1.0]))
 
     def test_divergent_tail_rejected(self):
         with pytest.raises(DivergenceError):
             conditional_mean_above(Pareto(1.0), 2.0)
+
+
+class TestConditionalMeansGrid:
+    """The one sweep behind conditional_mean_above and the policy grid: I(T) at
+    the top threshold, carried down by finite pieces."""
+
+    @pytest.mark.parametrize("d, Ts, closed", [
+        (Pareto(2.5), [-5.0, 0.5, 1.0, 1.5, 3.0, 10.0, 1e3, 1e6],
+         lambda T: 2.5 * max(T, 1.0) / 1.5),
+        (Pareto(1.656), [0.25, 1.0, 1.001, 2.0, 50.0, 1e4],
+         lambda T: 1.656 * max(T, 1.0) / 0.656),
+        (Exponential(2.0), [-3.0, -1e-9, 0.0, 0.1, 1.0, 5.0, 30.0, 350.0],
+         lambda T: max(T, 0.0) + 0.5),
+        (Uniform(1.0, 4.0), [-2.0, 0.5, 1.0, 1.5, 2.5, 3.9, 3.999999],
+         lambda T: (max(T, 1.0) + 4.0) / 2.0),
+        (Uniform(100.0, 101.0), [0.0, 99.0, 100.0, 100.25, 100.95],
+         lambda T: (max(T, 100.0) + 101.0) / 2.0),
+        # far below the mode the Gumbel conditional mean is E X = loc + scale*euler_gamma
+        (Gumbel(0.0, 1.0), [-1e300, -1e6, -50.0, -8.0, -5.0],
+         lambda T: np.euler_gamma),
+        (Gumbel(2.0, 0.5), [-1e6, -40.0, -3.0, -1.0],
+         lambda T: 2.0 + 0.5 * np.euler_gamma),
+    ], ids=repr)
+    def test_closed_forms_on_sorted_grids(self, d, Ts, closed):
+        got = _conditional_means(d, np.array(Ts))
+        for T, v in zip(Ts, got):
+            assert v == pytest.approx(closed(T), rel=1e-12, abs=0.0), T
 
 
 class TestClipFreeTails:

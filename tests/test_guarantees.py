@@ -103,6 +103,18 @@ class TestPhiK:
         for value in (u_star(1e300), phi_1_closed(1e300), kennedy_kertz_nu(1e300)):
             assert value == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", [1e6, 1e300])
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    def test_huge_shape_never_above_one(self, alpha, k):
+        # the gamma ratio times x E min(k, N) rounded to 1 + 2**-52 at k = 10, 100
+        assert 0.0 < phi_k(alpha, k).value <= 1.0
+        if k > 1:
+            assert _stationary_point(alpha, k)[1] <= 1.0
+
+    def test_result_above_one_rejected(self):
+        with pytest.raises(DomainError, match="outside"):
+            GuaranteeResult(10, 1e300, 1.0 + 2.0 ** -52, 1.0)
+
     @pytest.mark.parametrize("alpha", [1.2, 1.656, 2.0, 3.0, 8.0])
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     def test_value_in_unit_interval(self, alpha, k):

@@ -87,6 +87,20 @@ def test_no_runtime_module_imports_scipy():
     assert importers == set()
 
 
+def test_only_the_tail_integrals_call_integrate():
+    # distributions picks every quadrature of a model's tail, and competition
+    # its DP pieces; policy takes both factors of its value from distributions
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "integrate":
+                    callers.add(path.stem)
+    assert callers == {"distributions", "competition"}
+
+
 _GUARANTEE = ["errors", "guarantees", "kernel"]
 _POLICY = ["distributions", "errors", "kernel", "policy"]
 

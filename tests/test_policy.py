@@ -439,6 +439,27 @@ class TestTheoryThreshold:
         assert theory_threshold(Uniform(0.0, 1.0), 100, 0.05) == pytest.approx(
             0.95, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("d, z", [
+        (Exponential(4.0), Exponential(1.0)),
+        (Uniform(100.0, 101.0), Uniform(0.0, 1.0)),
+        (Uniform(-2.0, 5.0), Uniform(0.0, 1.0)),
+        (Frechet(100.0, 3.0, 2.5), Frechet(0.0, 1.0, 2.5)),
+        (Frechet(-1.0, 289.0, 2.24), Frechet(0.0, 1.0, 2.24)),
+        (Gumbel(2.0, 0.5), Gumbel(0.0, 1.0)),
+        (BoundedPower(7.0, 0.7), BoundedPower(1.0, 0.7)),
+    ], ids=repr)
+    @pytest.mark.parametrize("n, U", [(10, 0.05), (1000, 0.849), (10 ** 6, 1.2)])
+    def test_reduces_to_the_standard_member(self, d, z, n, U):
+        loc, scale, _ = d._standard()
+        assert theory_threshold(d, n, U) == loc + scale * theory_threshold(z, n, U)
+
+    def test_shifted_uniform_stays_in_the_support(self):
+        # (1 - U) b would put the threshold below a = 100
+        assert theory_threshold(Uniform(100.0, 101.0), 1000, 0.05) == pytest.approx(
+            100.95, rel=1e-15, abs=0.0)
+        rows = convergence_table(Uniform(100.0, 101.0), 1, [10, 100], "theory", 0.05)
+        assert all(100.0 <= r.threshold <= 101.0 for r in rows)
+
     def test_gumbel_location_scale_form(self):
         from evpricing import Gumbel
         assert theory_threshold(Gumbel(2.0, 0.5), 100, 1.2) == pytest.approx(
