@@ -38,6 +38,12 @@ __all__ = [
 
 EULER_MASCHERONI = float(np.euler_gamma)
 
+#: zeta(2), ..., zeta(12): the series of ``theoretical_cc`` leaves out terms
+#: below 1e-19 relative at |gamma| < 0.03.
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+         1.000994575127818, 1.0004941886041194, 1.000246086553308)
+
 #: Each finite piece int_{G_n}^{G_{n+1}} (1 - F) is integrated to this
 #: tolerance relative to the step G_{n+1} - G_n.  A piece's error stays in
 #: every later value until the next anchor; at 1e-12 the first Pareto(3)
@@ -117,15 +123,21 @@ class CompetitionRecord:
 
 
 def theoretical_cc(gamma: float) -> float:
-    """Closed-form large-market competition complexity for index gamma < 1.
+    """Closed-form large-market competition complexity for index gamma < 1,
+    (1 - gamma)*exp(lgamma(1 - gamma)/gamma).
 
-    At gamma = 0 the formula is taken in the limit: exp of the
-    Euler-Mascheroni constant, about 1.781.
+    Below |gamma| = 0.03, where that quotient cancels, it is the series
+    lgamma(1 - g)/g = euler_gamma + g*sum_{k>=2} zeta(k) g^(k-2)/k (DLMF 5.7.3)
+    to k = 12, by Horner; at gamma = 0 it gives the limit exp(euler_gamma),
+    about 1.781.
     """
     if gamma >= 1:
         raise DomainError(f"competition complexity requires gamma < 1, got {gamma}")
-    if abs(gamma) <= 1e-8:
-        return math.exp(EULER_MASCHERONI)
+    if abs(gamma) < 0.03:
+        series = 0.0
+        for k in range(12, 1, -1):
+            series = series * gamma + _ZETA[k - 2] / k
+        return (1.0 - gamma) * math.exp(EULER_MASCHERONI + gamma * series)
     return (1.0 - gamma) * math.exp(math.lgamma(1.0 - gamma) / gamma)
 
 

@@ -1,4 +1,5 @@
-"""Immutable parametric models with extreme-value metadata, and functionals
+"""Immutable parametric models with extreme-value metadata, each loc + scale*Z
+for a standard member Z that alone carries the arithmetic, and functionals
 generic over them: order-statistic tails and means, expected maxima,
 conditional means and virtual valuations.  Every operation is pure.
 
@@ -110,12 +111,54 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
 
 
 class DistributionModel(ABC):
-    """Common surface of all parametric models."""
+    """Common surface of all parametric models: X = loc + scale*Z for the
+    standard member Z of ``_standard``, a unit that this class alone maps.
+    Each kind writes Z's arithmetic: ``_cdf``, ``_sf`` and ``_pdf`` at t through
+    ``_standardize`` or ``_below``, and ``_quantile``, ``_normalizing_constants``
+    and ``_ENDS`` of Z.  Each field must be finite, those in ``_POSITIVE`` positive.
+    """
 
-    @property
-    @abstractmethod
+    _POSITIVE: tuple[str, ...] = ()
+    _ENDS: tuple[float, float]
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name in self._POSITIVE
+            if not math.isfinite(value) or (positive and not value > 0):
+                kind = "positive" if positive else "finite"
+                raise DomainError(f"parameter {f.name} must be a {kind} real, got {value}")
+
+    def _standard(self) -> tuple[float, float, DistributionModel]:
+        """(loc, scale, Z) with X = loc + scale*Z: the one place that decides the
+        unit of valuation.  Functionals with a unit-carrying constant reduce to Z."""
+        return 0.0, 1.0, self
+
+    @functools.cached_property
+    def _unit(self) -> tuple[float, float]:
+        return self._standard()[:2]
+
+    def _standardize(self, t: np.ndarray) -> np.ndarray:
+        """(t - loc)/scale, +-inf past the double range, where every kind is flat."""
+        loc, scale = self._unit
+        if loc == 0.0 and scale == 1.0:
+            return t
+        with np.errstate(over="ignore"):
+            return (t - loc) / scale
+
+    def _below(self, hi: float, t: np.ndarray) -> np.ndarray:
+        """(hi - t)/scale below a finite upper end hi, where 1 - z loses digits.  At
+        scale 1, |hi| < 2**54 and hi - t cannot overflow."""
+        scale = self._unit[1]
+        if scale == 1.0:
+            return hi - t
+        with np.errstate(over="ignore"):
+            return (hi - t) / scale
+
+    @functools.cached_property
     def support(self) -> Support:
-        """Open support interval (omega_0, omega_1)."""
+        """Open support interval (omega_0, omega_1): loc + scale*(Z's ends)."""
+        loc, scale = self._unit
+        return Support(loc + scale * self._ENDS[0], loc + scale * self._ENDS[1])
 
     @abstractmethod
     def _cdf(self, t: np.ndarray) -> np.ndarray: ...
@@ -130,12 +173,17 @@ class DistributionModel(ABC):
     def _quantile(self, q: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def evt_index(self) -> EvtIndex: ...
+    def _normalizing_constants(self, n: float) -> tuple[float, float]: ...
 
     @abstractmethod
+    def evt_index(self) -> EvtIndex: ...
+
     def normalizing_constants(self, n: float) -> tuple[float, float]:
-        """Scaling a_n > 0 and shifting b_n making (M_n - b_n)/a_n converge,
-        for real n >= 1, not just integers."""
+        """Scaling a_n and shift b_n making (M_n - b_n)/a_n converge, for real n >= 1:
+        (scale*a_n, loc + scale*b_n) from Z's pair; a_n > 0 but Frechet's a_1 = 0."""
+        a_n, b_n = self._normalizing_constants(n)
+        loc, scale = self._unit
+        return scale * a_n, loc + scale * b_n
 
     def cdf(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
@@ -148,14 +196,11 @@ class DistributionModel(ABC):
 
     def pdf(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        return _maybe_scalar(self._pdf(arr), arr.ndim == 0)
+        return _maybe_scalar(self._pdf(arr) / self._unit[1], arr.ndim == 0)
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
-        """Generalized inverse F^{-1}(q) = inf{t : F(t) >= q}.
-
-        q = 0 or 1 is allowed only when the corresponding support endpoint
-        is finite.
-        """
+        """Generalized inverse F^{-1}(q) = inf{t : F(t) >= q}; q = 0 or 1 only
+        where that end of the support is finite."""
         arr = np.asarray(q, dtype=float)
         if np.any(arr < 0) or np.any(arr > 1):
             raise DomainError("quantile requires q in [0, 1]")
@@ -164,14 +209,14 @@ class DistributionModel(ABC):
             raise DomainError("quantile(0) undefined: lower endpoint is infinite")
         if np.any(arr == 1) and math.isinf(sup.hi):
             raise DomainError("quantile(1) undefined: upper endpoint is infinite")
-        with np.errstate(divide="ignore"):
-            out = self._quantile(arr)
-        return _maybe_scalar(out, arr.ndim == 0)
+        return _maybe_scalar(self._unchecked_quantile(arr), arr.ndim == 0)
 
-    def _standard(self) -> tuple[float, float, DistributionModel]:
-        """(loc, scale, Z) with X = loc + scale*Z: the one place that decides the
-        unit of valuation.  Functionals with a unit-carrying constant reduce to Z."""
-        return 0.0, 1.0, self
+    def _unchecked_quantile(self, q: np.ndarray) -> np.ndarray:
+        """loc + scale*(Z's quantile), without the checks of ``quantile``."""
+        loc, scale = self._unit
+        with np.errstate(divide="ignore", over="ignore"):
+            z = self._quantile(q)
+            return z if loc == 0.0 and scale == 1.0 else loc + scale * z
 
     def mean(self) -> float:
         """First moment I(0), the tail integral from 0 (nonnegative support only)."""
@@ -180,24 +225,13 @@ class DistributionModel(ABC):
         return _sf_integral(self, 0.0)
 
 
-def _check_param(name: str, value: float, positive: bool = True) -> None:
-    if not math.isfinite(value) or (positive and not value > 0):
-        kind = "positive" if positive else "finite"
-        raise DomainError(f"parameter {name} must be a {kind} real, got {value}")
-
-
 @dataclass(frozen=True)
 class Pareto(DistributionModel):
-    """F(t) = 1 - t^(-alpha) on [1, inf)."""
+    """F(t) = 1 - t^(-alpha) on [1, inf): no unit, its own standard member."""
 
     alpha: float
-
-    def __post_init__(self):
-        _check_param("alpha", self.alpha)
-
-    @property
-    def support(self) -> Support:
-        return Support(1.0, math.inf)
+    _POSITIVE = ("alpha",)
+    _ENDS = (1.0, math.inf)
 
     def _cdf(self, t):
         tt = np.maximum(t, 1.0)
@@ -217,38 +251,29 @@ class Pareto(DistributionModel):
     def evt_index(self) -> EvtIndex:
         return EvtIndex(1.0 / self.alpha)
 
-    def normalizing_constants(self, n: float) -> tuple[float, float]:
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
         return n ** (1.0 / self.alpha), 0.0
 
 
 @dataclass(frozen=True)
 class Exponential(DistributionModel):
-    """F(t) = 1 - exp(-rate * t) on [0, inf)."""
+    """F(t) = 1 - exp(-rate * t) on [0, inf): (1/rate)*Exponential(1)."""
 
     rate: float
-
-    def __post_init__(self):
-        _check_param("rate", self.rate)
-
-    @property
-    def support(self) -> Support:
-        return Support(0.0, math.inf)
-
-    def _x(self, t):
-        # t clamped to [0, 1e300/rate], outside which the cdf is 0 or 1: no overflow.
-        return self.rate * np.minimum(np.maximum(t, 0.0), 1e300 / self.rate)
+    _POSITIVE = ("rate",)
+    _ENDS = (0.0, math.inf)
 
     def _cdf(self, t):
-        return -np.expm1(-self._x(t))
+        return -np.expm1(-np.maximum(self._standardize(t), 0.0))
 
     def _sf(self, t):
-        return np.exp(-self._x(t))
+        return np.exp(-np.maximum(self._standardize(t), 0.0))
 
     def _pdf(self, t):
-        return np.where(t < 0.0, 0.0, self.rate * np.exp(-self._x(t)))
+        return np.where(t < 0.0, 0.0, self._sf(t))
 
     def _quantile(self, q):
-        return -np.log1p(-q) / self.rate
+        return -np.log1p(-q)
 
     def _standard(self):
         return 0.0, 1.0 / self.rate, Exponential(1.0)
@@ -256,40 +281,40 @@ class Exponential(DistributionModel):
     def evt_index(self) -> EvtIndex:
         return EvtIndex(0.0)
 
-    def normalizing_constants(self, n: float) -> tuple[float, float]:
-        # Von Mises pair: constant auxiliary function 1/rate at the quantile.
-        return 1.0 / self.rate, math.log(n) / self.rate
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
+        # Von Mises pair: constant auxiliary function 1 at the quantile.
+        return 1.0, math.log(n)
 
 
 @dataclass(frozen=True)
 class Uniform(DistributionModel):
-    """Uniform on [a, b]."""
+    """Uniform on [a, b]: a + (b - a)*Uniform(0, 1)."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        _check_param("a", self.a, positive=False)
-        _check_param("b", self.b, positive=False)
+        super().__post_init__()
         if not self.a < self.b:
             raise DomainError(f"uniform requires a < b, got a={self.a}, b={self.b}")
 
     @property
     def support(self) -> Support:
+        # the stored ends: a + (b - a) need not round to b
         return Support(self.a, self.b)
 
     def _cdf(self, t):
-        return _unit_clip((t - self.a) / (self.b - self.a))
+        return _unit_clip(self._standardize(t))
 
     def _sf(self, t):
-        return _unit_clip((self.b - t) / (self.b - self.a))
+        return _unit_clip(self._below(self.b, t))
 
     def _pdf(self, t):
-        inside = (t >= self.a) & (t <= self.b)
-        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
+        return np.where((t >= self.a) & (t <= self.b), 1.0, 0.0)
 
     def _quantile(self, q):
-        return self.a + q * (self.b - self.a)
+        # a new array, never the caller's q
+        return 0.0 + q
 
     def _standard(self):
         return self.a, self.b - self.a, Uniform(0.0, 1.0)
@@ -297,52 +322,41 @@ class Uniform(DistributionModel):
     def evt_index(self) -> EvtIndex:
         return EvtIndex(-1.0)
 
-    def normalizing_constants(self, n: float) -> tuple[float, float]:
-        return (self.b - self.a) / n, self.b
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
+        return 1.0 / n, 1.0
 
 
 @dataclass(frozen=True)
 class Frechet(DistributionModel):
-    """F(t) = exp(-((t - m)/s)^(-alpha)) on (m, inf)."""
+    """F(t) = exp(-((t - m)/s)^(-alpha)) on (m, inf): m + s*Frechet(0, 1, alpha)."""
 
     m: float
     s: float
     alpha: float
-
-    def __post_init__(self):
-        _check_param("m", self.m, positive=False)
-        _check_param("s", self.s)
-        _check_param("alpha", self.alpha)
-
-    @property
-    def support(self) -> Support:
-        return Support(self.m, math.inf)
-
-    def _z(self, t):
-        return np.maximum((t - self.m) / self.s, 1e-300)
+    _POSITIVE = ("s", "alpha")
+    _ENDS = (0.0, math.inf)
 
     def _cdf(self, t):
+        z = self._standardize(t)
         with np.errstate(over="ignore"):
-            return np.where(t <= self.m, 0.0, np.exp(-self._z(t) ** -self.alpha))
+            return np.where(z <= 0.0, 0.0, np.exp(-np.maximum(z, 1e-300) ** -self.alpha))
 
     def _sf(self, t):
+        z = self._standardize(t)
         with np.errstate(over="ignore"):
-            return np.where(t <= self.m, 1.0, -np.expm1(-self._z(t) ** -self.alpha))
+            return np.where(z <= 0.0, 1.0, -np.expm1(-np.maximum(z, 1e-300) ** -self.alpha))
 
     def _pdf(self, t):
-        # Near and below m, z^(-alpha-1) overflows while exp(-z^-alpha)
+        z = self._standardize(t)
+        # Near and below 0, z^(-alpha-1) overflows while exp(-z^-alpha)
         # underflows: their product is NaN where the density is 0.
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            z = self._z(t)
-            val = (self.alpha / self.s) * z ** (-self.alpha - 1.0) * np.exp(-z ** -self.alpha)
-            val = np.where(np.isfinite(val), val, 0.0)
-        return np.where(t <= self.m, 0.0, val)
+            zz = np.maximum(z, 1e-300)
+            val = self.alpha * zz ** (-self.alpha - 1.0) * np.exp(-zz ** -self.alpha)
+        return np.where((z > 0.0) & np.isfinite(val), val, 0.0)
 
     def _quantile(self, q):
-        with np.errstate(divide="ignore", over="ignore"):
-            y = -np.log(q)
-            out = self.m + self.s * y ** (-1.0 / self.alpha)
-        return np.where(q == 0.0, self.m, out)
+        return np.where(q == 0.0, 0.0, (-np.log(q)) ** (-1.0 / self.alpha))
 
     def _standard(self):
         return self.m, self.s, Frechet(0.0, 1.0, self.alpha)
@@ -350,33 +364,26 @@ class Frechet(DistributionModel):
     def evt_index(self) -> EvtIndex:
         return EvtIndex(1.0 / self.alpha)
 
-    def normalizing_constants(self, n: float) -> tuple[float, float]:
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
         # a_n = F^{-1}(1 - 1/n); log1p keeps precision for large n, and at
-        # n = 1 the limit y = inf gives the lower end F^{-1}(0) = m.
+        # n = 1 the limit y = inf gives the lower end F^{-1}(0) = 0.
         y = -math.log1p(-1.0 / n) if n > 1 else math.inf
-        return self.m + self.s * y ** (-1.0 / self.alpha), 0.0
+        return y ** (-1.0 / self.alpha), 0.0
 
 
 @dataclass(frozen=True)
 class Gumbel(DistributionModel):
-    """F(t) = exp(-exp(-(t - loc)/scale)) on the whole real line."""
+    """F(t) = exp(-exp(-(t - loc)/scale)) on the real line: loc + scale*Gumbel(0, 1)."""
 
     loc: float
     scale: float
-
-    def __post_init__(self):
-        _check_param("loc", self.loc, positive=False)
-        _check_param("scale", self.scale)
-
-    @property
-    def support(self) -> Support:
-        return Support(-math.inf, math.inf)
+    _POSITIVE = ("scale",)
+    _ENDS = (-math.inf, math.inf)
 
     def _w(self, t):
-        # -z = (loc - t)/scale clamped to [-800, 700]: beyond either end the
-        # cdf, sf and pdf are constant in doubles, and exp(-z) stays finite.
-        s = self.scale
-        return np.minimum(np.maximum(self.loc - t, -800.0 * s), 700.0 * s) / s
+        # -z clamped to [-800, 700]: beyond either end the cdf, sf and pdf
+        # are constant in doubles, and exp(-z) stays finite.
+        return np.minimum(np.maximum(-self._standardize(t), -800.0), 700.0)
 
     def _cdf(self, t):
         return np.exp(-np.exp(self._w(t)))
@@ -386,11 +393,11 @@ class Gumbel(DistributionModel):
 
     def _pdf(self, t):
         w = self._w(t)
-        return np.exp(w - np.exp(w)) / self.scale
+        return np.exp(w - np.exp(w))
 
     def _quantile(self, q):
-        with np.errstate(divide="ignore"):
-            return self.loc - self.scale * np.log(-np.log(q))
+        # 0.0 - x, not -x: +0.0 where -log(q) rounds to 1
+        return 0.0 - np.log(-np.log(q))
 
     def _standard(self):
         return self.loc, self.scale, Gumbel(0.0, 1.0)
@@ -398,14 +405,14 @@ class Gumbel(DistributionModel):
     def evt_index(self) -> EvtIndex:
         return EvtIndex(0.0)
 
-    def normalizing_constants(self, n: float) -> tuple[float, float]:
-        # Max-stability is exact: F^n(scale*t + loc + scale*log n) = F(t).
-        return self.scale, self.loc + self.scale * math.log(n)
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
+        # Max-stability is exact: F^n(t + log n) = F(t).
+        return 1.0, math.log(n)
 
 
 @dataclass(frozen=True)
 class BoundedPower(DistributionModel):
-    """F(t) = 1 - ((omega - t)/omega)^alpha on [0, omega].
+    """F(t) = 1 - ((omega - t)/omega)^alpha on [0, omega]: omega*BoundedPower(1, alpha).
 
     A reversed-Weibull-type family on nonnegative support; Uniform(0, 1) is
     the omega = alpha = 1 member.
@@ -413,32 +420,24 @@ class BoundedPower(DistributionModel):
 
     omega: float
     alpha: float
-
-    def __post_init__(self):
-        _check_param("omega", self.omega)
-        _check_param("alpha", self.alpha)
-
-    @property
-    def support(self) -> Support:
-        return Support(0.0, self.omega)
-
-    def _rel(self, t):
-        return _unit_clip((self.omega - t) / self.omega)
+    _POSITIVE = ("omega", "alpha")
+    _ENDS = (0.0, 1.0)
 
     def _cdf(self, t):
-        return 1.0 - self._rel(t) ** self.alpha
+        return 1.0 - _unit_clip(self._below(self.omega, t)) ** self.alpha
 
     def _sf(self, t):
-        return self._rel(t) ** self.alpha
+        return _unit_clip(self._below(self.omega, t)) ** self.alpha
 
     def _pdf(self, t):
-        inside = (t >= 0.0) & (t <= self.omega)
+        below = self._below(self.omega, t)
+        inside = (t >= 0.0) & (below >= 0.0)
         with np.errstate(divide="ignore"):
-            val = (self.alpha / self.omega) * self._rel(t) ** (self.alpha - 1.0)
+            val = self.alpha * _unit_clip(below) ** (self.alpha - 1.0)
         return np.where(inside, val, 0.0)
 
     def _quantile(self, q):
-        return self.omega * (1.0 - (1.0 - q) ** (1.0 / self.alpha))
+        return 1.0 - (1.0 - q) ** (1.0 / self.alpha)
 
     def _standard(self):
         return 0.0, self.omega, BoundedPower(1.0, self.alpha)
@@ -446,8 +445,8 @@ class BoundedPower(DistributionModel):
     def evt_index(self) -> EvtIndex:
         return EvtIndex(-1.0 / self.alpha)
 
-    def normalizing_constants(self, n: float) -> tuple[float, float]:
-        return self.omega * n ** -(1.0 / self.alpha), self.omega
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
+        return n ** -(1.0 / self.alpha), 1.0
 
 
 _SPEC_SCHEMA: dict[str, type] = {

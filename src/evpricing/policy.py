@@ -163,9 +163,9 @@ def _simulate_block(d: DistributionModel, n: int, k: int, T: float,
                     seed: int, block: int, rows: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(
         key=np.array([block, seed], dtype=np.uint64)))
-    # random() draws lie in [0, 1), which every model's _quantile maps without
-    # the checks of the public quantile
-    draws = d._quantile(gen.random((rows, n)))
+    # random() draws lie in [0, 1), where the quantile needs none of the
+    # checks of the public quantile
+    draws = d._unchecked_quantile(gen.random((rows, n)))
     mask = draws > T
     sold = mask & (np.cumsum(mask, axis=1) <= k)
     return np.where(sold, draws, 0.0).sum(axis=1)

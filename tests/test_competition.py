@@ -332,6 +332,27 @@ class TestTheoreticalCc:
         with pytest.raises(DomainError):
             theoretical_cc(1.0)
 
+    @staticmethod
+    def mpmath_cc(g: float) -> float:
+        """(1 - g)*exp(lgamma(1 - g)/g) to 40 digits beyond the cancellation."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40 + (int(-math.log10(abs(g))) if g else 0)):
+            if g == 0.0:
+                return float(mp.exp(mp.euler))
+            x = mp.mpf(g)
+            return float((1 - x) * mp.exp(mp.loggamma(1 - x) / x))
+
+    @pytest.mark.parametrize("g", [*np.linspace(-0.03, 0.03, 19)[1:-1], 0.0299999, -0.0299999,
+                                   0.01, 1e-4, 1e-5, 1e-7, 1e-8, -1e-8, 1e-300, -0.0])
+    def test_series_near_zero_against_mpmath(self, g):
+        # exp(lgamma(1 - g)/g) was 4.0e-12 off at g = 1e-4 and 2.5e-9 at 1e-7
+        g = float(g)
+        assert theoretical_cc(g) == pytest.approx(self.mpmath_cc(g), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("g", [0.03, -0.03, 0.1, -0.1, 0.5, -1.0])
+    def test_closed_form_against_mpmath(self, g):
+        assert theoretical_cc(g) == pytest.approx(self.mpmath_cc(g), rel=1e-14, abs=0.0)
+
 
 class TestEmpiricalCc:
     def test_against_recurrence_oracles(self):

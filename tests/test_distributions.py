@@ -54,6 +54,14 @@ ALL_MODELS = [
     Gumbel(2.0, 0.5),
     BoundedPower(1.0, 2.0),
     BoundedPower(5.0, 0.7),
+    # far from the unit, and a location that puts the scaling a_n below 0
+    # unless it goes into the shift b_n
+    Uniform(0.0, 1e-8),
+    BoundedPower(1e-8, 2.0),
+    Exponential(1e8),
+    Gumbel(0.0, 1e-8),
+    Frechet(0.0, 1e-8, 2.5),
+    Frechet(-10.0, 1.0, 2.0),
 ]
 
 
@@ -217,8 +225,9 @@ class TestNormalizingSequences:
 
     @pytest.mark.parametrize("d", [Frechet(0.0, 1.0, 2.0), Frechet(-1.0, 2.0, 3.0)], ids=repr)
     def test_frechet_at_one_is_lower_end(self, d):
-        # the limit of F^{-1}(1 - 1/n) as n -> 1, where log1p(-1/n) has a pole
-        assert d.normalizing_constants(1) == (d.m, 0.0)
+        # the limit of the standard F^{-1}(1 - 1/n) as n -> 1, where
+        # log1p(-1/n) has a pole, is its lower end 0; the location is b_n
+        assert d.normalizing_constants(1) == (0.0, d.m)
 
 
 class TestOrderStatisticTail:

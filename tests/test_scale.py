@@ -9,6 +9,7 @@ metamorphic relation X -> c*X (Chen et al., "Metamorphic testing", ACM CSUR
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,3 +168,37 @@ class TestScaleEquivariance:
             same(one.mean(), dc.mean(), c)
             same(prophet_value(one, n, k), prophet_value(dc, n, k), c)
             same(best_fixed_price(one, n, k).ratio, best_fixed_price(dc, n, k).ratio, 1.0)
+
+
+class TestUnitMap:
+    """The one map from a model's unit to its standard member's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(SCALED)), shape=st.floats(0.3, 8.0),
+           loc=st.floats(-1e6, 1e6), log_c=st.floats(-10.0, 10.0),
+           q=st.floats(1e-300, 1.0, exclude_max=True), n=st.floats(1.0, 1e12))
+    def test_quantile_and_normalizing_constants_are_the_standard_ones_mapped(
+            self, kind, shape, loc, log_c, q, n):
+        d = SCALED[kind](shape, loc, 10.0 ** log_c)
+        loc, scale, z = d._standard()
+        assert float(d.quantile(q)).hex() == (loc + scale * float(z.quantile(q))).hex()
+        qs = np.array([q, 0.5, 0.5 * q])
+        assert np.array_equal(d.quantile(qs), loc + scale * z.quantile(qs))
+        a_z, b_z = z.normalizing_constants(n)
+        assert [x.hex() for x in d.normalizing_constants(n)] == [
+            (scale * a_z).hex(), (loc + scale * b_z).hex()]
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+    @pytest.mark.parametrize("d", [BoundedPower(5.0, 0.7), BoundedPower(3.0, 2.0),
+                                   Uniform(1.0, 4.0), Uniform(-2.0, 0.7)], ids=repr)
+    def test_sf_near_the_upper_end_keeps_its_digits(self, d, q):
+        # the distance below the stored upper end, not 1 - (t - loc)/scale,
+        # which at q = 1 - 1e-9 put BoundedPower(5, 0.7) 1.1e-4 off
+        mp = pytest.importorskip("mpmath")
+        t = float(d.quantile(q))
+        with mp.workdps(40):
+            if isinstance(d, Uniform):
+                exact = (mp.mpf(d.b) - mp.mpf(t)) / (mp.mpf(d.b) - mp.mpf(d.a))
+            else:
+                exact = ((mp.mpf(d.omega) - mp.mpf(t)) / mp.mpf(d.omega)) ** mp.mpf(d.alpha)
+        assert float(d.sf(t)) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
