@@ -2,16 +2,11 @@
 
 The dynamic-programming value sequence G_0 = 0, G_{n+1} = E max(X, G_n) is
 extended through its tail-integral form G_{n+1} = G_n + I(G_n), with
-I(g) = int_g^{omega_1} (1 - F(u)) du.  The tail I is carried along the
-sequence: I(G_{n+1}) = I(G_n) - int_{G_n}^{G_{n+1}} (1 - F(u)) du, so a step
-costs one short finite quadrature, to an absolute tolerance in proportion to
-the step: the one quadrature outside :mod:`evpricing.distributions`.  The full
-tail I(g) of that module only starts the sequence (G_1 is the mean) and
-re-anchors the running tail after cancellation has eaten into it.  The
-competition complexity at market size n is the least m with G_m >= E max(M_n,
-0) for the maximum M_n of n draws (``expected_max``, by the rule of the
-anchors, so G_1 at n = 1), reported as m/n next to the closed form
-(1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+I(g) = int_g^{omega_1} (1 - F(u)) du the model's closed form
+(``_tail_integral``), so a step takes no quadrature.  The competition
+complexity at market size n is the least m with G_m >= E max(M_n, 0) for the
+maximum M_n of n draws (``expected_max``, which is I(0) = G_1 at n = 1),
+reported as m/n next to the closed form (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 """
 
 from __future__ import annotations
@@ -19,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .distributions import DistributionModel, EvtFamily, _sf_integral, expected_max
+from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, expected_max
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .kernel import integrate
 
 __all__ = [
     "PolicySequence",
@@ -36,41 +28,23 @@ __all__ = [
     "expected_max_approx",
 ]
 
-EULER_MASCHERONI = float(np.euler_gamma)
-
 #: zeta(2), ..., zeta(12): the series of ``theoretical_cc`` leaves out terms
 #: below 1e-19 relative at |gamma| < 0.03.
 _ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
          1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
          1.000994575127818, 1.0004941886041194, 1.000246086553308)
 
-#: Each finite piece int_{G_n}^{G_{n+1}} (1 - F) is integrated to this
-#: tolerance relative to the step G_{n+1} - G_n.  A piece's error stays in
-#: every later value until the next anchor; at 1e-12 the first Pareto(3)
-#: piece, across the kink at 1, left 2.5e-13 relative error in G_n.
-_PIECE_RTOL = 1e-13
-
-#: Subtracting pieces from the running tail loses its leading digits; once it
-#: falls below this fraction of the last anchored tail, a fresh semi-infinite
-#: quadrature replaces it, which bounds the cancellation to three digits.
-_REANCHOR_FRACTION = 1e-3
-
 
 @dataclass
 class PolicySequence:
     """Append-only dynamic-programming values G_0..G_N for one model.
 
-    Single writer: extension mutates the list in place and owns the running
-    tail integral kept for the last value; reading an already computed prefix
-    from other threads is safe.
+    Single writer: extension mutates the list in place; reading an already
+    computed prefix from other threads is safe.
     """
 
     model: DistributionModel
     values: list[float] = field(default_factory=lambda: [0.0])
-    #: (n, I(G_n), last anchored tail) for n = len(values) - 1, or None;
-    #: a sequence whose values were set from outside re-anchors.
-    _tail: tuple[int, float, float] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model.evt_index().gamma >= 1:
@@ -91,23 +65,10 @@ def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
         raise DomainError(f"extend_policy requires up_to >= 0, got {up_to}")
     if len(seq.values) > up_to:
         return seq
-    d = seq.model
-    g = seq.values[-1]
-    if seq._tail is not None and seq._tail[0] == len(seq.values) - 1:
-        _, tail, anchor = seq._tail
-    else:
-        tail = anchor = _sf_integral(d, g)
+    d, g = seq.model, seq.values[-1]
     while len(seq.values) <= up_to:
-        g_next = g + tail
-        seq.values.append(g_next)
-        # The step vanishes at the top of a bounded support, or when it is
-        # below one ulp of g; the tail at an unmoved g is unchanged.
-        if g_next > g:
-            tail -= integrate(d.sf, g, g_next, tol=_PIECE_RTOL * (g_next - g))
-            if tail < _REANCHOR_FRACTION * anchor:
-                tail = anchor = _sf_integral(d, g_next)
-        g = g_next
-    seq._tail = (len(seq.values) - 1, tail, anchor)
+        g += d._tail_integral(g)
+        seq.values.append(g)
     return seq
 
 
@@ -194,7 +155,7 @@ def expected_max_approx(d: DistributionModel, n: int) -> float:
     gamma = ev.gamma
     if gamma >= 1:
         raise DomainError(f"approximation requires gamma < 1, got {gamma}")
-    loc, scale, z = d._standard()
+    loc, scale, z = d._reduced
     if loc != 0.0 or scale != 1.0:
         return loc + scale * expected_max_approx(z, n)
     if ev.family is EvtFamily.FRECHET:

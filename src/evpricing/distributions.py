@@ -3,14 +3,12 @@ for a standard member Z that alone carries the arithmetic, and functionals
 generic over them: order-statistic tails and means, expected maxima,
 conditional means and virtual valuations.  Every operation is pure.
 
-This module alone maps a model's tail to a finite bracket and picks its
-quadrature options, by one rule, ``_sf_integral`` from T of a survival-type
-function: sf itself for I(T) = E(X - T)^+ behind ``mean()``, the conditional
-means and the anchors of :mod:`evpricing.competition`, and from 0 the survival
-functions of the maximum and of the order statistics for their means.  The
-conditional means on a grid of thresholds, for the policy value and for
-``conditional_mean_above``, are one sweep (``_conditional_means``); only the DP
-pieces of :mod:`evpricing.competition` set their own tolerance.
+The tail integral I(T) = E(X - T)^+ has one route, a closed form per kind
+(``_tail_integral``): it gives ``mean()``, ``expected_max`` at n = 1, the
+conditional means T + I(T)/sf(T) and the steps of :mod:`evpricing.competition`.
+The means of the maximum and of the order statistics are quadratures from 0
+of their survival functions, and this module alone maps such a tail to a
+finite bracket and picks its quadrature options, by one rule (``_sf_integral``).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import _capped_sum, find_root, integrate
+from .kernel import _alternating_series, _capped_sum, _upper_gamma, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -47,6 +45,7 @@ __all__ = [
 ]
 
 ArrayLike = float | np.ndarray
+EULER_MASCHERONI = float(np.euler_gamma)
 
 # The unit binomial tail P(Bin(n, p) >= 1) up to this sample size is a log-space
 # sum; every other tail walks the masses.  The README golden of `converge` on
@@ -54,9 +53,6 @@ ArrayLike = float | np.ndarray
 # fix it at rounding level, so that golden pins the exact bits of this sum (its
 # printed ratio there is one off in the last place against mpmath).
 _DIRECT_BINOMIAL_MAX_N = 1000
-
-#: Relative tolerance of each finite piece of sf in ``_conditional_means``.
-_PIECE_RTOL = 1e-13
 
 
 class EvtFamily(Enum):
@@ -113,9 +109,10 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
 class DistributionModel(ABC):
     """Common surface of all parametric models: X = loc + scale*Z for the
     standard member Z of ``_standard``, a unit that this class alone maps.
-    Each kind writes Z's arithmetic: ``_cdf``, ``_sf`` and ``_pdf`` at t through
-    ``_standardize`` or ``_below``, and ``_quantile``, ``_normalizing_constants``
-    and ``_ENDS`` of Z.  Each field must be finite, those in ``_POSITIVE`` positive.
+    Each kind writes Z's arithmetic: ``_cdf``, ``_sf``, ``_pdf`` and the scalar
+    tail integral ``_tail`` at t through ``_standardize`` or ``_below``, and
+    ``_quantile``, ``_normalizing_constants`` and ``_ENDS`` of Z.  Each field
+    must be finite, those in ``_POSITIVE`` positive.
     """
 
     _POSITIVE: tuple[str, ...] = ()
@@ -134,12 +131,13 @@ class DistributionModel(ABC):
         return 0.0, 1.0, self
 
     @functools.cached_property
-    def _unit(self) -> tuple[float, float]:
-        return self._standard()[:2]
+    def _reduced(self) -> tuple[float, float, DistributionModel]:
+        """``_standard()``, built once per model."""
+        return self._standard()
 
     def _standardize(self, t: np.ndarray) -> np.ndarray:
         """(t - loc)/scale, +-inf past the double range, where every kind is flat."""
-        loc, scale = self._unit
+        loc, scale, _ = self._reduced
         if loc == 0.0 and scale == 1.0:
             return t
         with np.errstate(over="ignore"):
@@ -148,7 +146,7 @@ class DistributionModel(ABC):
     def _below(self, hi: float, t: np.ndarray) -> np.ndarray:
         """(hi - t)/scale below a finite upper end hi, where 1 - z loses digits.  At
         scale 1, |hi| < 2**54 and hi - t cannot overflow."""
-        scale = self._unit[1]
+        scale = self._reduced[1]
         if scale == 1.0:
             return hi - t
         with np.errstate(over="ignore"):
@@ -157,7 +155,7 @@ class DistributionModel(ABC):
     @functools.cached_property
     def support(self) -> Support:
         """Open support interval (omega_0, omega_1): loc + scale*(Z's ends)."""
-        loc, scale = self._unit
+        loc, scale, _ = self._reduced
         return Support(loc + scale * self._ENDS[0], loc + scale * self._ENDS[1])
 
     @abstractmethod
@@ -173,6 +171,9 @@ class DistributionModel(ABC):
     def _quantile(self, q: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
+    def _tail(self, t: float) -> float: ...
+
+    @abstractmethod
     def _normalizing_constants(self, n: float) -> tuple[float, float]: ...
 
     @abstractmethod
@@ -182,7 +183,7 @@ class DistributionModel(ABC):
         """Scaling a_n and shift b_n making (M_n - b_n)/a_n converge, for real n >= 1:
         (scale*a_n, loc + scale*b_n) from Z's pair; a_n > 0 but Frechet's a_1 = 0."""
         a_n, b_n = self._normalizing_constants(n)
-        loc, scale = self._unit
+        loc, scale, _ = self._reduced
         return scale * a_n, loc + scale * b_n
 
     def cdf(self, t: ArrayLike) -> ArrayLike:
@@ -196,7 +197,7 @@ class DistributionModel(ABC):
 
     def pdf(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        return _maybe_scalar(self._pdf(arr) / self._unit[1], arr.ndim == 0)
+        return _maybe_scalar(self._pdf(arr) / self._reduced[1], arr.ndim == 0)
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
         """Generalized inverse F^{-1}(q) = inf{t : F(t) >= q}; q = 0 or 1 only
@@ -213,16 +214,22 @@ class DistributionModel(ABC):
 
     def _unchecked_quantile(self, q: np.ndarray) -> np.ndarray:
         """loc + scale*(Z's quantile), without the checks of ``quantile``."""
-        loc, scale = self._unit
+        loc, scale, _ = self._reduced
         with np.errstate(divide="ignore", over="ignore"):
             z = self._quantile(q)
             return z if loc == 0.0 and scale == 1.0 else loc + scale * z
+
+    def _tail_integral(self, T: float) -> float:
+        """I(T) = E(X - T)^+ at a float T: scale times Z's ``_tail``."""
+        if self.evt_index().gamma >= 1:
+            raise DivergenceError(f"infinite mean: {self!r} has tail index gamma >= 1")
+        return self._reduced[1] * self._tail(T)
 
     def mean(self) -> float:
         """First moment I(0), the tail integral from 0 (nonnegative support only)."""
         if self.support.lo < 0:
             raise DomainError("mean() supports nonnegative-support models only")
-        return _sf_integral(self, 0.0)
+        return self._tail_integral(0.0)
 
 
 @dataclass(frozen=True)
@@ -247,6 +254,10 @@ class Pareto(DistributionModel):
 
     def _quantile(self, q):
         return (1.0 - q) ** (-1.0 / self.alpha)
+
+    def _tail(self, t):
+        a = self.alpha
+        return (1.0 - t) + 1.0 / (a - 1.0) if t < 1.0 else t ** (1.0 - a) / (a - 1.0)
 
     def evt_index(self) -> EvtIndex:
         return EvtIndex(1.0 / self.alpha)
@@ -274,6 +285,10 @@ class Exponential(DistributionModel):
 
     def _quantile(self, q):
         return -np.log1p(-q)
+
+    def _tail(self, t):
+        z = self._standardize(t)
+        return 1.0 - z if z < 0.0 else math.exp(-z)
 
     def _standard(self):
         return 0.0, 1.0 / self.rate, Exponential(1.0)
@@ -315,6 +330,9 @@ class Uniform(DistributionModel):
     def _quantile(self, q):
         # a new array, never the caller's q
         return 0.0 + q
+
+    def _tail(self, t):
+        return _power_tail(self._below(self.b, t), 1.0)
 
     def _standard(self):
         return self.a, self.b - self.a, Uniform(0.0, 1.0)
@@ -358,6 +376,17 @@ class Frechet(DistributionModel):
     def _quantile(self, q):
         return np.where(q == 0.0, 0.0, (-np.log(q)) ** (-1.0 / self.alpha))
 
+    def _tail(self, t):
+        # with x = z^-alpha: a series in x, or E Z - z + E(z - Z)^+ (DLMF 8.9.2)
+        z, b = self._standardize(t), -1.0 / self.alpha
+        try:
+            x = z ** -self.alpha if z > 0.0 else math.inf
+        except OverflowError:
+            x = math.inf
+        if x <= 2.0:
+            return z / self.alpha * _alternating_series(b, x) if z < math.inf else 0.0
+        return math.gamma(1.0 + b) - z + _upper_gamma(b, x) / self.alpha
+
     def _standard(self):
         return self.m, self.s, Frechet(0.0, 1.0, self.alpha)
 
@@ -399,6 +428,17 @@ class Gumbel(DistributionModel):
         # 0.0 - x, not -x: +0.0 where -log(q) rounds to 1
         return 0.0 - np.log(-np.log(q))
 
+    def _tail(self, t):
+        # Ein(x) at x = e^-z, the b = 0 case of Frechet's forms (DLMF 6.6.4)
+        z = self._standardize(t)
+        try:
+            x = math.exp(-z)
+        except OverflowError:
+            x = math.inf
+        if x <= 2.0:
+            return _alternating_series(0.0, x)
+        return EULER_MASCHERONI - z + _upper_gamma(0.0, x)
+
     def _standard(self):
         return self.loc, self.scale, Gumbel(0.0, 1.0)
 
@@ -439,6 +479,9 @@ class BoundedPower(DistributionModel):
     def _quantile(self, q):
         return 1.0 - (1.0 - q) ** (1.0 / self.alpha)
 
+    def _tail(self, t):
+        return _power_tail(self._below(self.omega, t), self.alpha)
+
     def _standard(self):
         return 0.0, self.omega, BoundedPower(1.0, self.alpha)
 
@@ -447,6 +490,12 @@ class BoundedPower(DistributionModel):
 
     def _normalizing_constants(self, n: float) -> tuple[float, float]:
         return n ** -(1.0 / self.alpha), 1.0
+
+
+def _power_tail(w: float, a: float) -> float:
+    """Z's I(t) for sf = w^a at w = (hi - t)/scale: w^(a+1)/(a+1) on the support,
+    plus w - 1 below it."""
+    return min(w, 1.0) ** (a + 1.0) / (a + 1.0) + max(w - 1.0, 0.0) if w > 0.0 else 0.0
 
 
 _SPEC_SCHEMA: dict[str, type] = {
@@ -576,8 +625,10 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
 
 def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
                  n: int = 1) -> float:
-    """int_T^{omega_1} S(u) du for S = of_sf(sf): by default I(T) = E(X - T)^+.
-    S falls like sf^j, so its tail index is gamma/j, and the integral diverges
+    """int_T^{omega_1} S(u) du for S = of_sf(sf), by quadrature: the means of the
+    maximum and of the order statistics from T = 0, and by default I(T) =
+    E(X - T)^+, whose route is the closed form ``_tail_integral``.  S falls like
+    sf^j, so its tail index is gamma/j, and the integral diverges
     (DivergenceError) when gamma/j >= 1; n is the sample size when S is the
     tail of an order statistic.
 
@@ -601,7 +652,7 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     inf, if the map leaves the double range before the tail is resolved
     (gamma close to 1: Pareto maxima at alpha = 1.01).
     """
-    loc, scale, z = d._standard()
+    loc, scale, z = d._reduced
     if loc != 0.0 or scale != 1.0:
         return scale * _sf_integral(z, (T - loc) / scale, of_sf, j, n)
     gamma = d.evt_index().gamma / j
@@ -635,13 +686,10 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     h = s_T / f_T if f_T > 0.0 else 1.0
     q = max(1.0, gamma / (1.0 - gamma))
     # Products with h come last, so that at h = 1 the map is x = T + t/(1-t)
-    # bit for bit.  q = 1 is written out: through the general branch
-    # (min of 6 interleaved runs, 2-vCPU VM) conditional_mean_above(
-    # Exponential(1), 3) took 0.24 ms, not 0.17; expected_max(Frechet(0, 1,
-    # 2.5), 30) 1.70 ms, not 1.38; empirical_competition_complexity(
-    # Exponential(1), 35) 1.31 ms, not 1.20; best_fixed_price(Pareto(2),
-    # 1000, 1) 41.8 ms, not 30.7.  It also moved Exponential thresholds by
-    # up to 5.6e-9 relative.
+    # bit for bit.  q = 1 is written out: through the general branch (min of
+    # 7 interleaved repeats, 2-vCPU VM) expected_max(Frechet(0, 1, 2.5), 30)
+    # took 1.03 ms, not 0.85, and expected_max(Exponential(1), 35) 0.31 ms,
+    # not 0.24; the Frechet value also moved by an ulp.
     if q == 1.0:
         def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
             return S(T + h * (t / om)) / (om * om) * h
@@ -684,9 +732,7 @@ def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
 
 
 def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
-    """1 - (1 - s)^n for survival values s, without cancellation; s itself at n = 1."""
-    if n == 1:
-        return s
+    """1 - (1 - s)^n for survival values s, without cancellation."""
     with np.errstate(divide="ignore"):
         return -np.expm1(n * np.log1p(-_unit_clip(s)))
 
@@ -696,6 +742,8 @@ def expected_max(d: DistributionModel, n: int) -> float:
     at n = 1 the tail integral I(0), which is G_1 of :mod:`evpricing.competition`."""
     if n < 1:
         raise DomainError(f"expected_max requires n >= 1, got {n}")
+    if n == 1:
+        return d._tail_integral(0.0)
     return _sf_integral(d, 0.0, lambda s: _survival_power(s, n), 1, n)
 
 
@@ -712,9 +760,7 @@ def _conditional_means(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
     to that end.  On an infinite lower end (Gumbel) T is raised to the 2**-53
     quantile: the double-exponential left tail below it moves E(X | X > T) by
     less than 1e-15 relative, while T + I(T)/sf(T) would lose digits in
-    proportion to |T|.  I(T) is ``_sf_integral`` at the top threshold, carried
-    down the grid as I(T_i) = I(T_{i+1}) + int_{T_i}^{T_{i+1}} sf: finite
-    pieces of a positive integrand, each to _PIECE_RTOL, with no cancellation.
+    proportion to |T|.  I(T) is the closed form ``_tail_integral`` at each T.
     """
     lo = d.support.lo
     floor = float(d.quantile(2.0 ** -53)) if lo == -math.inf else lo
@@ -722,13 +768,7 @@ def _conditional_means(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
     s = _sf_points(d, T)
     if not s[-1] > 0.0:
         raise DomainError(f"F({float(T[-1])}) = 1: conditioning event has probability 0")
-    tail = np.empty_like(T)
-    tail[-1] = _sf_integral(d, float(T[-1]))
-    for i in range(len(T) - 2, -1, -1):
-        a, b = float(T[i]), float(T[i + 1])
-        tail[i] = tail[i + 1] + (integrate(d.sf, a, b, tol=0.0, rtol=_PIECE_RTOL)
-                                 if a < b else 0.0)
-    return T + tail / s
+    return T + np.array([d._tail_integral(t) for t in T.tolist()]) / s
 
 
 def conditional_mean_above(d: DistributionModel, T: float) -> float:
@@ -769,7 +809,7 @@ def virtual_tail_ratio(d: DistributionModel, t: float) -> float:
     sup = d.support
     if not sup.lo <= t < sup.hi:
         raise DomainError(f"t={t} must lie inside the support {sup}")
-    loc, scale, z = d._standard()
+    loc, scale, z = d._reduced
     if loc != 0.0 or scale != 1.0:
         return virtual_tail_ratio(z, (t - loc) / scale)
     _probe_monotone_virtual(d, t)

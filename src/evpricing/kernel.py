@@ -1,5 +1,6 @@
 """Special functions in Python (a walk over the masses of a Poisson or binomial
-law, and W_{-1}) and generic one-dimensional numerical routines.
+law, W_{-1}, and the series and continued fraction behind the closed-form tail
+integrals) and generic one-dimensional numerical routines.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -119,6 +120,39 @@ def lambert_w_minus1(z: float) -> float:
                            w, step)
 
 
+def _alternating_series(b: float, x: float) -> float:
+    """S_b(x) = sum_{k>=1} (-1)^(k+1) x^k/(k! (k + b)) for 0 <= x <= 2, b > -1,
+    summed until a term falls below eps of the sum: Ein(x) at b = 0 (DLMF 6.6.4)."""
+    total, term, k = 0.0, -1.0, 0
+    while True:
+        k += 1
+        term *= -x / k
+        add = term / (k + b)
+        total += add
+        if abs(add) <= _EPS * abs(total):
+            return total
+
+
+def _upper_gamma(b: float, x: float) -> float:
+    """Gamma(b, x) for x >= 2, -1 < b <= 0 (E1(x) at b = 0), by Lentz's evaluation of
+    e^-x x^b/(x + 1 - b - 1(1 - b)/(x + 3 - b - ...)) (DLMF 8.9.2), which settles
+    within 60 steps there."""
+    prefactor = math.exp(-x) * x ** b
+    if prefactor == 0.0:
+        return 0.0
+    den = x + 1.0 - b
+    c, d = math.inf, 1.0 / den
+    h = d
+    for i in range(1, 200):
+        num, den = i * (i - b), den + 2.0
+        d = 1.0 / (den - num * d)
+        c = den - num / c
+        h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    return prefactor * h
+
+
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule (positive
 # abscissae; the rule is symmetric).  Gauss nodes sit at indices 1, 3, 5, 7.
 _XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -212,28 +246,17 @@ def integrate(f: Callable[[np.ndarray], Any], lo: float, hi: float,
     if not (tol >= 0 and rtol >= 0 and (tol > 0 or rtol > 0)):
         raise DomainError(
             f"integrate requires tol, rtol >= 0, not both 0, got tol={tol}, rtol={rtol}")
-    inner = sorted({c for c in points if lo < c < hi}) if points else ()
+    edges = [lo, *sorted({c for c in points if lo < c < hi}), hi]
     # Heap entries: (-error, id, a, b, value, error).  Entries with key 0.0
     # are panels too narrow to split further; their error is kept in the sum.
-    if not inner:
-        v0, e0 = _gk15(f, lo, hi)
-        if e0 <= max(tol, rtol * abs(v0)):
-            # One panel met the target (as every DP step and most short
-            # finite pieces do): the sums below would return its value, with
-            # -0.0 made 0.0 by their start at 0.0.
-            return 0.0 + v0
-        heap = [(-e0, 0, lo, hi, v0, e0)]
-        total_val, total_err = v0, e0
-    else:
-        edges = [lo, *inner, hi]
-        heap = []
-        total_val = total_err = 0.0
-        for a0, b0 in zip(edges, edges[1:]):
-            v0, e0 = _gk15(f, a0, b0)
-            heap.append((-e0, len(heap), a0, b0, v0, e0))
-            total_val += v0
-            total_err += e0
-        heapq.heapify(heap)
+    heap = []
+    total_val = total_err = 0.0
+    for a0, b0 in zip(edges, edges[1:]):
+        v0, e0 = _gk15(f, a0, b0)
+        heap.append((-e0, len(heap), a0, b0, v0, e0))
+        total_val += v0
+        total_err += e0
+    heapq.heapify(heap)
     next_id = len(heap)
     while total_err > max(tol, rtol * abs(total_val)) and next_id < MAX_INTERVALS:
         key, _, a0, b0, v0, e0 = heapq.heappop(heap)

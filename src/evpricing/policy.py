@@ -130,7 +130,7 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     a width in x, and the spread the scan compares with it are unit-free."""
     _check_n_k(n, k)
     prophet = prophet_value(d, n, k)
-    loc, scale, z = d._standard()
+    loc, scale, z = d._reduced
     lo = (max(d.support.lo, 0.0) - loc) / scale
     hi = float(z.quantile(1.0 - _T_SEARCH_TAIL))
     x_star, fp = maximize_1d(
@@ -150,7 +150,7 @@ def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
         raise DomainError(f"theory_threshold requires n >= 1, got {n}")
     if math.isnan(U):
         raise DomainError("limit ratio U is NaN")
-    loc, scale, z = d._standard()
+    loc, scale, z = d._reduced
     if loc != 0.0 or scale != 1.0:
         return loc + scale * theory_threshold(z, n, U)
     if d.evt_index().family is EvtFamily.REVERSED_WEIBULL:

@@ -557,6 +557,97 @@ class TestSfIntegral:
         assert _sf_integral(Exponential(1.0), 800.0) == 0.0
 
 
+TAIL_ALPHAS = [1.02, 1.2, 1.5, 1.657, 2.0, 2.5, 5.0, 50.0, 1e3, 1e4, 1e5, 1e6]
+TAIL_SCALES = [1e-8, 1.0, 1e8]
+TAIL_QUANTILES = [1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+
+
+def tail_model(kind: str, alpha: float, scale: float):
+    """The model of each kind with shape alpha (where it has one) and unit scale."""
+    return {"pareto": Pareto(alpha), "exp": Exponential(1.0 / scale),
+            "uniform": Uniform(0.0, scale), "frechet": Frechet(0.0, scale, alpha),
+            "gumbel": Gumbel(0.0, scale), "bpower": BoundedPower(scale, alpha)}[kind]
+
+
+def mpmath_tail_integral(d, T: float):
+    """I(T) = E(X - T)^+ at the double T, from each kind's closed form in
+    50-digit mpmath: incomplete gamma for Frechet, E1 for Gumbel."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        T = mp.mpf(T)
+        if isinstance(d, Pareto):
+            a = mp.mpf(d.alpha)
+            return (1 - T) + 1 / (a - 1) if T < 1 else T ** (1 - a) / (a - 1)
+        if isinstance(d, Exponential):
+            return 1 / mp.mpf(d.rate) - T if T < 0 else mp.exp(-d.rate * T) / d.rate
+        if isinstance(d, (Uniform, BoundedPower)):
+            lo, hi, a = (d.a, d.b, 1) if isinstance(d, Uniform) else (0, d.omega, d.alpha)
+            width, a = mp.mpf(hi) - lo, mp.mpf(a)
+            w = (hi - T) / width
+            return width * (min(w, 1) ** (a + 1) / (a + 1) + max(w - 1, 0)) if w > 0 else 0
+        if isinstance(d, Frechet):
+            z, a = (T - d.m) / d.s, mp.mpf(d.alpha)
+            if z <= 0:
+                return d.s * (mp.gamma(1 - 1 / a) - z)
+            x = z ** -a
+            return d.s * (mp.gammainc(1 - 1 / a, 0, x) + z * mp.expm1(-x))
+        x = mp.exp(-(T - d.loc) / d.scale)
+        return d.scale * (mp.e1(x) + mp.log(x) + mp.euler)
+
+
+class TestTailIntegral:
+    """The closed form ``_tail_integral`` against 50-digit mpmath, to 1e-13
+    relative or 1e-15 absolute in units of max(scale, |T|)."""
+
+    @staticmethod
+    def check(d, scale: float):
+        points = [float(d.quantile(q)) for q in TAIL_QUANTILES]
+        if d.support.lo > -math.inf:
+            points.append(d.support.lo - scale)
+        for T in points:
+            assert d._tail_integral(T) == pytest.approx(
+                float(mpmath_tail_integral(d, T)), rel=1e-13,
+                abs=1e-15 * max(scale, abs(T))), (d, T)
+
+    @pytest.mark.parametrize("alpha", TAIL_ALPHAS)
+    def test_pareto(self, alpha):
+        self.check(Pareto(alpha), 1.0)
+
+    @pytest.mark.parametrize("kind", ["frechet", "bpower"])
+    @pytest.mark.parametrize("alpha", TAIL_ALPHAS)
+    def test_shaped_kinds(self, kind, alpha):
+        for scale in TAIL_SCALES:
+            self.check(tail_model(kind, alpha, scale), scale)
+
+    @pytest.mark.parametrize("kind", ["exp", "uniform", "gumbel"])
+    def test_shapeless_kinds(self, kind):
+        for scale in TAIL_SCALES:
+            self.check(tail_model(kind, 1.0, scale), scale)
+
+    @pytest.mark.parametrize("kind", ["pareto", "exp", "uniform", "frechet", "gumbel", "bpower"])
+    def test_finite_at_the_ends_of_the_double_range(self, kind):
+        for scale in TAIL_SCALES:
+            d = tail_model(kind, 2.5, scale)
+            assert d._tail_integral(1e300) == 0.0
+            assert d._tail_integral(-1e300) == pytest.approx(1e300, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["pareto", "exp", "uniform", "frechet", "gumbel", "bpower"]),
+           alpha=st.floats(1.02, 1e6), scale=st.sampled_from(TAIL_SCALES),
+           u=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)),
+           step=st.floats(0.0, 10.0))
+    def test_nonnegative_nonincreasing_and_1_lipschitz(self, kind, alpha, scale, u, step):
+        # T = u in units of scale near the mass, anywhere in [-1e300, 1e300] beyond it
+        d = tail_model(kind, alpha, scale)
+        T1 = min(max(u * scale, -1e300), 1e300)
+        T2 = min(T1 + step * scale, 1e300)
+        i1, i2 = d._tail_integral(T1), d._tail_integral(T2)
+        assert math.isfinite(i1) and math.isfinite(i2) and i2 >= 0.0
+        slack = 1e-13 * i1 + 1e-15 * max(scale, abs(T1), abs(T2))
+        assert i2 <= i1 + slack
+        assert i1 - i2 <= (T2 - T1) + slack
+
+
 class TestConditionalMean:
     def test_exponential_memoryless(self):
         assert conditional_mean_above(Exponential(1.0), 1.0) == pytest.approx(2.0, abs=1e-9)
@@ -592,10 +683,8 @@ class TestConditionalMean:
     @pytest.mark.parametrize("m, s, alpha", [
         *((m, s, alpha) for m, s in [(0.0, 1.0), (-1.0, 2.0)]
           for alpha in [1.2, 1.656, 2.5, 10.0, 100.0, 1000.0]),
-        pytest.param(0.0, 1.0, 1e4, marks=pytest.mark.xfail(
-            strict=True, reason="narrow Frechet: relative error 2.1e-4")),
-        pytest.param(0.0, 1.0, 1e5, marks=pytest.mark.xfail(
-            strict=True, reason="narrow Frechet: relative error 2.1e-5")),
+        (0.0, 1.0, 1e4),
+        (0.0, 1.0, 1e5),
     ])
     def test_frechet_closed_form(self, m, s, alpha):
         d = Frechet(m, s, alpha)
@@ -881,6 +970,15 @@ class TestMean:
         # large-scale model: Frechet mean is s * Gamma(1 - 1/alpha)
         assert Frechet(0.0, 289.0, 2.24).mean() == pytest.approx(
             289.0 * math.gamma(1.0 - 1.0 / 2.24), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [1e3, 3e3, 1e4, 1e6])
+    def test_narrow_shapes(self, alpha):
+        # the mass is about 1/alpha wide: one closed form each, no quadrature
+        assert Pareto(alpha).mean() == pytest.approx(alpha / (alpha - 1.0), rel=1e-15, abs=0.0)
+        assert Frechet(0.0, 1.0, alpha).mean() == pytest.approx(
+            math.gamma(1.0 - 1.0 / alpha), rel=1e-15, abs=0.0)
+        assert BoundedPower(1.0, alpha).mean() == pytest.approx(
+            1.0 / (alpha + 1.0), rel=1e-15, abs=0.0)
 
     def test_infinite_mean_rejected(self):
         with pytest.raises(DivergenceError):

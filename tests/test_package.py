@@ -88,8 +88,8 @@ def test_no_runtime_module_imports_scipy():
 
 
 def test_only_the_tail_integrals_call_integrate():
-    # distributions picks every quadrature of a model's tail, and competition
-    # its DP pieces; policy takes both factors of its value from distributions
+    # distributions picks every quadrature of a model's tail; the DP steps and
+    # policy's conditional means take the closed-form tail integral from it
     callers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -98,7 +98,7 @@ def test_only_the_tail_integrals_call_integrate():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
                 if name == "integrate":
                     callers.add(path.stem)
-    assert callers == {"distributions", "competition"}
+    assert callers == {"distributions"}
 
 
 _GUARANTEE = ["errors", "guarantees", "kernel"]
