@@ -1,7 +1,9 @@
 """Immutable parametric models with extreme-value metadata, each loc + scale*Z
 for a standard member Z that alone carries the arithmetic, and functionals
 generic over them: order-statistic tails and means, expected maxima,
-conditional means and virtual valuations.  Every operation is pure.
+conditional means and virtual valuations.  Every operation is pure.  The two
+bounded kinds share one power law below the upper end (``_PowerBelowTop``), of
+which Uniform is the alpha = 1 member.
 
 The tail integral I(T) = E(X - T)^+ has one route, a closed form per kind
 (``_tail_integral``): it gives ``mean()``, ``expected_max`` at n = 1, the
@@ -110,9 +112,10 @@ class DistributionModel(ABC):
     """Common surface of all parametric models: X = loc + scale*Z for the
     standard member Z of ``_standard``, a unit that this class alone maps.
     Each kind writes Z's arithmetic: ``_cdf``, ``_sf``, ``_pdf`` and the scalar
-    tail integral ``_tail`` at t through ``_standardize`` or ``_below``, and
-    ``_quantile``, ``_normalizing_constants`` and ``_ENDS`` of Z.  Each field
-    must be finite, those in ``_POSITIVE`` positive.
+    tail integral ``_tail`` at t through ``_standardize`` (or, below a bounded
+    kind's upper end, ``_PowerBelowTop._below``), and ``_quantile``,
+    ``_normalizing_constants`` and ``_ENDS`` of Z.  Each field must be finite,
+    those in ``_POSITIVE`` positive.
     """
 
     _POSITIVE: tuple[str, ...] = ()
@@ -142,15 +145,6 @@ class DistributionModel(ABC):
             return t
         with np.errstate(over="ignore"):
             return (t - loc) / scale
-
-    def _below(self, hi: float, t: np.ndarray) -> np.ndarray:
-        """(hi - t)/scale below a finite upper end hi, where 1 - z loses digits.  At
-        scale 1, |hi| < 2**54 and hi - t cannot overflow."""
-        scale = self._reduced[1]
-        if scale == 1.0:
-            return hi - t
-        with np.errstate(over="ignore"):
-            return (hi - t) / scale
 
     @functools.cached_property
     def support(self) -> Support:
@@ -241,8 +235,8 @@ class Pareto(DistributionModel):
     _ENDS = (1.0, math.inf)
 
     def _cdf(self, t):
-        tt = np.maximum(t, 1.0)
-        return np.where(t < 1.0, 0.0, 1.0 - tt ** -self.alpha)
+        # 1 - t^-alpha as -expm1(-alpha*log t): no cancellation just above 1
+        return -np.expm1(-self.alpha * np.log(np.maximum(t, 1.0)))
 
     def _sf(self, t):
         # 1 ** -alpha is exactly 1, so below the support this is 1 as well.
@@ -301,47 +295,82 @@ class Exponential(DistributionModel):
         return 1.0, math.log(n)
 
 
+class _PowerBelowTop(DistributionModel):
+    """sf(t) = w^alpha at w = (hi - t)/scale, below the upper end hi of the
+    support: the reversed-Weibull-type kinds, of index -1/alpha, whose standard
+    member lives on [0, 1].  ``alpha`` is a field or a class constant.  sf, pdf
+    and I(t) read the distance w below the stored upper end, cdf and quantile
+    the distance z above the lower end, so neither end loses digits to 1 - x.
+    """
+
+    _ENDS = (0.0, 1.0)
+
+    def _below(self, t: np.ndarray) -> np.ndarray:
+        """w = (hi - t)/scale, where 1 - z loses digits.  At scale 1, |hi| < 2**54
+        and hi - t cannot overflow."""
+        hi, scale = self.support.hi, self._reduced[1]
+        if scale == 1.0:
+            return hi - t
+        with np.errstate(over="ignore"):
+            return (hi - t) / scale
+
+    def _cdf(self, t):
+        # 1 - (1 - z)^alpha as -expm1(alpha*log1p(-z)), exact to rounding at small z
+        with np.errstate(divide="ignore"):
+            return -np.expm1(self.alpha * np.log1p(-_unit_clip(self._standardize(t))))
+
+    def _sf(self, t):
+        return _unit_clip(self._below(t)) ** self.alpha
+
+    def _pdf(self, t):
+        sup = self.support
+        with np.errstate(divide="ignore"):
+            val = self.alpha * _unit_clip(self._below(t)) ** (self.alpha - 1.0)
+        return np.where((t >= sup.lo) & (t <= sup.hi), val, 0.0)
+
+    def _quantile(self, q):
+        return -np.expm1(np.log1p(-q) / self.alpha)
+
+    def _tail(self, t):
+        # w^(a+1)/(a+1) on the support, plus w - 1 below it
+        w, a = self._below(t), self.alpha
+        return min(w, 1.0) ** (a + 1.0) / (a + 1.0) + max(w - 1.0, 0.0) if w > 0.0 else 0.0
+
+    def evt_index(self) -> EvtIndex:
+        return EvtIndex(-1.0 / self.alpha)
+
+    def _normalizing_constants(self, n: float) -> tuple[float, float]:
+        return n ** -(1.0 / self.alpha), 1.0
+
+
 @dataclass(frozen=True)
-class Uniform(DistributionModel):
-    """Uniform on [a, b]: a + (b - a)*Uniform(0, 1)."""
+class Uniform(_PowerBelowTop):
+    """Uniform on [a, b]: a + (b - a)*Uniform(0, 1), the alpha = 1 power law."""
 
     a: float
     b: float
+    alpha = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         if not self.a < self.b:
             raise DomainError(f"uniform requires a < b, got a={self.a}, b={self.b}")
 
-    @property
+    @functools.cached_property
     def support(self) -> Support:
         # the stored ends: a + (b - a) need not round to b
         return Support(self.a, self.b)
 
     def _cdf(self, t):
+        # z and q themselves, which the general forms at alpha = 1 can miss by an ulp
         return _unit_clip(self._standardize(t))
-
-    def _sf(self, t):
-        return _unit_clip(self._below(self.b, t))
-
-    def _pdf(self, t):
-        return np.where((t >= self.a) & (t <= self.b), 1.0, 0.0)
 
     def _quantile(self, q):
         # a new array, never the caller's q
         return 0.0 + q
 
-    def _tail(self, t):
-        return _power_tail(self._below(self.b, t), 1.0)
-
     def _standard(self):
         return self.a, self.b - self.a, Uniform(0.0, 1.0)
-
-    def evt_index(self) -> EvtIndex:
-        return EvtIndex(-1.0)
-
-    def _normalizing_constants(self, n: float) -> tuple[float, float]:
-        return 1.0 / n, 1.0
 
 
 @dataclass(frozen=True)
@@ -451,51 +480,19 @@ class Gumbel(DistributionModel):
 
 
 @dataclass(frozen=True)
-class BoundedPower(DistributionModel):
+class BoundedPower(_PowerBelowTop):
     """F(t) = 1 - ((omega - t)/omega)^alpha on [0, omega]: omega*BoundedPower(1, alpha).
 
-    A reversed-Weibull-type family on nonnegative support; Uniform(0, 1) is
-    the omega = alpha = 1 member.
+    The power law of ``_PowerBelowTop`` on nonnegative support; Uniform(0, 1)
+    is the omega = alpha = 1 member.
     """
 
     omega: float
     alpha: float
     _POSITIVE = ("omega", "alpha")
-    _ENDS = (0.0, 1.0)
-
-    def _cdf(self, t):
-        return 1.0 - _unit_clip(self._below(self.omega, t)) ** self.alpha
-
-    def _sf(self, t):
-        return _unit_clip(self._below(self.omega, t)) ** self.alpha
-
-    def _pdf(self, t):
-        below = self._below(self.omega, t)
-        inside = (t >= 0.0) & (below >= 0.0)
-        with np.errstate(divide="ignore"):
-            val = self.alpha * _unit_clip(below) ** (self.alpha - 1.0)
-        return np.where(inside, val, 0.0)
-
-    def _quantile(self, q):
-        return 1.0 - (1.0 - q) ** (1.0 / self.alpha)
-
-    def _tail(self, t):
-        return _power_tail(self._below(self.omega, t), self.alpha)
 
     def _standard(self):
         return 0.0, self.omega, BoundedPower(1.0, self.alpha)
-
-    def evt_index(self) -> EvtIndex:
-        return EvtIndex(-1.0 / self.alpha)
-
-    def _normalizing_constants(self, n: float) -> tuple[float, float]:
-        return n ** -(1.0 / self.alpha), 1.0
-
-
-def _power_tail(w: float, a: float) -> float:
-    """Z's I(t) for sf = w^a at w = (hi - t)/scale: w^(a+1)/(a+1) on the support,
-    plus w - 1 below it."""
-    return min(w, 1.0) ** (a + 1.0) / (a + 1.0) + max(w - 1.0, 0.0) if w > 0.0 else 0.0
 
 
 _SPEC_SCHEMA: dict[str, type] = {

@@ -243,6 +243,15 @@ class TestIntegrate:
         assert info.value.best_estimate == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12, abs=0.0)
         assert info.value.estimated_error > 1e-18
 
+    def test_step_panel_too_narrow_to_split(self):
+        # the panel holding the jump at 1/3 halves down to a few ulps, is kept
+        # unsplit with its value and error, and the budget runs out around it;
+        # the estimate is 1.7e-15 off, and 4.2e-15 if those panels were dropped
+        with pytest.raises(ConvergenceError) as info:
+            integrate(lambda x: np.where(x > 1.0 / 3.0, 1.0, 0.0), 0.0, 1.0, tol=1e-300)
+        assert info.value.best_estimate == pytest.approx(2.0 / 3.0, rel=0.0, abs=3e-15)
+        assert info.value.estimated_error > 1e-300
+
     def test_converged_error_sum_is_confirmed(self):
         # the running error sum drifts by rounding over ~2000 panel updates;
         # here it fell below tol while the exact sum had not, which raised
@@ -615,6 +624,14 @@ class TestMaximize1d:
         x, fx = maximize_1d(lambda xs: [min(x, 5.0) for x in xs], 0.0, 10.0, tol=1e-10)
         assert fx == 5.0
         assert x <= 5.0 + 1e-9
+
+    def test_maximum_at_a_scan_point(self):
+        # a kink exactly on a scan point, which golden section cannot hit:
+        # the scan point's value beats the refined one and is returned
+        c = float(np.linspace(0.0, 10.0, kernel.SCAN_POINTS + 2)[1:-1][100])
+        x, fx = maximize_1d(lambda xs: [-abs(x - c) for x in xs], 0.0, 10.0, tol=1e-10)
+        assert x == c
+        assert fx == 0.0
 
     def test_flat_objective_reported(self):
         with pytest.raises(FlatObjectiveError):

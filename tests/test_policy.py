@@ -186,6 +186,14 @@ class TestProphetValue:
                                  - math.lgamma(j) - math.lgamma(n + 1 - 1 / alpha))
         assert prophet_value(Pareto(alpha), n, 2) == pytest.approx(expected, rel=1e-7)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 3: the log-space unit tail "
+                       "puts it 5.6e-13 off, the mass walk 3.0e-15; "
+                       "bench/golden/converge-pareto.out pins its bits")
+    def test_pareto_unit_prophet_at_n_1000(self):
+        # Gamma(1001) Gamma(1/2) / Gamma(1000.5) = 56.056918840616006
+        assert prophet_value(Pareto(2.0), 1000, 1) == pytest.approx(
+            float(mpmath_pareto_prophet(2.0, 1000, 1)), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("n", [9, 1000, 1001, 2000])
     def test_one_integral_matches_sum_of_means(self, nonneg_models, n):
         # reference: k integrals, one per order statistic; the single integral of
@@ -328,6 +336,15 @@ class TestBestFixedPrice:
         assert res.fp_value == pytest.approx(float(vals[i]), abs=1e-7)
         assert res.ratio == pytest.approx(float(vals[i]) / prophet, abs=1e-6)
         assert res.threshold == pytest.approx(float(ts[i]), abs=1e-3)
+
+    def test_located_uniform_against_dense_grid_oracle(self):
+        # the search runs in standard units, and its value carries the
+        # location back: (T + 101)/2 * (1 - (T - 100)^50) on [100, 101]
+        ts = np.linspace(100.0, 101.0, 2_000_001)
+        vals = (ts + 101.0) / 2.0 * (1.0 - (ts - 100.0) ** 50)
+        res = best_fixed_price(Uniform(100.0, 101.0), 50, 1)
+        assert res.fp_value == pytest.approx(float(vals.max()), rel=1e-12, abs=0.0)
+        assert res.threshold == pytest.approx(float(ts[np.argmax(vals)]), abs=1e-5)
 
     def test_invariants_hold(self, nonneg_models):
         for d in nonneg_models:

@@ -202,3 +202,41 @@ class TestUnitMap:
             else:
                 exact = ((mp.mpf(d.omega) - mp.mpf(t)) / mp.mpf(d.omega)) ** mp.mpf(d.alpha)
         assert float(d.sf(t)) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    @staticmethod
+    def bounded_exact(d, q=None, t=None):
+        """40-digit quantile(q), or cdf(t), of a bounded kind: 1 - (1 - z)^alpha
+        at the distance z above the lower end, through log1p and expm1."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            lo, hi = (d.a, d.b) if isinstance(d, Uniform) else (0.0, d.omega)
+            lo, width, a = mp.mpf(lo), mp.mpf(hi) - mp.mpf(lo), mp.mpf(d.alpha)
+            if q is not None:
+                return float(lo - width * mp.expm1(mp.log1p(-mp.mpf(q)) / a))
+            return float(-mp.expm1(a * mp.log1p(-(mp.mpf(t) - lo) / width)))
+
+    LOWER_END = [1e-300, 1e-20, 1e-12, 1e-8, 1e-4]
+    BOUNDED = [BoundedPower(5.0, 0.7), BoundedPower(3.0, 2.0), Uniform(1.0, 4.0),
+               Uniform(-2.0, 0.7)]
+
+    @pytest.mark.parametrize("q", LOWER_END)
+    @pytest.mark.parametrize("d", BOUNDED, ids=repr)
+    def test_quantile_near_the_lower_end_keeps_its_digits(self, d, q):
+        # the distance above the lower end, not 1 - (1 - q)^(1/alpha), which
+        # put BoundedPower(3, 2).quantile(1e-20) at 0
+        assert float(d.quantile(q)) == pytest.approx(self.bounded_exact(d, q=q), rel=1e-15,
+                                                     abs=0.0)
+
+    @pytest.mark.parametrize("q", LOWER_END)
+    @pytest.mark.parametrize("d", BOUNDED + [Pareto(1.656), Pareto(2.0)], ids=repr)
+    def test_cdf_near_the_lower_end_keeps_its_digits(self, d, q):
+        # 1 - (1 - z)^alpha and 1 - t^-alpha cancel where the cdf is small:
+        # BoundedPower(1, 2).cdf(1e-12) was 2.2e-5 off, Pareto(2).cdf(1 + 1e-8) 1.7e-9
+        mp = pytest.importorskip("mpmath")
+        t = float(d.quantile(q))
+        if isinstance(d, Pareto):
+            with mp.workdps(40):
+                exact = float(-mp.expm1(-mp.mpf(d.alpha) * mp.log(mp.mpf(t))))
+        else:
+            exact = self.bounded_exact(d, t=t)
+        assert float(d.cdf(t)) == pytest.approx(exact, rel=1e-15, abs=0.0)
