@@ -5,13 +5,15 @@ extended through its tail-integral form G_{n+1} = G_n + I(G_n), with
 I(g) = int_g^{omega_1} (1 - F(u)) du the model's closed form
 (``_tail_integral``), so a step takes no quadrature.  The competition
 complexity at market size n is the least m with G_m >= E max(M_n, 0) for the
-maximum M_n of n draws (``expected_max``, which is I(0) = G_1 at n = 1),
-reported as m/n next to the closed form (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+maximum M_n of n draws (``expected_max``, a closed form per kind, which is
+I(0) = G_1 at n = 1), found by bisection in the nondecreasing G_m and reported
+as m/n next to the closed form (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, expected_max
@@ -59,16 +61,22 @@ class PolicySequence:
         return self.values[n]
 
 
-def extend_policy(seq: PolicySequence, up_to: int) -> PolicySequence:
-    """Fill the value sequence through index up_to; returns the same object."""
+def extend_policy(seq: PolicySequence, up_to: int,
+                  target: float = math.inf) -> PolicySequence:
+    """Fill the value sequence through index up_to, or until its last value
+    reaches target; returns the same object.
+
+    A step is ``_tail_integral(g)`` bit for bit, scale times the model's ``_tail``,
+    read once: the sequence's model was checked for a finite mean when it was made.
+    """
     if up_to < 0:
         raise DomainError(f"extend_policy requires up_to >= 0, got {up_to}")
-    if len(seq.values) > up_to:
-        return seq
-    d, g = seq.model, seq.values[-1]
-    while len(seq.values) <= up_to:
-        g += d._tail_integral(g)
-        seq.values.append(g)
+    values = seq.values
+    tail, scale = seq.model._tail, seq.model._reduced[1]
+    g = values[-1]
+    while len(values) <= up_to and g < target:
+        g += scale * tail(g)
+        values.append(g)
     return seq
 
 
@@ -120,13 +128,12 @@ def empirical_competition_complexity(d: DistributionModel, n: int,
     target = expected_max(d, n)
     theoretical = theoretical_cc(gamma)
     cap = int(math.ceil(10.0 * n * theoretical))
-    m = 1
-    while seq.value(m) < target:
-        m += 1
-        if m > cap:
-            raise ConvergenceError(
-                f"policy sequence failed to reach E(max of {n}) within {cap} steps",
-                seq.values[-1], target - seq.values[-1])
+    extend_policy(seq, cap, target)
+    m = bisect_left(seq.values, target, 1)
+    if m > cap:
+        raise ConvergenceError(
+            f"policy sequence failed to reach E(max of {n}) within {cap} steps",
+            seq.values[-1], target - seq.values[-1])
     return CompetitionRecord(n, m, m / n, theoretical, gamma)
 
 

@@ -8,9 +8,13 @@ which Uniform is the alpha = 1 member.
 The tail integral I(T) = E(X - T)^+ has one route, a closed form per kind
 (``_tail_integral``): it gives ``mean()``, ``expected_max`` at n = 1, the
 conditional means T + I(T)/sf(T) and the steps of :mod:`evpricing.competition`.
-The means of the maximum and of the order statistics are quadratures from 0
-of their survival functions, and this module alone maps such a tail to a
-finite bracket and picks its quadrature options, by one rule (``_sf_integral``).
+The expected maximum E max(M_n, 0) at n >= 2 is a closed form per kind too
+(``_expected_max``): I(0) of the max-stable law of M_n for Frechet and Gumbel,
+and the gamma ratio prod_m 1/(1 + c/m), summed in log space at a cost that does
+not grow with n, for Pareto, BoundedPower, Uniform and Exponential.  The means
+of the order statistics are quadratures from 0 of their survival functions,
+and this module alone maps such a tail to a finite bracket and picks its
+quadrature options, by one rule (``_sf_integral``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import _alternating_series, _capped_sum, _upper_gamma, find_root, integrate
+from .kernel import _EPS, _alternating_series, _capped_sum, _upper_gamma, find_root, integrate
 
 __all__ = [
     "EvtFamily",
@@ -114,8 +118,9 @@ class DistributionModel(ABC):
     Each kind writes Z's arithmetic: ``_cdf``, ``_sf``, ``_pdf`` and the scalar
     tail integral ``_tail`` at t through ``_standardize`` (or, below a bounded
     kind's upper end, ``_PowerBelowTop._below``), and ``_quantile``,
-    ``_normalizing_constants`` and ``_ENDS`` of Z.  Each field must be finite,
-    those in ``_POSITIVE`` positive.
+    ``_normalizing_constants`` and ``_ENDS`` of Z, and the closed form
+    ``_expected_max`` of E max(M_n, 0).  Each field must be finite, those in
+    ``_POSITIVE`` positive.
     """
 
     _POSITIVE: tuple[str, ...] = ()
@@ -169,6 +174,9 @@ class DistributionModel(ABC):
 
     @abstractmethod
     def _normalizing_constants(self, n: float) -> tuple[float, float]: ...
+
+    @abstractmethod
+    def _expected_max(self, n: int) -> float: ...
 
     @abstractmethod
     def evt_index(self) -> EvtIndex: ...
@@ -259,6 +267,12 @@ class Pareto(DistributionModel):
     def _normalizing_constants(self, n: float) -> tuple[float, float]:
         return n ** (1.0 / self.alpha), 0.0
 
+    def _expected_max(self, n):
+        # n! Gamma(1 - 1/a)/Gamma(n + 1 - 1/a) = prod_{m=1..n} 1/(1 - 1/(a m)); the
+        # m = 1 factor a/(a - 1) keeps the digits that 1 - 1/a loses near a = 1
+        a = self.alpha
+        return a / (a - 1.0) * math.exp(-_log1p_sum(-1.0 / a, n))
+
 
 @dataclass(frozen=True)
 class Exponential(DistributionModel):
@@ -293,6 +307,9 @@ class Exponential(DistributionModel):
     def _normalizing_constants(self, n: float) -> tuple[float, float]:
         # Von Mises pair: constant auxiliary function 1 at the quantile.
         return 1.0, math.log(n)
+
+    def _expected_max(self, n):
+        return self._reduced[1] * _harmonic(n)
 
 
 class _PowerBelowTop(DistributionModel):
@@ -342,6 +359,12 @@ class _PowerBelowTop(DistributionModel):
     def _normalizing_constants(self, n: float) -> tuple[float, float]:
         return n ** -(1.0 / self.alpha), 1.0
 
+    def _expected_max(self, n):
+        # on nonnegative support, loc + scale*(1 - prod_{m=1..n} 1/(1 + 1/(alpha m)))
+        loc, scale, _ = self._reduced
+        c = 1.0 / self.alpha
+        return loc + scale * -math.expm1(-math.log1p(c) - _log1p_sum(c, n))
+
 
 @dataclass(frozen=True)
 class Uniform(_PowerBelowTop):
@@ -371,6 +394,25 @@ class Uniform(_PowerBelowTop):
 
     def _standard(self):
         return self.a, self.b - self.a, Uniform(0.0, 1.0)
+
+    def _expected_max(self, n):
+        if self.b <= 0.0:
+            return 0.0
+        if self.a >= 0.0:
+            return super()._expected_max(n)
+        # int_0^b (1 - F^n) = scale*(w - (1 - (1 - w)^N)/N), N = n + 1, for the
+        # share w of the support above 0.  Below N*w = 1 that difference cancels,
+        # and its binomial series sum_{k>=2} (-1)^k C(N, k) w^k/N is summed instead.
+        scale = self.b - self.a
+        w, N = self.b / scale, n + 1.0
+        if N * w >= 1.0:
+            return scale * (w + math.expm1(N * math.log1p(-w)) / N)
+        total, term, k = 0.0, 0.5 * (N - 1.0) * w * w, 2
+        while term != 0.0 and abs(term) > _EPS * abs(total):
+            total += term
+            term *= -(N - k) / (k + 1) * w
+            k += 1
+        return scale * total
 
 
 @dataclass(frozen=True)
@@ -428,6 +470,11 @@ class Frechet(DistributionModel):
         y = -math.log1p(-1.0 / n) if n > 1 else math.inf
         return y ** (-1.0 / self.alpha), 0.0
 
+    def _expected_max(self, n):
+        # max-stable: M_n is Frechet(m, s n^(1/alpha), alpha), and this is its I(0)
+        s_n = self.s * n ** (1.0 / self.alpha)
+        return s_n * self._reduced[2]._tail(-self.m / s_n)
+
 
 @dataclass(frozen=True)
 class Gumbel(DistributionModel):
@@ -477,6 +524,10 @@ class Gumbel(DistributionModel):
     def _normalizing_constants(self, n: float) -> tuple[float, float]:
         # Max-stability is exact: F^n(t + log n) = F(t).
         return 1.0, math.log(n)
+
+    def _expected_max(self, n):
+        # M_n is Gumbel(loc + scale log n, scale), and this is its I(0)
+        return self.scale * self._reduced[2]._tail(-self.loc / self.scale - math.log(n))
 
 
 @dataclass(frozen=True)
@@ -623,8 +674,9 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
 def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
                  n: int = 1) -> float:
     """int_T^{omega_1} S(u) du for S = of_sf(sf), by quadrature: the means of the
-    maximum and of the order statistics from T = 0, and by default I(T) =
-    E(X - T)^+, whose route is the closed form ``_tail_integral``.  S falls like
+    order statistics from T = 0, the prophet's among them, and by default I(T) =
+    E(X - T)^+, whose route is the closed form ``_tail_integral``, as the route of
+    the maximum's mean is ``_expected_max``.  S falls like
     sf^j, so its tail index is gamma/j, and the integral diverges
     (DivergenceError) when gamma/j >= 1; n is the sample size when S is the
     tail of an order statistic.
@@ -684,9 +736,9 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     q = max(1.0, gamma / (1.0 - gamma))
     # Products with h come last, so that at h = 1 the map is x = T + t/(1-t)
     # bit for bit.  q = 1 is written out: through the general branch (min of
-    # 7 interleaved repeats, 2-vCPU VM) expected_max(Frechet(0, 1, 2.5), 30)
-    # took 1.03 ms, not 0.85, and expected_max(Exponential(1), 35) 0.31 ms,
-    # not 0.24; the Frechet value also moved by an ulp.
+    # 7 interleaved repeats, 2-vCPU VM) the quadrature of E M_30 of
+    # Frechet(0, 1, 2.5) took 1.03 ms, not 0.85, and of E M_35 of
+    # Exponential(1) 0.31 ms, not 0.24; the Frechet value also moved by an ulp.
     if q == 1.0:
         def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
             return S(T + h * (t / om)) / (om * om) * h
@@ -728,20 +780,55 @@ def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
     return _order_statistics_mean(d, n, j, j)
 
 
-def _survival_power(s: np.ndarray, n: int) -> np.ndarray:
-    """1 - (1 - s)^n for survival values s, without cancellation."""
-    with np.errstate(divide="ignore"):
-        return -np.expm1(n * np.log1p(-_unit_clip(s)))
+#: The sums over m = 1..n of the expected maxima run term by term up to this n;
+#: past it the difference of two asymptotic series adds the rest, so that the
+#: cost does not grow with n.
+_DIRECT_SUM_MAX_N = 64
+
+
+def _log1p_sum(c: float, n: int) -> float:
+    """sum_{m=2..n} log1p(c/m) = lnG(n+1+c) - lnG(n+1) - lnG(2+c), for c > -1.
+
+    Past m = K = _DIRECT_SUM_MAX_N the rest is D(n+1) - D(K+1), with
+    D(x) = lnG(x+c) - lnG(x) = (x - 1/2) log1p(c/x) + c log(x+c) - c
+    + sum_k B_2k/(2k(2k-1)) ((x+c)^(1-2k) - x^(1-2k)) from Stirling's series
+    (DLMF 5.11.1) to k = 3; the first term left out is about 7c/(1680 x^8),
+    1.3e-17 c at x = 65.  Every term carries the factor c, so a small c keeps
+    its digits."""
+    k = min(n, _DIRECT_SUM_MAX_N)
+    terms = [math.log1p(c / m) for m in range(2, k + 1)]
+    if n > k:
+        x, y = n + 1.0, k + 1.0
+        terms += [(x - 0.5) * math.log1p(c / x), -(y - 0.5) * math.log1p(c / y),
+                  c * math.log((x + c) / (y + c)),
+                  c / 12.0 * (1.0 / (y * (y + c)) - 1.0 / (x * (x + c)))]
+        terms += [b * ((x + c) ** -p - x ** -p - (y + c) ** -p + y ** -p)
+                  for b, p in ((-1.0 / 360.0, 3), (1.0 / 1260.0, 5))]
+    return math.fsum(terms)
+
+
+def _harmonic(n: int) -> float:
+    """H_n = sum_{m=1..n} 1/m; past m = K = _DIRECT_SUM_MAX_N the rest is
+    psi(n+1) - psi(K+1) by the digamma series (DLMF 5.11.2) to x^-6."""
+    k = min(n, _DIRECT_SUM_MAX_N)
+    terms = [1.0 / m for m in range(1, k + 1)]
+    if n > k:
+        x, y = n + 1.0, k + 1.0
+        terms += [math.log(x / y), 0.5 / y - 0.5 / x]
+        terms += [b * (y ** -p - x ** -p)
+                  for b, p in ((1.0 / 12.0, 2), (-1.0 / 120.0, 4), (1.0 / 252.0, 6))]
+    return math.fsum(terms)
 
 
 def expected_max(d: DistributionModel, n: int) -> float:
-    """E max(M_n, 0), M_n the max of n i.i.d. draws: int over t >= 0 of (1 - F(t)^n);
-    at n = 1 the tail integral I(0), which is G_1 of :mod:`evpricing.competition`."""
+    """E max(M_n, 0), M_n the max of n i.i.d. draws: the closed form ``_expected_max``
+    of each kind; at n = 1 the tail integral I(0), which is G_1 of
+    :mod:`evpricing.competition`."""
     if n < 1:
         raise DomainError(f"expected_max requires n >= 1, got {n}")
-    if n == 1:
-        return d._tail_integral(0.0)
-    return _sf_integral(d, 0.0, lambda s: _survival_power(s, n), 1, n)
+    if d.evt_index().gamma >= 1:
+        raise DivergenceError(f"infinite mean: {d!r} has tail index gamma >= 1")
+    return d._tail_integral(0.0) if n == 1 else d._expected_max(n)
 
 
 def _sf_points(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:

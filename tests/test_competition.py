@@ -27,6 +27,7 @@ from evpricing import (
     extend_policy,
     integrate,
     kennedy_kertz_nu,
+    order_statistic_mean,
     quantile_policy_approx,
     theoretical_cc,
 )
@@ -205,6 +206,79 @@ class TestRunningTail:
             assert resumed.values == fresh.values
 
 
+def old_step_values(d, steps: int) -> list[float]:
+    """G_0..G_steps by the step g += d._tail_integral(g), one call per step."""
+    values, g = [0.0], 0.0
+    for _ in range(steps):
+        g += d._tail_integral(g)
+        values.append(g)
+    return values
+
+
+def scan_m_star(d, n: int, seq: PolicySequence):
+    """The least m >= 1 with G_m >= E max(M_n, 0) by the per-m scan, extending
+    seq one value at a time; ("error", best, gap) where the cap stops it."""
+    target = expected_max(d, n)
+    cap = int(math.ceil(10.0 * n * theoretical_cc(d.evt_index().gamma)))
+    m = 1
+    while seq.value(m) < target:
+        m += 1
+        if m > cap:
+            return "error", seq.values[-1], target - seq.values[-1]
+    return m
+
+
+def loop_m_star(d, n: int, seq: PolicySequence):
+    try:
+        return empirical_competition_complexity(d, n, seq=seq).m_star
+    except ConvergenceError as exc:
+        return "error", exc.best_estimate, exc.estimated_error
+
+
+#: One model of each kind, and one whose G_m stalls: at b - a = 1e-320 the step
+#: (1 - z)^2/2 falls below half a subnormal ulp at m = 79, below E max of 100 draws.
+DP_MODELS = [Pareto(2.0), Exponential(1.0), Uniform(-2.0, 0.7), Frechet(0.0, 1.0, 2.5),
+             Gumbel(0.0, 1.0), BoundedPower(1.0, 2.0)]
+PLATEAU = Uniform(0.0, 1e-320)
+
+
+class TestDpLoop:
+    @pytest.mark.parametrize("d", DP_MODELS, ids=repr)
+    def test_steps_bit_identical_to_tail_integral(self, d):
+        got = extend_policy(PolicySequence(d), 5000).values
+        assert [v.hex() for v in got] == [v.hex() for v in old_step_values(d, 5000)]
+
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_same_m_star_as_the_per_m_scan(self, d):
+        for n in (1, 2, 10, 100):
+            assert loop_m_star(d, n, PolicySequence(d)) == scan_m_star(d, n, PolicySequence(d))
+
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_shared_sequence_past_the_target(self, d):
+        # a sequence extended past the target and past the cap still gives the least m
+        for n in (2, 10, 100):
+            shared, reference = PolicySequence(d), PolicySequence(d)
+            extend_policy(shared, 3000)
+            extend_policy(reference, 3000)
+            assert loop_m_star(d, n, shared) == scan_m_star(d, n, reference)
+            assert len(shared.values) == 3001
+
+    def test_extension_stops_at_the_target(self):
+        full = extend_policy(PolicySequence(Pareto(2.0)), 100).values
+        seq = extend_policy(PolicySequence(Pareto(2.0)), 100, target=full[40])
+        assert seq.values == full[:41]
+
+    def test_plateau_stops_at_the_cap(self):
+        seq = PolicySequence(PLATEAU)
+        values = extend_policy(PolicySequence(PLATEAU), 200).values
+        assert values[79] == values[200] < expected_max(PLATEAU, 100)
+        with pytest.raises(ConvergenceError):
+            empirical_competition_complexity(PLATEAU, 100, seq=seq)
+        # the cap is ceil(10 n theoretical_cc(-1)) = 2000 steps
+        assert len(seq.values) == 2001
+        assert empirical_competition_complexity(PLATEAU, 30, seq=seq).m_star == 58
+
+
 class TestExpectedMax:
     def test_uniform(self):
         for n in (1, 2, 10):
@@ -223,23 +297,16 @@ class TestExpectedMax:
         assert expected_max(Pareto(2.0), 2) == pytest.approx(oracle, abs=1e-7)
 
     @pytest.mark.parametrize("n", [1, 100])
-    def test_one_integral_of_array_tails(self, monkeypatch, n):
-        calls = {"integrate": 0, "scalar_sf": 0}
-        integrate, sf = distributions.integrate, Pareto.sf
+    @pytest.mark.parametrize("d", [Pareto(2.0), Exponential(1.0), Uniform(-2.0, 0.7),
+                                   Frechet(0.0, 1.0, 2.5), Gumbel(0.0, 1.0),
+                                   BoundedPower(1.0, 2.0)], ids=repr)
+    def test_no_quadrature(self, monkeypatch, d, n):
+        # a closed form per kind: I(0) at n = 1, the kind's E max(M_n, 0) above
+        def no_integrate(*args, **kwargs):
+            raise AssertionError("expected_max called integrate")
 
-        def counting_integrate(*args, **kwargs):
-            calls["integrate"] += 1
-            return integrate(*args, **kwargs)
-
-        def counting_sf(self, t):
-            calls["scalar_sf"] += np.ndim(t) == 0
-            return sf(self, t)
-
-        monkeypatch.setattr(distributions, "integrate", counting_integrate)
-        monkeypatch.setattr(Pareto, "sf", counting_sf)
-        expected_max(Pareto(2.0), n)
-        # at n = 1 it is the closed-form tail integral I(0)
-        assert calls == {"integrate": int(n > 1), "scalar_sf": 0}
+        monkeypatch.setattr(distributions, "integrate", no_integrate)
+        assert expected_max(d, n) > 0.0
 
     def test_support_below_zero(self):
         # every draw is negative, so max(M_n, 0) is 0
@@ -289,8 +356,16 @@ class TestExpectedMax:
         assert expected_max(Gumbel(0.0, 1.0), 1) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_overflowing_tail_map_is_typed(self):
+        # the quadrature of the same integral leaves the double range; the
+        # closed form 3!/((1 - c)(2 - c)(3 - c)), c = 1/alpha, needs no map
+        mp = pytest.importorskip("mpmath")
+        d = Pareto(1.001)
         with pytest.raises(ConvergenceError):
-            expected_max(Pareto(1.001), 3)
+            order_statistic_mean(d, 3, 1)
+        with mp.workdps(40):
+            c = 1 / mp.mpf(d.alpha)
+            exact = float(6 / ((1 - c) * (2 - c) * (3 - c)))
+        assert expected_max(d, 3) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestTheoreticalCc:
@@ -400,10 +475,10 @@ class TestEmpiricalCc:
     def test_narrow_shapes(self, d, m_star):
         assert empirical_competition_complexity(d, 20).m_star == m_star
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: expected_max(d, 20) misses "
-                       "the mass, about 1e-4 wide, so m_star is 1")
-    @pytest.mark.parametrize("d, m_star", [(Frechet(0.0, 1.0, 1e4), 35), (Pareto(1e4), 34)],
-                             ids=repr)
+    # the same at alpha = 1e4, where the mass is about 1e-4 wide; the target of
+    # BoundedPower(1, 1e4) is 1 - 20! Gamma(1 + 1/a)/Gamma(21 + 1/a)
+    @pytest.mark.parametrize("d, m_star", [(Frechet(0.0, 1.0, 1e4), 35), (Pareto(1e4), 34),
+                                           (BoundedPower(1.0, 1e4), 34)], ids=repr)
     def test_narrower_shapes(self, d, m_star):
         assert empirical_competition_complexity(d, 20).m_star == m_star
 

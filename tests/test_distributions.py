@@ -32,7 +32,6 @@ from evpricing.distributions import (
     _conditional_means,
     _log_factorials,
     _sf_integral,
-    _survival_power,
     _unit_clip,
 )
 
@@ -429,14 +428,6 @@ class TestOrderStatisticMean:
             direct = float(mp.quad(lambda t: 1.0 - float(d.cdf(float(t))) ** n,
                                    sorted(set(cuts))))
             assert order_statistic_mean(d, n, 1) == pytest.approx(direct, abs=1e-6)
-
-    @pytest.mark.parametrize("n", [1, 10 ** 6])
-    def test_survival_power_vectorized(self, n):
-        s = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
-        got = _survival_power(s, n)
-        for si, gi in zip(s.tolist(), got.tolist()):
-            expected = 1.0 if si == 1.0 else -math.expm1(n * math.log1p(-si))
-            assert gi == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_divergent_moment_rejected(self):
         with pytest.raises(DivergenceError):
