@@ -15,6 +15,13 @@ not grow with n, for Pareto, BoundedPower, Uniform and Exponential.  The means
 of the order statistics are quadratures from 0 of their survival functions,
 and this module alone maps such a tail to a finite bracket and picks its
 quadrature options, by one rule (``_sf_integral``).
+
+Each kind's ``_sf``, ``_cdf`` and ``_pdf`` are scalar ``math`` code, and the
+public ``sf``, ``cdf`` and ``pdf`` map it over an array, so one arithmetic path
+gives every number that is not simulated.  numpy is imported only inside the
+functions that work on arrays: the quantiles, which ``simulate`` draws through,
+the array branch of ``sf``, ``cdf`` and ``pdf``, the log-space unit binomial
+tail and the monotonicity probe of ``virtual_tail_ratio``.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
 from .kernel import _EPS, _alternating_series, _capped_sum, _upper_gamma, find_root, integrate
@@ -50,8 +56,12 @@ __all__ = [
     "virtual_tail_ratio",
 ]
 
-ArrayLike = float | np.ndarray
-EULER_MASCHERONI = float(np.euler_gamma)
+if TYPE_CHECKING:
+    import numpy as np
+
+    ArrayLike = float | np.ndarray
+
+EULER_MASCHERONI = 0.5772156649015329
 
 # The unit binomial tail P(Bin(n, p) >= 1) up to this sample size is a log-space
 # sum; every other tail walks the masses.  The README golden of `converge` on
@@ -102,22 +112,13 @@ class Support:
             raise DomainError(f"support requires lo < hi, got ({self.lo}, {self.hi})")
 
 
-def _maybe_scalar(x: np.ndarray, scalar: bool) -> ArrayLike:
-    return float(x) if scalar else x
-
-
-def _unit_clip(x: np.ndarray) -> np.ndarray:
-    """np.clip(x, 0, 1) bit for bit, NaN and -0.0 included, in half its time:
-    np.maximum returns its second argument on a tie of signed zeros."""
-    return np.minimum(1.0, np.maximum(0.0, x))
-
-
 class DistributionModel(ABC):
     """Common surface of all parametric models: X = loc + scale*Z for the
     standard member Z of ``_standard``, a unit that this class alone maps.
-    Each kind writes Z's arithmetic: ``_cdf``, ``_sf``, ``_pdf`` and the scalar
-    tail integral ``_tail`` at t through ``_standardize`` (or, below a bounded
-    kind's upper end, ``_PowerBelowTop._below``), and ``_quantile``,
+    Each kind writes Z's arithmetic: ``_cdf``, ``_sf``, ``_pdf`` and the tail
+    integral ``_tail`` in scalar ``math`` at a float t through ``_standardize``
+    (or, below a bounded kind's upper end, ``_PowerBelowTop._below``), and the
+    array ``_quantile``,
     ``_normalizing_constants`` and ``_ENDS`` of Z, and the closed form
     ``_expected_max`` of E max(M_n, 0).  Each field must be finite, those in
     ``_POSITIVE`` positive.
@@ -143,13 +144,10 @@ class DistributionModel(ABC):
         """``_standard()``, built once per model."""
         return self._standard()
 
-    def _standardize(self, t: np.ndarray) -> np.ndarray:
+    def _standardize(self, t: float) -> float:
         """(t - loc)/scale, +-inf past the double range, where every kind is flat."""
         loc, scale, _ = self._reduced
-        if loc == 0.0 and scale == 1.0:
-            return t
-        with np.errstate(over="ignore"):
-            return (t - loc) / scale
+        return t if loc == 0.0 and scale == 1.0 else (t - loc) / scale
 
     @functools.cached_property
     def support(self) -> Support:
@@ -158,13 +156,13 @@ class DistributionModel(ABC):
         return Support(loc + scale * self._ENDS[0], loc + scale * self._ENDS[1])
 
     @abstractmethod
-    def _cdf(self, t: np.ndarray) -> np.ndarray: ...
+    def _cdf(self, t: float) -> float: ...
 
     @abstractmethod
-    def _sf(self, t: np.ndarray) -> np.ndarray: ...
+    def _sf(self, t: float) -> float: ...
 
     @abstractmethod
-    def _pdf(self, t: np.ndarray) -> np.ndarray: ...
+    def _pdf(self, t: float) -> float: ...
 
     @abstractmethod
     def _quantile(self, q: np.ndarray) -> np.ndarray: ...
@@ -189,21 +187,20 @@ class DistributionModel(ABC):
         return scale * a_n, loc + scale * b_n
 
     def cdf(self, t: ArrayLike) -> ArrayLike:
-        arr = np.asarray(t, dtype=float)
-        return _maybe_scalar(self._cdf(arr), arr.ndim == 0)
+        return _each(self._cdf, t)
 
     def sf(self, t: ArrayLike) -> ArrayLike:
         """Survival function 1 - F(t), computed without cancellation."""
-        arr = np.asarray(t, dtype=float)
-        return _maybe_scalar(self._sf(arr), arr.ndim == 0)
+        return _each(self._sf, t)
 
     def pdf(self, t: ArrayLike) -> ArrayLike:
-        arr = np.asarray(t, dtype=float)
-        return _maybe_scalar(self._pdf(arr) / self._reduced[1], arr.ndim == 0)
+        scale = self._reduced[1]
+        return _each(lambda x: self._pdf(x) / scale, t)
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
         """Generalized inverse F^{-1}(q) = inf{t : F(t) >= q}; q = 0 or 1 only
         where that end of the support is finite."""
+        import numpy as np
         arr = np.asarray(q, dtype=float)
         if np.any(arr < 0) or np.any(arr > 1):
             raise DomainError("quantile requires q in [0, 1]")
@@ -212,10 +209,12 @@ class DistributionModel(ABC):
             raise DomainError("quantile(0) undefined: lower endpoint is infinite")
         if np.any(arr == 1) and math.isinf(sup.hi):
             raise DomainError("quantile(1) undefined: upper endpoint is infinite")
-        return _maybe_scalar(self._unchecked_quantile(arr), arr.ndim == 0)
+        z = self._unchecked_quantile(arr)
+        return float(z) if arr.ndim == 0 else z
 
     def _unchecked_quantile(self, q: np.ndarray) -> np.ndarray:
-        """loc + scale*(Z's quantile), without the checks of ``quantile``."""
+        """loc + scale*(Z's quantile) on an array, without the checks of ``quantile``."""
+        import numpy as np
         loc, scale, _ = self._reduced
         with np.errstate(divide="ignore", over="ignore"):
             z = self._quantile(q)
@@ -234,6 +233,18 @@ class DistributionModel(ABC):
         return self._tail_integral(0.0)
 
 
+def _each(point: Callable[[float], float], t: ArrayLike) -> ArrayLike:
+    """point(t) at a float t; on an array, the array of point at each element,
+    so that an array call equals the scalar calls bit for bit."""
+    if isinstance(t, (float, int)):
+        return point(float(t))
+    import numpy as np
+    arr = np.asarray(t, dtype=float)
+    if arr.ndim == 0:
+        return point(float(arr))
+    return np.array([point(x) for x in arr.ravel().tolist()]).reshape(arr.shape)
+
+
 @dataclass(frozen=True)
 class Pareto(DistributionModel):
     """F(t) = 1 - t^(-alpha) on [1, inf): no unit, its own standard member."""
@@ -244,15 +255,14 @@ class Pareto(DistributionModel):
 
     def _cdf(self, t):
         # 1 - t^-alpha as -expm1(-alpha*log t): no cancellation just above 1
-        return -np.expm1(-self.alpha * np.log(np.maximum(t, 1.0)))
+        return -math.expm1(-self.alpha * math.log(max(t, 1.0)))
 
     def _sf(self, t):
         # 1 ** -alpha is exactly 1, so below the support this is 1 as well.
-        return np.maximum(t, 1.0) ** -self.alpha
+        return max(t, 1.0) ** -self.alpha
 
     def _pdf(self, t):
-        tt = np.maximum(t, 1.0)
-        return np.where(t < 1.0, 0.0, self.alpha * tt ** (-self.alpha - 1.0))
+        return 0.0 if t < 1.0 else self.alpha * t ** (-self.alpha - 1.0)
 
     def _quantile(self, q):
         return (1.0 - q) ** (-1.0 / self.alpha)
@@ -282,16 +292,22 @@ class Exponential(DistributionModel):
     _POSITIVE = ("rate",)
     _ENDS = (0.0, math.inf)
 
+    def _above(self, t: float) -> float:
+        """max(z, 0) as +0.0 at and below 0, NaN kept."""
+        z = self._standardize(t)
+        return 0.0 if z <= 0.0 else z
+
     def _cdf(self, t):
-        return -np.expm1(-np.maximum(self._standardize(t), 0.0))
+        return -math.expm1(-self._above(t))
 
     def _sf(self, t):
-        return np.exp(-np.maximum(self._standardize(t), 0.0))
+        return math.exp(-self._above(t))
 
     def _pdf(self, t):
-        return np.where(t < 0.0, 0.0, self._sf(t))
+        return 0.0 if t < 0.0 else self._sf(t)
 
     def _quantile(self, q):
+        import numpy as np
         return -np.log1p(-q)
 
     def _tail(self, t):
@@ -312,6 +328,11 @@ class Exponential(DistributionModel):
         return self._reduced[1] * _harmonic(n)
 
 
+def _unit(x: float) -> float:
+    """x clipped to [0, 1], NaN and -0.0 kept."""
+    return min(max(x, 0.0), 1.0)
+
+
 class _PowerBelowTop(DistributionModel):
     """sf(t) = w^alpha at w = (hi - t)/scale, below the upper end hi of the
     support: the reversed-Weibull-type kinds, of index -1/alpha, whose standard
@@ -322,30 +343,30 @@ class _PowerBelowTop(DistributionModel):
 
     _ENDS = (0.0, 1.0)
 
-    def _below(self, t: np.ndarray) -> np.ndarray:
+    def _below(self, t: float) -> float:
         """w = (hi - t)/scale, where 1 - z loses digits.  At scale 1, |hi| < 2**54
         and hi - t cannot overflow."""
         hi, scale = self.support.hi, self._reduced[1]
-        if scale == 1.0:
-            return hi - t
-        with np.errstate(over="ignore"):
-            return (hi - t) / scale
+        return hi - t if scale == 1.0 else (hi - t) / scale
 
     def _cdf(self, t):
         # 1 - (1 - z)^alpha as -expm1(alpha*log1p(-z)), exact to rounding at small z
-        with np.errstate(divide="ignore"):
-            return -np.expm1(self.alpha * np.log1p(-_unit_clip(self._standardize(t))))
+        z = _unit(self._standardize(t))
+        return 1.0 if z == 1.0 else -math.expm1(self.alpha * math.log1p(-z))
 
     def _sf(self, t):
-        return _unit_clip(self._below(t)) ** self.alpha
+        return _unit(self._below(t)) ** self.alpha
 
     def _pdf(self, t):
         sup = self.support
-        with np.errstate(divide="ignore"):
-            val = self.alpha * _unit_clip(self._below(t)) ** (self.alpha - 1.0)
-        return np.where((t >= sup.lo) & (t <= sup.hi), val, 0.0)
+        if not sup.lo <= t <= sup.hi:
+            return 0.0
+        w, a = _unit(self._below(t)), self.alpha
+        # at the upper end the density is infinite for alpha < 1
+        return a * w ** (a - 1.0) if w or a >= 1.0 else math.inf
 
     def _quantile(self, q):
+        import numpy as np
         return -np.expm1(np.log1p(-q) / self.alpha)
 
     def _tail(self, t):
@@ -386,7 +407,7 @@ class Uniform(_PowerBelowTop):
 
     def _cdf(self, t):
         # z and q themselves, which the general forms at alpha = 1 can miss by an ulp
-        return _unit_clip(self._standardize(t))
+        return _unit(self._standardize(t))
 
     def _quantile(self, q):
         # a new array, never the caller's q
@@ -425,35 +446,38 @@ class Frechet(DistributionModel):
     _POSITIVE = ("s", "alpha")
     _ENDS = (0.0, math.inf)
 
+    def _power(self, z: float, p: float) -> float:
+        """max(z, 1e-300)**p, +inf where it overflows."""
+        try:
+            return max(z, 1e-300) ** p
+        except OverflowError:
+            return math.inf
+
     def _cdf(self, t):
         z = self._standardize(t)
-        with np.errstate(over="ignore"):
-            return np.where(z <= 0.0, 0.0, np.exp(-np.maximum(z, 1e-300) ** -self.alpha))
+        return 0.0 if z <= 0.0 else math.exp(-self._power(z, -self.alpha))
 
     def _sf(self, t):
         z = self._standardize(t)
-        with np.errstate(over="ignore"):
-            return np.where(z <= 0.0, 1.0, -np.expm1(-np.maximum(z, 1e-300) ** -self.alpha))
+        return 1.0 if z <= 0.0 else -math.expm1(-self._power(z, -self.alpha))
 
     def _pdf(self, t):
-        z = self._standardize(t)
-        # Near and below 0, z^(-alpha-1) overflows while exp(-z^-alpha)
-        # underflows: their product is NaN where the density is 0.
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            zz = np.maximum(z, 1e-300)
-            val = self.alpha * zz ** (-self.alpha - 1.0) * np.exp(-zz ** -self.alpha)
-        return np.where((z > 0.0) & np.isfinite(val), val, 0.0)
+        z, a = self._standardize(t), self.alpha
+        if not z > 0.0:
+            return 0.0
+        # Near 0, z^(-alpha-1) overflows while exp(-z^-alpha) underflows: the
+        # density is 0 there.
+        val = a * self._power(z, -a - 1.0) * math.exp(-self._power(z, -a))
+        return val if math.isfinite(val) else 0.0
 
     def _quantile(self, q):
+        import numpy as np
         return np.where(q == 0.0, 0.0, (-np.log(q)) ** (-1.0 / self.alpha))
 
     def _tail(self, t):
         # with x = z^-alpha: a series in x, or E Z - z + E(z - Z)^+ (DLMF 8.9.2)
         z, b = self._standardize(t), -1.0 / self.alpha
-        try:
-            x = z ** -self.alpha if z > 0.0 else math.inf
-        except OverflowError:
-            x = math.inf
+        x = self._power(z, -self.alpha) if z > 0.0 else math.inf
         if x <= 2.0:
             return z / self.alpha * _alternating_series(b, x) if z < math.inf else 0.0
         return math.gamma(1.0 + b) - z + _upper_gamma(b, x) / self.alpha
@@ -488,19 +512,20 @@ class Gumbel(DistributionModel):
     def _w(self, t):
         # -z clamped to [-800, 700]: beyond either end the cdf, sf and pdf
         # are constant in doubles, and exp(-z) stays finite.
-        return np.minimum(np.maximum(-self._standardize(t), -800.0), 700.0)
+        return min(max(-self._standardize(t), -800.0), 700.0)
 
     def _cdf(self, t):
-        return np.exp(-np.exp(self._w(t)))
+        return math.exp(-math.exp(self._w(t)))
 
     def _sf(self, t):
-        return -np.expm1(-np.exp(self._w(t)))
+        return -math.expm1(-math.exp(self._w(t)))
 
     def _pdf(self, t):
         w = self._w(t)
-        return np.exp(w - np.exp(w))
+        return math.exp(w - math.exp(w))
 
     def _quantile(self, q):
+        import numpy as np
         # 0.0 - x, not -x: +0.0 where -log(q) rounds to 1
         return 0.0 - np.log(-np.log(q))
 
@@ -626,6 +651,7 @@ def _lgam(m: int) -> float:
 @functools.cache
 def _log_factorials() -> np.ndarray:
     """log m! for m = 0.._DIRECT_BINOMIAL_MAX_N, read-only, made on first use."""
+    import numpy as np
     table = np.array([_lgam(m) for m in range(_DIRECT_BINOMIAL_MAX_N + 1)])
     table.flags.writeable = False
     return table
@@ -635,6 +661,7 @@ def _log_factorials() -> np.ndarray:
 def _binomial_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, log C(n, m)) for m = 1..n, read-only: the part of the log-space unit
     tail P(Bin(n, p) >= 1) that does not depend on p, made once per n."""
+    import numpy as np
     lf = _log_factorials()
     m = np.arange(1, n + 1)
     log_coef = lf[n] - lf[m] - lf[n - m]
@@ -643,32 +670,35 @@ def _binomial_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return m, log_coef
 
 
-def _binomial_tails(n: int, j: int, k: int, p: ArrayLike) -> np.ndarray:
-    """sum_{i=j..k} P(Bin(n, p) >= i) for sf values p: P(M_n^j > t) at k = j and
-    E min(k, Bin(n, p)) at j = 1, by a walk over the masses of each p.  The unit
-    tail P(Bin >= 1) at n <= _DIRECT_BINOMIAL_MAX_N is the sum of P(Bin = m)
-    over m >= 1 in log space instead."""
-    inner = (p > 0.0) & (p < 1.0)
-    q = np.where(inner, p, 0.5)
+def _binomial_tails(n: int, j: int, k: int, p: list[float]) -> list[float]:
+    """sum_{i=j..k} P(Bin(n, p) >= i) at each sf value of the list p: P(M_n^j > t)
+    at k = j and E min(k, Bin(n, p)) at j = 1, by a walk over the masses of each p.
+    The unit tail P(Bin >= 1) at n <= _DIRECT_BINOMIAL_MAX_N is the sum of
+    P(Bin = m) over m >= 1 in log space instead, one numpy pass over the list."""
     if j == k == 1 and n <= _DIRECT_BINOMIAL_MAX_N:
+        import numpy as np
+        p = np.array(p, dtype=float)
+        inner = (p > 0.0) & (p < 1.0)
+        q = np.where(inner, p, 0.5)[..., None]
         m, log_coef = _binomial_terms(n)
-        q = q[..., None]
         logs = log_coef + m * np.log(q) + (n - m) * np.log1p(-q)
         sums = np.minimum(1, np.exp(logs).sum(axis=-1))
-    else:
-        def walked(x: float) -> float:
-            odds = x / (1.0 - x)
-            return _capped_sum(n * math.log1p(-x), lambda m: (n - m) / (m + 1) * odds, j, k)
+        return np.where(inner, sums, np.where(p >= 1.0, 1.0, 0.0)).tolist()
 
-        sums = np.array([walked(x) for x in q.ravel().tolist()]).reshape(q.shape)
-    return np.where(inner, sums, np.where(p >= 1.0, k - j + 1.0, 0.0))
+    def walked(x: float) -> float:
+        if not 0.0 < x < 1.0:
+            return k - j + 1.0 if x >= 1.0 else 0.0
+        odds = x / (1.0 - x)
+        return _capped_sum(n * math.log1p(-x), lambda m: (n - m) / (m + 1) * odds, j, k)
+
+    return [walked(x) for x in p]
 
 
 def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> float:
     """P(M_n^j > T) = P(Bin(n, sf(T)) >= j): the j-th largest of n draws exceeds T."""
     if not 1 <= j <= n:
         raise DomainError(f"order statistic requires 1 <= j <= n, got j={j}, n={n}")
-    return float(_binomial_tails(n, j, j, d.sf(T)))
+    return _binomial_tails(n, j, j, [d.sf(T)])[0]
 
 
 def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
@@ -709,15 +739,16 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
         raise DivergenceError(
             f"infinite moment: {d!r} gives tail index gamma/j = {gamma:.4g} >= 1 at j={j}")
     lo, hi = d.support.lo, d.support.hi
-    # sf is 1 at and below the support: moments from 0 need no scalar sf call.
-    s_T = 1.0 if T <= lo else float(d.sf(T))
-    S_T = float(of_sf(s_T))
+    sf = d._sf
+    # sf is 1 at and below the support: moments from 0 need no sf call at T.
+    s_T = 1.0 if T <= lo else sf(T)
+    S_T = of_sf([s_T])[0]
     if S_T <= 0.0 or T >= hi:
         return 0.0
     tol = 1e-12 * max(1.0, abs(T)) * S_T
 
-    def S(x: np.ndarray) -> np.ndarray:
-        return of_sf(d.sf(x))
+    def S(xs: list[float]) -> list[float]:
+        return of_sf([sf(x) for x in xs])
 
     # A panel's error estimate cannot see a kink between its outermost node
     # and its edge.  So the support's lower end is a breakpoint when T is
@@ -731,7 +762,7 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     # Below the median of a Gumbel or Frechet model the hazard at T is tiny
     # and rises fast above it, so sf/pdf there would map every node beyond
     # the mass.
-    f_T = float(d.pdf(T)) if s_T <= 0.5 else 0.0
+    f_T = d._pdf(T) if s_T <= 0.5 else 0.0
     h = s_T / f_T if f_T > 0.0 else 1.0
     q = max(1.0, gamma / (1.0 - gamma))
     # Products with h come last, so that at h = 1 the map is x = T + t/(1-t)
@@ -740,27 +771,31 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     # Frechet(0, 1, 2.5) took 1.03 ms, not 0.85, and of E M_35 of
     # Exponential(1) 0.31 ms, not 0.24; the Frechet value also moved by an ulp.
     if q == 1.0:
-        def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
-            return S(T + h * (t / om)) / (om * om) * h
+        def mapped(ts: list[float], oms: list[float]) -> list[float]:
+            vals = S([T + h * (t / om) for t, om in zip(ts, oms)])
+            return [v / (om * om) * h for v, om in zip(vals, oms)]
     else:
-        def mapped(t: np.ndarray, om: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                w = om ** -q
-                jac = q * w / om * h
-                if np.isinf(jac).any():
-                    raise ConvergenceError(
-                        f"tail map overflows the double range before a tail "
-                        f"of index gamma={gamma:.6g} is resolved", math.nan, math.inf)
-                return S(T + h * w - h) * jac
+        def mapped(ts: list[float], oms: list[float]) -> list[float]:
+            try:
+                ws = [om ** -q for om in oms]
+                jacs = [q * w / om * h for w, om in zip(ws, oms)]
+            except OverflowError:
+                jacs = [math.inf]
+            if math.inf in jacs:
+                raise ConvergenceError(
+                    f"tail map overflows the double range before a tail "
+                    f"of index gamma={gamma:.6g} is resolved", math.nan, math.inf)
+            vals = S([T + h * w - h for w in ws])
+            return [v * jac for v, jac in zip(vals, jacs)]
 
-    def g(t: np.ndarray) -> np.ndarray:
-        om = 1.0 - t
-        if om.min() > 0.0:
-            return mapped(t, om)
+    def g(ts: list[float]) -> list[float]:
+        oms = [1.0 - t for t in ts]
+        if min(oms) > 0.0:
+            return mapped(ts, oms)
         # A node that rounds to t = 1 contributes 0; om = 1 stands in for
         # it so that S sees only finite abscissae.
-        inside = om > 0.0
-        return np.where(inside, mapped(t, np.where(inside, om, 1.0)), 0.0)
+        vals = mapped(ts, [om if om > 0.0 else 1.0 for om in oms])
+        return [v if om > 0.0 else 0.0 for v, om in zip(vals, oms)]
 
     cuts = (1.0 - ((h + lo - T) / h) ** (-1.0 / q),) if T < lo else ()
     return integrate(g, 0.0, 1.0, tol=tol, rtol=1e-12, points=cuts)
@@ -831,14 +866,8 @@ def expected_max(d: DistributionModel, n: int) -> float:
     return d._tail_integral(0.0) if n == 1 else d._expected_max(n)
 
 
-def _sf_points(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
-    """sf on the array Ts, on its scalar path at one point, as a scalar caller
-    gets it: numpy's array pow may differ from it in the last place."""
-    return d.sf(Ts) if len(Ts) > 1 else np.array([d.sf(Ts[0])])
-
-
-def _conditional_means(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
-    """E(X | X > T) = T + I(T)/sf(T) at each T of the sorted array Ts.
+def _conditional_means(d: DistributionModel, Ts: list[float]) -> list[float]:
+    """E(X | X > T) = T + I(T)/sf(T) at each T of the sorted list Ts.
 
     Below a finite lower end of the support X > T is certain, and T is raised
     to that end.  On an infinite lower end (Gumbel) T is raised to the 2**-53
@@ -848,18 +877,18 @@ def _conditional_means(d: DistributionModel, Ts: np.ndarray) -> np.ndarray:
     """
     lo = d.support.lo
     floor = float(d.quantile(2.0 ** -53)) if lo == -math.inf else lo
-    T = np.where(Ts < floor, floor, Ts)
-    s = _sf_points(d, T)
+    T = [floor if t < floor else t for t in Ts]
+    s = [d._sf(t) for t in T]
     if not s[-1] > 0.0:
-        raise DomainError(f"F({float(T[-1])}) = 1: conditioning event has probability 0")
-    return T + np.array([d._tail_integral(t) for t in T.tolist()]) / s
+        raise DomainError(f"F({T[-1]}) = 1: conditioning event has probability 0")
+    return [t + d._tail_integral(t) / s_t for t, s_t in zip(T, s)]
 
 
 def conditional_mean_above(d: DistributionModel, T: float) -> float:
     """E(X | X > T), the one-point case of ``_conditional_means``."""
     if math.isnan(T):
         raise DomainError("threshold T is NaN")
-    return float(_conditional_means(d, np.array([T], dtype=float))[0])
+    return _conditional_means(d, [T])[0]
 
 
 def virtual_valuation(d: DistributionModel, t: float) -> float:
@@ -872,6 +901,7 @@ def virtual_valuation(d: DistributionModel, t: float) -> float:
 
 def _probe_monotone_virtual(d: DistributionModel, t: float) -> None:
     """Check phi is nondecreasing on a quantile grid from median level up."""
+    import numpy as np
     lo_q = max(0.5, float(d.cdf(t)) * 0.5 + 0.25)
     qs = 1.0 - np.geomspace(1.0 - lo_q, 1e-9, 50)
     grid = np.asarray(d.quantile(qs), dtype=float)

@@ -5,14 +5,14 @@ integrals) and generic one-dimensional numerical routines.
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 
-``integrate``, the only routine here that needs numpy, takes a vectorized
-integrand on a finite bracket, called once per 15-node panel with an array of
-abscissae; ``maximize_1d`` takes a batched objective, called once on the
-list of its scan grid and then on one-point lists; ``find_root`` stays
-scalar.  ``integrate`` is the only place that decides when a quadrature has
-converged: it stops once its error estimate is at most max(tol, rtol*|I|)
-and raises ConvergenceError otherwise, so callers state their tolerances and
-never accept a failed result themselves.
+Nothing here needs numpy.  ``integrate`` takes a batched integrand on a finite
+bracket, called once per 15-node panel with the list of its abscissae;
+``maximize_1d`` takes a batched objective, called once on the list of its scan
+grid and then on one-point lists; ``find_root`` stays scalar.  ``integrate``
+is the only place that decides when a quadrature has converged: it stops once
+its error estimate is at most max(tol, rtol*|I|) and raises ConvergenceError
+otherwise, so callers state their tolerances and never accept a failed result
+themselves.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError, FlatObjectiveError
 
@@ -30,9 +30,6 @@ __all__ = [
     "maximize_1d",
     "find_root",
 ]
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -167,27 +164,25 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
 # +x_0..+x_6.  c + h*(-x) rounds exactly as c - h*x, and the centre is -0.0
 # so that c + h*(-0.0) is c itself, -0.0 included.
 _NODES = (-0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7]
-#: np.array(_NODES), built by the first panel so that only quadrature imports numpy.
-_node_array = None
 
 
-def _gk15(f: Callable[[np.ndarray], Any], a: float,
+def _gk15(f: Callable[[list[float]], Any], a: float,
           b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (integral, error estimate).
 
-    f is called once, on the 15 nodes (c, c - h*x_i, c + h*x_i).  The
-    Kronrod, Gauss, |f| and |f - mean| sums are written out term by term:
-    the centre first, then the pairs f(c - h*x_i) + f(c + h*x_i) from the
-    outermost node inwards, added left to right (QUADPACK's qk15 order).
+    f is called once, on the list of the 15 nodes (c, c - h*x_i, c + h*x_i),
+    and may return a list, an array or one number for all 15.  The Kronrod,
+    Gauss, |f| and |f - mean| sums are written out term by term: the centre
+    first, then the pairs f(c - h*x_i) + f(c + h*x_i) from the outermost node
+    inwards, added left to right (QUADPACK's qk15 order).
     """
-    global _node_array
-    if _node_array is None:
-        import numpy
-        _node_array = numpy.array(_NODES)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    vals = f(c + h * _node_array)
-    vals = vals.reshape(15).tolist() if getattr(vals, "ndim", 0) else [float(vals)] * 15
+    vals = f([c + h * x for x in _NODES])
+    if hasattr(vals, "tolist"):  # a numpy array or scalar
+        vals = vals.tolist()
+    if not isinstance(vals, list):
+        vals = [float(vals)] * 15
     fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = vals
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
     g0, g1, g2, g3 = _WG
@@ -218,14 +213,14 @@ def _gk15(f: Callable[[np.ndarray], Any], a: float,
     return resk, err
 
 
-def integrate(f: Callable[[np.ndarray], Any], lo: float, hi: float,
+def integrate(f: Callable[[list[float]], Any], lo: float, hi: float,
               tol: float, points: Sequence[float] = (), rtol: float = 0.0) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over the finite [lo, hi].
 
-    f is vectorized: it receives the 15 nodes of one panel as a float array
-    of shape (15,) and returns their values, an array of the same shape (a
-    scalar return, as from ``lambda x: 1.0``, is taken as constant over the
-    panel).  Each panel is one call of f.
+    f is batched: it receives the 15 nodes of one panel as a list of floats
+    and returns their values, as a list or an array of 15 (a scalar return,
+    as from ``lambda x: 1.0``, is taken as constant over the panel).  Each
+    panel is one call of f.
 
     The stopping rule is QUADPACK's (Piessens et al., 1983): the panel with
     the largest error estimate is bisected until the summed estimate err,

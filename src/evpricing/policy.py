@@ -5,15 +5,15 @@ to the first min(k, #exceedances) buyers above a threshold T earns, in
 expectation, E(X | X > T) times the summed tail probabilities of the top-k
 order statistics.  Its two factors live in :mod:`evpricing.distributions`,
 each one grid pass over the thresholds, so this module takes no quadrature.
+The thresholds and values are lists of floats; only the Monte Carlo harness
+imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .distributions import (
     DistributionModel,
@@ -21,10 +21,12 @@ from .distributions import (
     _binomial_tails,
     _conditional_means,
     _order_statistics_mean,
-    _sf_points,
 )
 from .errors import DomainError
 from .kernel import maximize_1d
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PolicyEvaluation",
@@ -102,18 +104,19 @@ def _check_n_k(n: int, k: int, T: float = 0.0) -> None:
         raise DomainError("threshold T is NaN")
 
 
-def _fixed_price_values(d: DistributionModel, n: int, k: int, Ts: np.ndarray) -> np.ndarray:
+def _fixed_price_values(d: DistributionModel, n: int, k: int, Ts: list[float]) -> list[float]:
     """Expected welfare E(X | X > T) * E min(k, Bin(n, sf(T))) of the
-    threshold-T policy at each T of the sorted array Ts: one grid pass of each
+    threshold-T policy at each T of the sorted list Ts: one grid pass of each
     factor.  On one point this is conditional_mean_above(d, T) *
-    _binomial_tails(n, 1, k, sf(T)) bit for bit."""
-    return _conditional_means(d, Ts) * _binomial_tails(n, 1, k, _sf_points(d, Ts))
+    _binomial_tails(n, 1, k, [sf(T)]) bit for bit."""
+    tails = _binomial_tails(n, 1, k, [d.sf(T) for T in Ts])
+    return [c * b for c, b in zip(_conditional_means(d, Ts), tails)]
 
 
 def fixed_price_value_exact(d: DistributionModel, n: int, k: int, T: float) -> float:
     """Expected welfare of the threshold-T policy with n buyers and k units."""
     _check_n_k(n, k, T)
-    return float(_fixed_price_values(d, n, k, np.array([T], dtype=float))[0])
+    return _fixed_price_values(d, n, k, [T])[0]
 
 
 def prophet_value(d: DistributionModel, n: int, k: int) -> float:
@@ -134,7 +137,7 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     lo = (max(d.support.lo, 0.0) - loc) / scale
     hi = float(z.quantile(1.0 - _T_SEARCH_TAIL))
     x_star, fp = maximize_1d(
-        lambda xs: (_fixed_price_values(d, n, k, loc + scale * np.array(xs)) / scale).tolist(),
+        lambda xs: [v / scale for v in _fixed_price_values(d, n, k, [loc + scale * x for x in xs])],
         lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))
     return PolicyEvaluation(n, k, loc + scale * x_star, scale * fp, prophet)
 
@@ -161,6 +164,7 @@ def theory_threshold(d: DistributionModel, n: float, U: float) -> float:
 
 def _simulate_block(d: DistributionModel, n: int, k: int, T: float,
                     seed: int, block: int, rows: int) -> np.ndarray:
+    import numpy as np
     gen = np.random.Generator(np.random.Philox(
         key=np.array([block, seed], dtype=np.uint64)))
     # random() draws lie in [0, 1), where the quantile needs none of the
@@ -186,6 +190,7 @@ def monte_carlo_evaluate(d: DistributionModel, n: int, k: int, T: float,
     reps = cfg.replications
     parts = [_simulate_block(d, n, k, T, cfg.seed, b, min(_MC_BLOCK, reps - b * _MC_BLOCK))
              for b in range((reps + _MC_BLOCK - 1) // _MC_BLOCK)]
+    import numpy as np
     payoffs = np.concatenate(parts)
     mean = float(payoffs.mean())
     stderr = float(payoffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

@@ -107,8 +107,8 @@ class TestExtendPolicy:
         # with the upper quantile written analytically per model
         rng = np.random.default_rng(99)
         cases = [
-            (Uniform(0.0, 1.0), lambda u: 1.0 - u),
-            (Pareto(2.0), lambda u: u ** -0.5),
+            (Uniform(0.0, 1.0), lambda us: [1.0 - u for u in us]),
+            (Pareto(2.0), lambda us: [u ** -0.5 for u in us]),
         ]
         for d, upper_quantile in cases:
             seq = extend_policy(PolicySequence(d), 60)

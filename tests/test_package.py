@@ -122,7 +122,11 @@ def test_readme_command_loads_only_its_modules(name):
 
 
 #: The README commands that run on the standard library alone.
-NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap")
+NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition")
+
+#: One model of each kind for the numpy-free library calls, one of them rescaled.
+_SIX_KINDS = ("Pareto(2.0)", "Exponential(1e8)", "Uniform(0.0, 1.0)", "Frechet(0.0, 1.0, 2.5)",
+              "Gumbel(0.0, 1.0)", "BoundedPower(1.0, 2.0)")
 
 
 @pytest.mark.parametrize("code", [
@@ -132,6 +136,19 @@ NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap")
                  id="minimize_phi_1"),
     pytest.param("from evpricing.guarantees import adaptivity_gap\nadaptivity_gap()",
                  id="adaptivity_gap"),
+    # the exact policy value and the DP competition complexity: scalar sf and
+    # list panels
+    pytest.param("from evpricing.distributions import Pareto\n"
+                 "from evpricing.policy import prophet_value\n"
+                 "prophet_value(Pareto(2.0), 100, 3)", id="prophet_value"),
+    pytest.param("from evpricing.distributions import Pareto\n"
+                 "from evpricing.policy import fixed_price_value_exact\n"
+                 "fixed_price_value_exact(Pareto(2.0), 100, 3, 2.5)",
+                 id="fixed_price_value_exact"),
+    *(pytest.param("from evpricing.distributions import *\n"
+                   "from evpricing.competition import empirical_competition_complexity\n"
+                   f"empirical_competition_complexity({model}, 100)",
+                   id=f"empirical_competition_complexity-{model}") for model in _SIX_KINDS),
 ])
 def test_guarantees_need_no_numpy(code):
     assert modules_after(code, "numpy") == []
@@ -139,7 +156,12 @@ def test_guarantees_need_no_numpy(code):
 
 @pytest.mark.parametrize("name", sorted(set(CLI_COMMANDS) - set(NUMPY_FREE)))
 def test_other_readme_commands_load_numpy(name):
-    # the import floor of these commands is numpy's
+    # the import floor of these commands is numpy's: both converge runs (k = 1,
+    # n <= 1000) sum the unit binomial tail in log space with numpy, bits that
+    # converge-pareto's golden pins; simulate draws from numpy's Philox stream;
+    # fit prints the golden-section s_hat of fit_scale on numpy's sample
+    # moments.  ROADMAP.md's directions 3 and 8 replace the log-space tail and
+    # fit_scale's search.
     assert "numpy" in modules_after(cli(CLI_COMMANDS[name]), "numpy")
 
 

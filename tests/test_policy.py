@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import evpricing.distributions as distributions
+import evpricing.kernel as kernel
 import evpricing.policy
 
 from evpricing import (
@@ -147,7 +148,7 @@ class TestFixedPriceGrid:
         d, Ts = six_kind_thresholds(kind, x, qs[:1], shift)
         T, k = float(Ts[0]), min(n, k_draw)
         assert fixed_price_value_exact(d, n, k, T) == (
-            conditional_mean_above(d, T) * float(_binomial_tails(n, 1, k, d.sf(T))))
+            conditional_mean_above(d, T) * _binomial_tails(n, 1, k, [d.sf(T)])[0])
 
     @pytest.mark.parametrize("d, n, k", [
         (Pareto(2.0), 1000, 1), (Pareto(1.656), 10 ** 5, 1), (Exponential(1.0), 10 ** 4, 1),
@@ -284,21 +285,29 @@ class TestKUnitProperties:
         assert 0.0 <= fp / prophet <= 1.0 + 1e-12
 
     def test_prophet_is_one_integral_of_array_tails(self, monkeypatch):
-        calls = {"integrate": 0, "scalar_sf": 0}
-        integrate, sf = distributions.integrate, Pareto.sf
+        # one integral, whose integrand takes the summed tails once per panel
+        # on the list of its 15 sf values; the one-point call is S at T = 0
+        calls = {"integrate": 0, "panels": 0, "tails": []}
+        integrate, gk15, tails = distributions.integrate, kernel._gk15, distributions._binomial_tails
 
         def counting_integrate(*args, **kwargs):
             calls["integrate"] += 1
             return integrate(*args, **kwargs)
 
-        def counting_sf(self, t):
-            calls["scalar_sf"] += np.ndim(t) == 0
-            return sf(self, t)
+        def counting_gk15(*args):
+            calls["panels"] += 1
+            return gk15(*args)
+
+        def counting_tails(n, j, k, p):
+            calls["tails"].append(len(p))
+            return tails(n, j, k, p)
 
         monkeypatch.setattr(distributions, "integrate", counting_integrate)
-        monkeypatch.setattr(Pareto, "sf", counting_sf)
+        monkeypatch.setattr(kernel, "_gk15", counting_gk15)
+        monkeypatch.setattr(distributions, "_binomial_tails", counting_tails)
         prophet_value(Pareto(2.0), 100, 3)
-        assert calls == {"integrate": 1, "scalar_sf": 0}
+        assert calls["integrate"] == 1
+        assert calls["tails"] == [1] + [15] * calls["panels"]
 
 
 class TestPolicyEvaluation:
