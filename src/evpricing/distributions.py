@@ -12,9 +12,10 @@ The expected maximum E max(M_n, 0) at n >= 2 is a closed form per kind too
 (``_expected_max``): I(0) of the max-stable law of M_n for Frechet and Gumbel,
 and the gamma ratio prod_m 1/(1 + c/m), summed in log space at a cost that does
 not grow with n, for Pareto, BoundedPower, Uniform and Exponential.  The means
-of the order statistics are quadratures from 0 of their survival functions,
-and this module alone maps such a tail to a finite bracket and picks its
-quadrature options, by one rule (``_sf_integral``).
+of the order statistics, the prophet's among them, are this module's one
+quadrature: the integral from 0 of their summed survival functions, mapped to
+a finite bracket, with its options picked in one place
+(``_order_statistics_mean``).
 
 Each kind's ``_sf``, ``_cdf`` and ``_pdf`` are scalar ``math`` code, and the
 public ``sf``, ``cdf`` and ``pdf`` map it over an array, so one arithmetic path
@@ -360,7 +361,8 @@ class _PowerBelowTop(DistributionModel):
     def _pdf(self, t):
         sup = self.support
         if not sup.lo <= t <= sup.hi:
-            return 0.0
+            # NaN stays NaN, which w ** 0 = 1 would not keep at alpha = 1
+            return t if math.isnan(t) else 0.0
         w, a = _unit(self._below(t)), self.alpha
         # at the upper end the density is infinite for alpha < 1
         return a * w ** (a - 1.0) if w or a >= 1.0 else math.inf
@@ -464,7 +466,7 @@ class Frechet(DistributionModel):
     def _pdf(self, t):
         z, a = self._standardize(t), self.alpha
         if not z > 0.0:
-            return 0.0
+            return z if math.isnan(z) else 0.0
         # Near 0, z^(-alpha-1) overflows while exp(-z^-alpha) underflows: the
         # density is 0 there.
         val = a * self._power(z, -a - 1.0) * math.exp(-self._power(z, -a))
@@ -698,57 +700,48 @@ def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> floa
     """P(M_n^j > T) = P(Bin(n, sf(T)) >= j): the j-th largest of n draws exceeds T."""
     if not 1 <= j <= n:
         raise DomainError(f"order statistic requires 1 <= j <= n, got j={j}, n={n}")
+    if math.isnan(T):
+        raise DomainError("threshold T is NaN")
     return _binomial_tails(n, j, j, [d.sf(T)])[0]
 
 
-def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
-                 n: int = 1) -> float:
-    """int_T^{omega_1} S(u) du for S = of_sf(sf), by quadrature: the means of the
-    order statistics from T = 0, the prophet's among them, and by default I(T) =
-    E(X - T)^+, whose route is the closed form ``_tail_integral``, as the route of
-    the maximum's mean is ``_expected_max``.  S falls like
-    sf^j, so its tail index is gamma/j, and the integral diverges
-    (DivergenceError) when gamma/j >= 1; n is the sample size when S is the
-    tail of an order statistic.
+def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
+    """sum_{i=j..k} E(M_n^i) = int_0^{omega_1} S(u) du for the summed tails
+    S = sum_{i=j..k} P(Bin(n, sf) >= i), by quadrature.  S falls like sf^j, so
+    its tail index is gamma/j, and the integral diverges (DivergenceError) when
+    gamma/j >= 1.
 
-    Reduced to the standard member Z of ``_standard``, scale times Z's integral
-    from (T - loc)/scale, so that T, tol and h below are in standard units.
+    Reduced to the standard member Z of ``_standard``: scale times Z's integral
+    from T = -loc/scale, at or below Z's lower end, where S is k - j + 1.  T and
+    tol below are in standard units, and the target is an absolute
+    1e-12*max(1, |T|)*(k - j + 1) or 1e-12 relative, whichever is looser.
 
-    Taken to an absolute 1e-12*max(1, |T|)*S(T) or to 1e-12 relative,
-    whichever is looser, so that T + I(T)/sf(T) is right to
-    1e-12*max(1, |T|, E(X - T | X > T)) however thin the tail above T is.
-
-    A half-line [T, inf) is mapped to [0, 1) through x = T + h((1-t)^(-q) - 1),
-    with Jacobian h q (1-t)^(-q-1) and q = max(1, gamma/(1-gamma)).  A tail
-    x^(-1/gamma) then becomes a bounded integrand near t = 1 (exactly constant
-    for Pareto from its lower end), where the plain map x = T + t/(1-t) (q = 1)
-    would leave the endpoint singularity (1-t)^(1/gamma - 2) for gamma > 1/2.
-    Tails with gamma <= 1/2, Gumbel (gamma = 0) among them, keep q = 1.  The
-    scale h is the reciprocal hazard sf/pdf at T, the length on which sf falls
-    above T (T/alpha for Pareto, 1 for Exponential(1)), or 1 where
-    sf(T) > 1/2.  The Kronrod nodes are interior, so the endpoint t = 1 is
-    never evaluated.  Raises ConvergenceError, with estimate NaN and error
-    inf, if the map leaves the double range before the tail is resolved
-    (gamma close to 1: Pareto maxima at alpha = 1.01).
+    A half-line [T, inf) is mapped to [0, 1) through x = T + (1-t)^(-q) - 1,
+    with Jacobian q (1-t)^(-q-1) and q = max(1, gamma/(1-gamma)).  A tail
+    x^(-1/gamma) then becomes a bounded integrand near t = 1, where the plain
+    map x = T + t/(1-t) (q = 1) would leave the endpoint singularity
+    (1-t)^(1/gamma - 2) for gamma > 1/2.  Tails with gamma <= 1/2, Gumbel
+    (gamma = 0) among them, keep q = 1.  The Kronrod nodes are interior, so the
+    endpoint t = 1 is never evaluated.  Raises ConvergenceError, with estimate
+    NaN and error inf, if the map leaves the double range before the tail is
+    resolved (gamma close to 1: Pareto maxima at alpha = 1.01).
     """
-    loc, scale, z = d._reduced
-    if loc != 0.0 or scale != 1.0:
-        return scale * _sf_integral(z, (T - loc) / scale, of_sf, j, n)
+    if not 1 <= j <= k <= n:
+        raise DomainError(f"order statistics require 1 <= j <= k <= n, got j={j}, k={k}, n={n}")
+    if d.support.lo < 0:
+        raise DomainError("order_statistic_mean requires nonnegative support")
     gamma = d.evt_index().gamma / j
     if gamma >= 1:
         raise DivergenceError(
             f"infinite moment: {d!r} gives tail index gamma/j = {gamma:.4g} >= 1 at j={j}")
-    lo, hi = d.support.lo, d.support.hi
-    sf = d._sf
-    # sf is 1 at and below the support: moments from 0 need no sf call at T.
-    s_T = 1.0 if T <= lo else sf(T)
-    S_T = of_sf([s_T])[0]
-    if S_T <= 0.0 or T >= hi:
-        return 0.0
-    tol = 1e-12 * max(1.0, abs(T)) * S_T
+    loc, scale, z = d._reduced
+    T = -loc / scale
+    lo, hi = z.support.lo, z.support.hi
+    sf = z._sf
+    tol = 1e-12 * max(1.0, abs(T)) * (k - j + 1)
 
     def S(xs: list[float]) -> list[float]:
-        return of_sf([sf(x) for x in xs])
+        return _binomial_tails(n, j, k, [sf(x) for x in xs])
 
     # A panel's error estimate cannot see a kink between its outermost node
     # and its edge.  So the support's lower end is a breakpoint when T is
@@ -757,57 +750,29 @@ def _sf_integral(d: DistributionModel, T: float, of_sf=lambda s: s, j: int = 1,
     # of about k/n below omega_1: the ladder 1 - c/n, c = 4^i < n, splits it.
     if math.isfinite(hi):
         ladder = [4 ** i for i in range(int(n).bit_length()) if 4 ** i < n]
-        points = [lo] + [float(d.quantile(1.0 - c / n)) for c in ladder]
-        return integrate(S, T, hi, tol=tol, rtol=1e-12, points=points)
-    # Below the median of a Gumbel or Frechet model the hazard at T is tiny
-    # and rises fast above it, so sf/pdf there would map every node beyond
-    # the mass.
-    f_T = d._pdf(T) if s_T <= 0.5 else 0.0
-    h = s_T / f_T if f_T > 0.0 else 1.0
+        points = [lo] + [float(z.quantile(1.0 - c / n)) for c in ladder]
+        return scale * integrate(S, T, hi, tol=tol, rtol=1e-12, points=points)
     q = max(1.0, gamma / (1.0 - gamma))
-    # Products with h come last, so that at h = 1 the map is x = T + t/(1-t)
-    # bit for bit.  q = 1 is written out: through the general branch (min of
-    # 7 interleaved repeats, 2-vCPU VM) the quadrature of E M_30 of
-    # Frechet(0, 1, 2.5) took 1.03 ms, not 0.85, and of E M_35 of
-    # Exponential(1) 0.31 ms, not 0.24; the Frechet value also moved by an ulp.
-    if q == 1.0:
-        def mapped(ts: list[float], oms: list[float]) -> list[float]:
-            vals = S([T + h * (t / om) for t, om in zip(ts, oms)])
-            return [v / (om * om) * h for v, om in zip(vals, oms)]
-    else:
-        def mapped(ts: list[float], oms: list[float]) -> list[float]:
-            try:
-                ws = [om ** -q for om in oms]
-                jacs = [q * w / om * h for w, om in zip(ws, oms)]
-            except OverflowError:
-                jacs = [math.inf]
-            if math.inf in jacs:
-                raise ConvergenceError(
-                    f"tail map overflows the double range before a tail "
-                    f"of index gamma={gamma:.6g} is resolved", math.nan, math.inf)
-            vals = S([T + h * w - h for w in ws])
-            return [v * jac for v, jac in zip(vals, jacs)]
 
     def g(ts: list[float]) -> list[float]:
-        oms = [1.0 - t for t in ts]
-        if min(oms) > 0.0:
-            return mapped(ts, oms)
         # A node that rounds to t = 1 contributes 0; om = 1 stands in for
         # it so that S sees only finite abscissae.
-        vals = mapped(ts, [om if om > 0.0 else 1.0 for om in oms])
-        return [v if om > 0.0 else 0.0 for v, om in zip(vals, oms)]
+        oms = [1.0 - t for t in ts]
+        safe = [om if om > 0.0 else 1.0 for om in oms]
+        try:
+            ws = [om ** -q for om in safe]
+            jacs = [q * w / om for w, om in zip(ws, safe)]
+        except OverflowError:
+            jacs = [math.inf]
+        if math.inf in jacs:
+            raise ConvergenceError(
+                f"tail map overflows the double range before a tail "
+                f"of index gamma={gamma:.6g} is resolved", math.nan, math.inf)
+        vals = S([T + w - 1.0 for w in ws])
+        return [v * jac if om > 0.0 else 0.0 for v, jac, om in zip(vals, jacs, oms)]
 
-    cuts = (1.0 - ((h + lo - T) / h) ** (-1.0 / q),) if T < lo else ()
-    return integrate(g, 0.0, 1.0, tol=tol, rtol=1e-12, points=cuts)
-
-
-def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
-    """sum_{i=j..k} E(M_n^i), one integral over t >= 0 of the summed tails."""
-    if not 1 <= j <= k <= n:
-        raise DomainError(f"order statistics require 1 <= j <= k <= n, got j={j}, k={k}, n={n}")
-    if d.support.lo < 0:
-        raise DomainError("order_statistic_mean requires nonnegative support")
-    return _sf_integral(d, 0.0, lambda s: _binomial_tails(n, j, k, s), j, n)
+    cuts = (1.0 - (1.0 + lo - T) ** (-1.0 / q),) if T < lo else ()
+    return scale * integrate(g, 0.0, 1.0, tol=tol, rtol=1e-12, points=cuts)
 
 
 def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:

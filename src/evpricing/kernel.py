@@ -6,7 +6,8 @@ Everything here is a pure function of its inputs and safe to call from any
 number of threads.
 
 Nothing here needs numpy.  ``integrate`` takes a batched integrand on a finite
-bracket, called once per 15-node panel with the list of its abscissae;
+bracket, called once per 15-node panel with the list of its abscissae and
+returning the list of its values;
 ``maximize_1d`` takes a batched objective, called once on the list of its scan
 grid and then on one-point lists; ``find_root`` stays scalar.  ``integrate``
 is the only place that decides when a quadrature has converged: it stops once
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError, FlatObjectiveError
 
@@ -152,52 +153,48 @@ def _upper_gamma(b: float, x: float) -> float:
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule (positive
 # abscissae; the rule is symmetric).  Gauss nodes sit at indices 1, 3, 5, 7.
-_XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
-        0.741531185599394, 0.586087235467691, 0.405845151377397,
-        0.207784955007898, 0.0)
-_WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715525, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728)
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
-       0.417959183673469)
+# Each is the double nearest to QUADPACK's qk15 constant (Piessens et al.,
+# 1983), so the Kronrod weights sum to 2 and a constant integrates exactly.
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+        0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+        0.20778495500789848, 0.0)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+        0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+        0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+       0.4179591836734694)
 # The 15 abscissae of one panel on [-1, 1]: the centre, -x_0..-x_6, then
 # +x_0..+x_6.  c + h*(-x) rounds exactly as c - h*x, and the centre is -0.0
 # so that c + h*(-0.0) is c itself, -0.0 included.
 _NODES = (-0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7]
 
 
-def _gk15(f: Callable[[list[float]], Any], a: float,
+def _gk15(f: Callable[[list[float]], list[float]], a: float,
           b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (integral, error estimate).
 
     f is called once, on the list of the 15 nodes (c, c - h*x_i, c + h*x_i),
-    and may return a list, an array or one number for all 15.  The Kronrod,
-    Gauss, |f| and |f - mean| sums are written out term by term: the centre
-    first, then the pairs f(c - h*x_i) + f(c + h*x_i) from the outermost node
-    inwards, added left to right (QUADPACK's qk15 order).
+    and returns the list of their 15 values.  The Kronrod, Gauss, |f| and
+    |f - mean| sums start from the centre and add the pairs
+    f(c - h*x_i) + f(c + h*x_i) from the outermost node inwards, left to
+    right (QUADPACK's qk15 order).
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     vals = f([c + h * x for x in _NODES])
-    if hasattr(vals, "tolist"):  # a numpy array or scalar
-        vals = vals.tolist()
-    if not isinstance(vals, list):
-        vals = [float(vals)] * 15
-    fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = vals
-    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
-    g0, g1, g2, g3 = _WG
-    resk = (w7 * fc + w0 * (l0 + r0) + w1 * (l1 + r1) + w2 * (l2 + r2)
-            + w3 * (l3 + r3) + w4 * (l4 + r4) + w5 * (l5 + r5) + w6 * (l6 + r6))
-    resg = g3 * fc + g0 * (l1 + r1) + g1 * (l3 + r3) + g2 * (l5 + r5)
-    resabs = (w7 * abs(fc) + w0 * (abs(l0) + abs(r0)) + w1 * (abs(l1) + abs(r1))
-              + w2 * (abs(l2) + abs(r2)) + w3 * (abs(l3) + abs(r3))
-              + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
-              + w6 * (abs(l6) + abs(r6)))
+    fc, left, right = vals[0], vals[1:8], vals[8:]
+    resk = _WGK[7] * fc
+    resabs = _WGK[7] * abs(fc)
+    for w, fl, fr in zip(_WGK, left, right):
+        resk += w * (fl + fr)
+        resabs += w * (abs(fl) + abs(fr))
+    resg = _WG[3] * fc
+    for w, fl, fr in zip(_WG, left[1::2], right[1::2]):  # the Gauss nodes x_1, x_3, x_5
+        resg += w * (fl + fr)
     mean = 0.5 * resk
-    resasc = (w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))
-              + w1 * (abs(l1 - mean) + abs(r1 - mean)) + w2 * (abs(l2 - mean) + abs(r2 - mean))
-              + w3 * (abs(l3 - mean) + abs(r3 - mean)) + w4 * (abs(l4 - mean) + abs(r4 - mean))
-              + w5 * (abs(l5 - mean) + abs(r5 - mean)) + w6 * (abs(l6 - mean) + abs(r6 - mean)))
+    resasc = _WGK[7] * abs(fc - mean)
+    for w, fl, fr in zip(_WGK, left, right):
+        resasc += w * (abs(fl - mean) + abs(fr - mean))
     resk *= h
     resg *= h
     resabs *= abs(h)
@@ -213,14 +210,12 @@ def _gk15(f: Callable[[list[float]], Any], a: float,
     return resk, err
 
 
-def integrate(f: Callable[[list[float]], Any], lo: float, hi: float,
+def integrate(f: Callable[[list[float]], list[float]], lo: float, hi: float,
               tol: float, points: Sequence[float] = (), rtol: float = 0.0) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of f over the finite [lo, hi].
 
     f is batched: it receives the 15 nodes of one panel as a list of floats
-    and returns their values, as a list or an array of 15 (a scalar return,
-    as from ``lambda x: 1.0``, is taken as constant over the panel).  Each
-    panel is one call of f.
+    and returns the list of their 15 values.  Each panel is one call of f.
 
     The stopping rule is QUADPACK's (Piessens et al., 1983): the panel with
     the largest error estimate is bisected until the summed estimate err,

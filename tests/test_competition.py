@@ -360,8 +360,9 @@ class TestExpectedMax:
         # closed form 3!/((1 - c)(2 - c)(3 - c)), c = 1/alpha, needs no map
         mp = pytest.importorskip("mpmath")
         d = Pareto(1.001)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as info:
             order_statistic_mean(d, 3, 1)
+        assert info.value.estimated_error == math.inf
         with mp.workdps(40):
             c = 1 / mp.mpf(d.alpha)
             exact = float(6 / ((1 - c) * (2 - c) * (3 - c)))

@@ -31,7 +31,6 @@ from evpricing.distributions import (
     _binomial_terms,
     _conditional_means,
     _log_factorials,
-    _sf_integral,
     _unit,
 )
 
@@ -91,7 +90,7 @@ class TestModelBasics:
         assert np.all(np.asarray(d.pdf(ts)) >= 0.0)
         lo = d.support.lo if math.isfinite(d.support.lo) else float(d.quantile(1e-9))
         if math.isfinite(d.support.hi):
-            mass = integrate(d.pdf, lo, d.support.hi, tol=1e-9)
+            mass = integrate(lambda xs: [d.pdf(x) for x in xs], lo, d.support.hi, tol=1e-9)
         else:
             # a half-line: mpmath's quadrature, split at the quartiles
             mp = pytest.importorskip("mpmath")
@@ -230,6 +229,11 @@ class TestNormalizingSequences:
 
 
 class TestOrderStatisticTail:
+    @pytest.mark.parametrize("d", [Pareto(2.0), Uniform(0.0, 1.0), Gumbel(0.0, 1.0)], ids=repr)
+    def test_nan_threshold_rejected_by_name(self, d):
+        with pytest.raises(DomainError, match="threshold T is NaN"):
+            order_statistic_tail(d, 10, 1, math.nan)
+
     def test_half_tail_two_draws(self):
         # 1 - F(T) = 0.5: P(at least one of two exceeds) = 0.75
         d = Uniform(0.0, 1.0)
@@ -513,47 +517,6 @@ def frechet_conditional_mean(d, T: float) -> float:
     with mp.workdps(40):
         y = ((mp.mpf(T) - d.m) / d.s) ** -d.alpha
         return float(d.m + d.s * mp.gammainc(1 - 1 / mp.mpf(d.alpha), 0, y) / -mp.expm1(-y))
-
-
-class TestSfIntegral:
-    """I(T) = int_T^inf sf, the one route behind conditional means, mean()
-    and the anchors of the policy sequence."""
-
-    @pytest.mark.parametrize("d, T, exact", [
-        (Pareto(3.0), 1e6, 0.5e-12),
-        (Pareto(3.0), 1e8, 0.5e-16),
-        (Exponential(1.0), 30.0, math.exp(-30.0)),
-        (Exponential(1.0), 700.0, math.exp(-700.0)),
-    ], ids=repr)
-    def test_closed_form(self, d, T, exact):
-        # Pareto(3): T^-2/2; Exponential(1): e^-T
-        assert _sf_integral(d, T) == pytest.approx(exact, rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("d, T", [
-        (Gumbel(0.0, 1.0), 30.0),
-        (Frechet(0.0, 1.0, 2.5), 1e4),
-    ], ids=repr)
-    def test_mpmath_oracle(self, d, T):
-        assert _sf_integral(d, T) == pytest.approx(float(mpmath_tail(d, T)[0]), rel=1e-13,
-                                                   abs=0.0)
-
-    @pytest.mark.parametrize("d, T, exact", [
-        # Uniform(a, b) below a: (a - T) + (b - a)/2
-        (Uniform(1.0, 4.0), 0.99609375, 1.50390625),
-        (Uniform(1.0, 4.0), 0.5, 2.0),
-        (Uniform(1.0, 4.0), -2.0, 4.5),
-        # BoundedPower(omega, alpha) below 0: -T + omega/(alpha + 1)
-        (BoundedPower(2.0, 1.5), -1e-3, 0.801),
-        (BoundedPower(2.0, 1.5), -0.5, 1.3),
-    ], ids=repr)
-    def test_bounded_support_below_its_lower_end(self, d, T, exact):
-        # the kink of sf at the support's lower end is a breakpoint
-        assert _sf_integral(d, T) == pytest.approx(exact, rel=1e-13, abs=0.0)
-
-    def test_zero_above_the_support(self):
-        assert _sf_integral(Uniform(0.0, 1.0), 1.0) == 0.0
-        assert _sf_integral(Uniform(0.0, 1.0), 2.0) == 0.0
-        assert _sf_integral(Exponential(1.0), 800.0) == 0.0
 
 
 TAIL_ALPHAS = [1.02, 1.2, 1.5, 1.657, 2.0, 2.5, 5.0, 50.0, 1e3, 1e4, 1e5, 1e6]
