@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, expected_max
 from .errors import ConvergenceError, DivergenceError, DomainError
+from .kernel import _lgamma_ratio
 
 __all__ = [
     "PolicySequence",
@@ -29,13 +30,6 @@ __all__ = [
     "quantile_policy_approx",
     "expected_max_approx",
 ]
-
-#: zeta(2), ..., zeta(12): the series of ``theoretical_cc`` leaves out terms
-#: below 1e-19 relative at |gamma| < 0.03.
-_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
-         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
-         1.000994575127818, 1.0004941886041194, 1.000246086553308)
-
 
 @dataclass
 class PolicySequence:
@@ -96,17 +90,13 @@ def theoretical_cc(gamma: float) -> float:
     (1 - gamma)*exp(lgamma(1 - gamma)/gamma).
 
     Below |gamma| = 0.03, where that quotient cancels, it is the series
-    lgamma(1 - g)/g = euler_gamma + g*sum_{k>=2} zeta(k) g^(k-2)/k (DLMF 5.7.3)
-    to k = 12, by Horner; at gamma = 0 it gives the limit exp(euler_gamma),
+    ``kernel._lgamma_ratio``; at gamma = 0 that gives the limit exp(euler_gamma),
     about 1.781.
     """
-    if gamma >= 1:
-        raise DomainError(f"competition complexity requires gamma < 1, got {gamma}")
+    if not -math.inf < gamma < 1:
+        raise DomainError(f"competition complexity requires -inf < gamma < 1, got {gamma}")
     if abs(gamma) < 0.03:
-        series = 0.0
-        for k in range(12, 1, -1):
-            series = series * gamma + _ZETA[k - 2] / k
-        return (1.0 - gamma) * math.exp(EULER_MASCHERONI + gamma * series)
+        return (1.0 - gamma) * math.exp(_lgamma_ratio(gamma))
     return (1.0 - gamma) * math.exp(math.lgamma(1.0 - gamma) / gamma)
 
 
@@ -149,6 +139,8 @@ def cc_family_bounds(family: EvtFamily) -> tuple[float, float]:
 
 def quantile_policy_approx(d: DistributionModel, n: int) -> float:
     """Quantile approximation F^{-1}(1 - (1 - gamma)/(n + 1)) of G_n."""
+    if n < 1:
+        raise DomainError(f"quantile_policy_approx requires n >= 1, got {n}")
     gamma = d.evt_index().gamma
     if gamma >= 1:
         raise DomainError(f"approximation requires gamma < 1, got {gamma}")
@@ -158,6 +150,8 @@ def quantile_policy_approx(d: DistributionModel, n: int) -> float:
 def expected_max_approx(d: DistributionModel, n: int) -> float:
     """Family-specific closed approximation of E(max of n draws), on the
     standard member Z of ``_standard``: loc + scale * E_Z."""
+    if n < 1:
+        raise DomainError(f"expected_max_approx requires n >= 1, got {n}")
     ev = d.evt_index()
     gamma = ev.gamma
     if gamma >= 1:

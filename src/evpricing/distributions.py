@@ -35,7 +35,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import _EPS, _alternating_series, _capped_sum, _upper_gamma, find_root, integrate
+from .kernel import (EULER_MASCHERONI, _EPS, _alternating_series, _capped_sum, _lgamma_ratio,
+                     _upper_gamma, find_root, integrate)
 
 __all__ = [
     "EvtFamily",
@@ -61,8 +62,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     ArrayLike = float | np.ndarray
-
-EULER_MASCHERONI = 0.5772156649015329
 
 # The unit binomial tail P(Bin(n, p) >= 1) up to this sample size is a log-space
 # sum; every other tail walks the masses.  The README golden of `converge` on
@@ -476,13 +475,22 @@ class Frechet(DistributionModel):
         import numpy as np
         return np.where(q == 0.0, 0.0, (-np.log(q)) ** (-1.0 / self.alpha))
 
-    def _tail(self, t):
-        # with x = z^-alpha: a series in x, or E Z - z + E(z - Z)^+ (DLMF 8.9.2)
+    def _tail(self, t, x=None):
+        # with x = z^-alpha: a series in x, or E Z - z + E(z - Z)^+ (DLMF 8.9.2).
+        # A caller that knows x more closely than z^-alpha passes it.
         z, b = self._standardize(t), -1.0 / self.alpha
-        x = self._power(z, -self.alpha) if z > 0.0 else math.inf
+        if x is None:
+            x = self._power(z, -self.alpha) if z > 0.0 else math.inf
         if x <= 2.0:
             return z / self.alpha * _alternating_series(b, x) if z < math.inf else 0.0
-        return math.gamma(1.0 + b) - z + _upper_gamma(b, x) / self.alpha
+        if b > -0.03 and z > 0.0:
+            # Gamma(1 + b) - z cancels near b = 0: (Gamma(1 + b) - 1) - (z - 1),
+            # with z - 1 = x^b - 1 unless x overflowed
+            zm1 = math.expm1(b * math.log(x)) if x < math.inf else z - 1.0
+            head = math.expm1(-b * _lgamma_ratio(-b)) - zm1
+        else:
+            head = math.gamma(1.0 + b) - z
+        return head + _upper_gamma(b, x) / self.alpha
 
     def _standard(self):
         return self.m, self.s, Frechet(0.0, 1.0, self.alpha)
@@ -498,8 +506,10 @@ class Frechet(DistributionModel):
 
     def _expected_max(self, n):
         # max-stable: M_n is Frechet(m, s n^(1/alpha), alpha), and this is its I(0)
+        # at T = -m/s_n, where x = T^-alpha = n (s/|m|)^alpha without T's rounding
         s_n = self.s * n ** (1.0 / self.alpha)
-        return s_n * self._reduced[2]._tail(-self.m / s_n)
+        x = n * self._power(self.s / -self.m, self.alpha) if self.m < 0.0 else None
+        return s_n * self._reduced[2]._tail(-self.m / s_n, x)
 
 
 @dataclass(frozen=True)

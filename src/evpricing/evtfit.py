@@ -286,6 +286,8 @@ def histogram_export(values: Sequence[float],
     v = np.asarray(values, dtype=float)
     if len(v) == 0:
         return []
+    if not np.isfinite(v).all():
+        raise DomainError("histogram_export expects finite values")
     if np.any(v < 0):
         raise DomainError("histogram_export expects nonnegative values")
     idx = np.floor(v / bin_width).astype(int)

@@ -194,6 +194,8 @@ def guarantee_value(d: DistributionModel, k: int) -> float:
     Frechet-type models route through phi_k; Gumbel-type and bounded-support
     models achieve 1 with no optimization.
     """
+    if k < 1:
+        raise DomainError(f"the k-unit guarantee requires k >= 1, got {k}")
     # imported here so that the guarantee functions above never load the models
     from .distributions import EvtFamily
     ev = d.evt_index()

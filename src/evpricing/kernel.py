@@ -1,6 +1,7 @@
 """Special functions in Python (a walk over the masses of a Poisson or binomial
-law, W_{-1}, and the series and continued fraction behind the closed-form tail
-integrals) and generic one-dimensional numerical routines.
+law, W_{-1}, the zeta series of lgamma(1 - g)/g near g = 0, and the series and
+continued fraction behind the closed-form tail integrals) and generic
+one-dimensional numerical routines.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -43,6 +44,14 @@ SCAN_POINTS = 256
 #: Panels of ``integrate`` before ConvergenceError; iterations of ``find_root``.
 MAX_INTERVALS = 2048
 ROOT_MAX_ITER = 200
+
+EULER_MASCHERONI = 0.5772156649015329
+
+#: zeta(2), ..., zeta(12): the series of ``_lgamma_ratio`` leaves out terms
+#: below 1e-19 relative at |g| < 0.03.
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+         1.000994575127818, 1.0004941886041194, 1.000246086553308)
 
 
 def _mass_walk(log_p0: float, ratio: Callable[[int], float],
@@ -129,6 +138,16 @@ def _alternating_series(b: float, x: float) -> float:
         total += add
         if abs(add) <= _EPS * abs(total):
             return total
+
+
+def _lgamma_ratio(g: float) -> float:
+    """lgamma(1 - g)/g for |g| < 0.03, where that quotient cancels: the series
+    euler_gamma + g*sum_{k>=2} zeta(k) g^(k-2)/k (DLMF 5.7.3) to k = 12, by
+    Horner; at g = 0 it is the limit euler_gamma."""
+    series = 0.0
+    for k in range(12, 1, -1):
+        series = series * g + _ZETA[k - 2] / k
+    return EULER_MASCHERONI + g * series
 
 
 def _upper_gamma(b: float, x: float) -> float:

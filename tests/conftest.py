@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import os
 from pathlib import Path
@@ -30,17 +29,6 @@ def philox_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(
         key=np.array([stream, seed], dtype=np.uint64)))
     return gen.random(n)
-
-
-@functools.lru_cache(maxsize=None)
-def mpmath_capped_tails(n: int, j: int, k: int, p: float):
-    """sum_{i=j..k} P(Bin(n, p) >= i) at 60 digits, each tail as 1 - sum_{m<i} P(m);
-    computed once per point however many tests check it."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60):
-        p = mp.mpf(p)
-        pmf = [mp.binomial(n, m) * p ** m * (1 - p) ** (n - m) for m in range(k)]
-        return mp.fsum(1 - mp.fsum(pmf[:i]) for i in range(j, k + 1))
 
 
 @pytest.fixture

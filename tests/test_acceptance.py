@@ -40,6 +40,7 @@ from evpricing import (
     virtual_tail_ratio,
 )
 
+import references as ref
 from conftest import ebay_csv_path, philox_uniforms, requires_ebay
 
 
@@ -119,13 +120,6 @@ def test_criterion_5_exact_value_oracles():
     models = [Pareto(2.0), Exponential(1.0), Uniform(0.0, 1.0)]
     cfg = SimulationConfig(replications=10 ** 5, seed=5151)
 
-    def closed_conditional_mean(d, T):
-        if isinstance(d, Pareto):
-            return d.alpha / (d.alpha - 1.0) * max(T, 1.0)
-        if isinstance(d, Exponential):
-            return max(T, 0.0) + 1.0 / d.rate
-        return (d.b + max(T, d.a)) / 2.0
-
     worst_gap = 0.0
     worst_z = 0.0
     for d in models:
@@ -133,10 +127,7 @@ def test_criterion_5_exact_value_oracles():
             for q, k in ((0.3, 1), (0.6, 2), (0.9, 3)):
                 T = float(d.quantile(q))
                 exact = fixed_price_value_exact(d, n, k, T)
-                p = float(d.sf(T))
-                enum = closed_conditional_mean(d, T) * sum(
-                    min(k, c) * math.comb(n, c) * p ** c * (1 - p) ** (n - c)
-                    for c in range(n + 1))
+                enum = float(ref.fixed_price_value(d, n, k, T))
                 worst_gap = max(worst_gap, abs(exact - enum))
                 mean, stderr = monte_carlo_evaluate(d, n, k, T, cfg)
                 worst_z = max(worst_z, abs(mean - exact) / stderr)

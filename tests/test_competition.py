@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 import evpricing.competition as competition
 import evpricing.distributions as distributions
@@ -33,18 +32,12 @@ from evpricing import (
 )
 from evpricing.competition import EULER_MASCHERONI
 
-
-def harmonic(n: int) -> float:
-    return float(np.sum(1.0 / np.arange(1, n + 1)))
-
-
-def pareto2_expected_max_exact(n: int) -> float:
-    return math.exp(math.lgamma(n + 1) - math.lgamma(n + 0.5) + math.lgamma(0.5))
+import references as ref
 
 
 def oracle_m_star_uniform(n: int) -> int:
     # independent closed-form recurrence G_{m+1} = (1 + G_m^2)/2
-    target = n / (n + 1.0)
+    target = float(ref.expected_max(Uniform(0.0, 1.0), n))
     g, m = 0.0, 0
     while g < target:
         g = (1.0 + g * g) / 2.0
@@ -53,7 +46,7 @@ def oracle_m_star_uniform(n: int) -> int:
 
 
 def oracle_m_star_exp(n: int) -> int:
-    target = harmonic(n)
+    target = float(ref.harmonic(n))
     g, m = 0.0, 0
     while g < target:
         g += math.exp(-g)
@@ -62,7 +55,7 @@ def oracle_m_star_exp(n: int) -> int:
 
 
 def oracle_m_star_pareto2(n: int) -> int:
-    target = pareto2_expected_max_exact(n)
+    target = float(ref.expected_max(Pareto(2.0), n))
     g, m = 0.0, 0
     while g < target:
         g += 1.0 / g if g >= 1.0 else 2.0 - g
@@ -126,30 +119,13 @@ class TestExtendPolicy:
             PolicySequence(Pareto(0.9))
 
 
-def closed_recurrence(tail, steps: int) -> list[float]:
-    """G_0..G_steps from G <- G + I(G) with a closed-form tail I."""
+def closed_recurrence(d, steps: int) -> list[float]:
+    """G_0..G_steps from G <- G + I(G), I the reference tail integral rounded
+    to a double at each step."""
     values = [0.0]
     for _ in range(steps):
-        values.append(values[-1] + tail(values[-1]))
+        values.append(values[-1] + float(ref.tail_integral(d, values[-1])))
     return values
-
-
-def pareto_tail(alpha: float):
-    mean = alpha / (alpha - 1.0)
-    return lambda g: mean - g if g < 1.0 else g ** (1.0 - alpha) / (alpha - 1.0)
-
-
-def frechet_tail(alpha: float):
-    # int_g^inf (1 - exp(-u^-alpha)) du
-    #   = Gamma(s) P(s, g^-alpha) - g (1 - exp(-g^-alpha)),  s = 1 - 1/alpha
-    s = 1.0 - 1.0 / alpha
-
-    def tail(g: float) -> float:
-        if g == 0.0:
-            return math.gamma(s)
-        x = g ** -alpha
-        return math.gamma(s) * float(special.gammainc(s, x)) + g * math.expm1(-x)
-    return tail
 
 
 class TestPolicySequenceProperties:
@@ -167,26 +143,19 @@ class TestPolicySequenceProperties:
 
 
 class TestRunningTail:
-    @pytest.mark.parametrize("d, tail, steps", [
-        (Pareto(2.0), pareto_tail(2.0), 5000),
-        (Pareto(3.0), pareto_tail(3.0), 5000),
-        (Exponential(1.0), lambda g: math.exp(-g), 5000),
-        (Uniform(0.0, 1.0), lambda g: (1.0 - g) ** 2 / 2.0, 5000),
-        (BoundedPower(1.0, 2.0), lambda g: (1.0 - g) ** 3 / 3.0, 5000),
-        (Frechet(0.0, 1.0, 2.5), frechet_tail(2.5), 2000),
+    @pytest.mark.parametrize("d, steps", [
+        (Pareto(2.0), 5000), (Pareto(3.0), 5000), (Exponential(1.0), 5000),
+        (Uniform(0.0, 1.0), 5000), (BoundedPower(1.0, 2.0), 5000), (Frechet(0.0, 1.0, 2.5), 2000),
         # shapes near and below the worst single-unit shape 1.657, where the
         # plain map left an endpoint singularity the quadrature could not
         # resolve
-        (Pareto(1.2), pareto_tail(1.2), 300),
-        (Pareto(1.3), pareto_tail(1.3), 300),
-        (Pareto(1.4), pareto_tail(1.4), 300),
-        (Pareto(1.656), pareto_tail(1.656), 300),
-        (Frechet(0.0, 1.0, 1.5), frechet_tail(1.5), 300),
+        (Pareto(1.2), 300), (Pareto(1.3), 300), (Pareto(1.4), 300), (Pareto(1.656), 300),
+        (Frechet(0.0, 1.0, 1.5), 300),
     ], ids=["pareto2", "pareto3", "exp1", "uniform", "bpower2", "frechet2.5",
             "pareto1.2", "pareto1.3", "pareto1.4", "pareto1.656", "frechet1.5"])
-    def test_against_closed_recurrence(self, d, tail, steps):
+    def test_against_closed_recurrence(self, d, steps):
         seq = extend_policy(PolicySequence(d), steps)
-        oracle = closed_recurrence(tail, steps)
+        oracle = closed_recurrence(d, steps)
         assert len(seq.values) == steps + 1
         np.testing.assert_allclose(seq.values[1:], oracle[1:], rtol=1e-11, atol=0.0)
 
@@ -280,21 +249,7 @@ class TestDpLoop:
 
 
 class TestExpectedMax:
-    def test_uniform(self):
-        for n in (1, 2, 10):
-            assert expected_max(Uniform(0.0, 1.0), n) == pytest.approx(n / (n + 1.0), abs=1e-9)
-
-    def test_exponential_harmonic(self):
-        assert expected_max(Exponential(1.0), 3) == pytest.approx(harmonic(3), abs=1e-9)
-
-    def test_pareto_quadrature_oracle(self):
-        # oracle: the defining integral by mpmath's quadrature; it is 1 on
-        # [0, 1] and 2/t^2 - 1/t^4 above, 8/3 in all
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            oracle = float(mp.quad(lambda t: 1 - (1 - min(1, t ** -2)) ** 2, [0, 1, mp.inf]))
-        assert oracle == pytest.approx(8.0 / 3.0, abs=1e-12)
-        assert expected_max(Pareto(2.0), 2) == pytest.approx(oracle, abs=1e-7)
+    """The values are in tests/test_oracle_table.py; these check the route."""
 
     @pytest.mark.parametrize("n", [1, 100])
     @pytest.mark.parametrize("d", [Pareto(2.0), Exponential(1.0), Uniform(-2.0, 0.7),
@@ -308,65 +263,19 @@ class TestExpectedMax:
         monkeypatch.setattr(distributions, "integrate", no_integrate)
         assert expected_max(d, n) > 0.0
 
-    def test_support_below_zero(self):
-        # every draw is negative, so max(M_n, 0) is 0
-        assert expected_max(Uniform(-2.0, -1.0), 3) == 0.0
-
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             expected_max(Pareto(1.0), 5)
 
-    @pytest.mark.parametrize("n", [3, 100, 10 ** 4])
-    @pytest.mark.parametrize("alpha", [1.2, 1.3, 1.5, 1.656])
-    def test_heavy_pareto_beta_closed_form(self, alpha, n):
-        # E max_n = n B(n, 1 - 1/alpha)
-        exact = n * math.exp(math.lgamma(n) + math.lgamma(1.0 - 1.0 / alpha)
-                             - math.lgamma(n + 1.0 - 1.0 / alpha))
-        assert expected_max(Pareto(alpha), n) == pytest.approx(exact, rel=1e-10)
-
-    @pytest.mark.parametrize("n", [5000, 10 ** 4, 10 ** 5, 10 ** 6])
-    def test_uniform_boundary_layer(self, n):
-        # the integrand falls from 1 to 0 within 1/n of the upper end
-        assert expected_max(Uniform(0.0, 1.0), n) == pytest.approx(
-            n / (n + 1.0), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
-    def test_uniform_above_zero_closed_form(self, n):
-        # E max_n of Uniform(a, b) with 0 < a is a + (b - a) n/(n + 1); the
-        # integral from 0 has a kink at a
-        assert expected_max(Uniform(1.0, 4.0), n) == pytest.approx(
-            1.0 + 3.0 * n / (n + 1.0), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("n", [2, 10, 5000, 10 ** 5, 10 ** 6])
-    def test_bounded_power_mpmath_oracle(self, n):
-        # int_0^1 1 - (1 - (1-t)^2)^n dt at 40 digits, split at the layer
-        # width n^(-1/2) below the upper end
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            w = 1 / mp.sqrt(n)
-            cuts = sorted({mp.mpf(0), *(c * w for c in (1, 30) if c * w < 1), mp.mpf(1)})
-            oracle = mp.quad(lambda u: 1 - (1 - u ** 2) ** n, cuts)
-        assert expected_max(BoundedPower(1.0, 2.0), n) == pytest.approx(float(oracle),
-                                                                        rel=1e-13, abs=0.0)
-
-    def test_integrates_from_zero_below_the_support(self):
-        # E max(X, 0) for Gumbel(0, 1) is euler_gamma + E1(1), not E X = euler_gamma;
-        # measured error 3e-15
-        exact = EULER_MASCHERONI + float(special.exp1(1.0))
-        assert expected_max(Gumbel(0.0, 1.0), 1) == pytest.approx(exact, rel=1e-12, abs=0.0)
-
     def test_overflowing_tail_map_is_typed(self):
         # the quadrature of the same integral leaves the double range; the
         # closed form 3!/((1 - c)(2 - c)(3 - c)), c = 1/alpha, needs no map
-        mp = pytest.importorskip("mpmath")
         d = Pareto(1.001)
         with pytest.raises(ConvergenceError) as info:
             order_statistic_mean(d, 3, 1)
         assert info.value.estimated_error == math.inf
-        with mp.workdps(40):
-            c = 1 / mp.mpf(d.alpha)
-            exact = float(6 / ((1 - c) * (2 - c) * (3 - c)))
-        assert expected_max(d, 3) == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert expected_max(d, 3) == pytest.approx(float(ref.expected_max(d, 3)), rel=1e-14,
+                                                   abs=0.0)
 
 
 class TestTheoreticalCc:
@@ -387,6 +296,11 @@ class TestTheoreticalCc:
     def test_domain(self):
         with pytest.raises(DomainError):
             theoretical_cc(1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, -math.inf])
+    def test_non_finite_index_rejected(self, gamma):
+        with pytest.raises(DomainError, match="requires -inf < gamma < 1"):
+            theoretical_cc(gamma)
 
     @staticmethod
     def mpmath_cc(g: float) -> float:
@@ -555,6 +469,13 @@ class TestQuantileApproximations:
             assert abs(ratio - kennedy_kertz_nu(alpha)) <= 0.01
 
 
+@pytest.mark.parametrize("approx", [quantile_policy_approx, expected_max_approx])
+@pytest.mark.parametrize("n", [0, -1])
+def test_approximations_need_one_draw(approx, n):
+    with pytest.raises(DomainError, match="requires n >= 1"):
+        approx(Pareto(2.0), n)
+
+
 class TestExpectedMaxApprox:
     def test_pareto_within_one_percent(self):
         d = Pareto(2.0)
@@ -567,7 +488,8 @@ class TestExpectedMaxApprox:
         n = 10 ** 4
         approx = expected_max_approx(Exponential(1.0), n)
         assert approx == pytest.approx(math.log(n) + EULER_MASCHERONI, rel=1e-12)
-        assert abs(approx - harmonic(n)) / harmonic(n) <= 1e-3
+        h_n = float(ref.harmonic(n))
+        assert abs(approx - h_n) / h_n <= 1e-3
 
     def test_uniform_reduces_to_quantile_at_gamma_minus_one(self):
         # Gamma(2) = 1 collapses the correction: approx = F^{-1}(1 - 1/n),
@@ -575,7 +497,8 @@ class TestExpectedMaxApprox:
         n = 1000
         approx = expected_max_approx(Uniform(0.0, 1.0), n)
         assert approx == pytest.approx(1.0 - 1.0 / n, rel=1e-12, abs=0.0)
-        assert abs(approx - n / (n + 1.0)) / (n / (n + 1.0)) <= 1e-5
+        exact = float(ref.expected_max(Uniform(0.0, 1.0), n))
+        assert abs(approx - exact) / exact <= 1e-5
 
     @pytest.mark.parametrize("m", [100.0, -1.0])
     @pytest.mark.parametrize("s", [1.0, 3.0])

@@ -243,6 +243,12 @@ class TestHistogram:
         with pytest.raises(DomainError):
             histogram_export([1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        # numpy's cast of inf or NaN to a bin index warned and raised ValueError
+        with pytest.raises(DomainError, match="finite"):
+            histogram_export([1.0, bad], 1.0)
+
 
 class TestPipeline:
     def test_deterministic_for_identical_bytes(self):

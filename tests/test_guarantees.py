@@ -420,3 +420,11 @@ class TestGuaranteeValue:
     def test_light_tails_get_one(self):
         assert guarantee_value(Exponential(1.0), 5) == 1.0
         assert guarantee_value(BoundedPower(1.0, 2.0), 2) == 1.0
+
+    @pytest.mark.parametrize("d", [Pareto(2.0), Exponential(1.0), BoundedPower(1.0, 2.0)],
+                             ids=repr)
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_units_rejected_for_every_family(self, d, k):
+        # as phi_k(2, 0) is: a light tail does not skip the check
+        with pytest.raises(DomainError, match="requires k >= 1"):
+            guarantee_value(d, k)

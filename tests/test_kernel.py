@@ -21,13 +21,14 @@ from evpricing import (
     Gumbel,
     Pareto,
     Uniform,
-    expected_max,
     find_root,
     integrate,
     lambert_w_minus1,
     maximize_1d,
     order_statistic_mean,
 )
+
+import references as ref
 
 
 class TestEndpoints:
@@ -229,20 +230,16 @@ def counted_panels(monkeypatch) -> list:
 
 
 class TestIntegrate:
-    def test_exponential_tail(self):
-        # int_0^inf e^-x = 1, the mean of Exponential(1) from its lower end
-        val = order_statistic_mean(Exponential(1.0), 1, 1)
-        assert val == pytest.approx(1.0, abs=1e-10)
-
     def test_constant(self):
         # the Kronrod weights are the nearest doubles of the rule's: they sum
         # to 2, and one panel of a constant is exact
         assert integrate(lambda xs: [1.0] * 15, 0.0, 1.0, tol=1e-10) == 1.0
 
-    def test_inverse_square_tail(self):
-        # 1 + int_1^inf x^-2 = 2, the mean of Pareto(2): sf is 1 below its lower end
-        val = order_statistic_mean(Pareto(2.0), 1, 1)
-        assert val == pytest.approx(2.0, abs=1e-10)
+    def test_points_split_finite_domain(self):
+        # |x - 1/3| has its kink off every dyadic panel edge
+        val = integrate(lambda xs: [abs(x - 1.0 / 3.0) for x in xs], 0.0, 1.0,
+                        tol=1e-14, points=(1.0 / 3.0, 5.0))
+        assert val == pytest.approx(5.0 / 18.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                                         (0.0, 2.0, -1.0, 0.5, 0.0, 3.0),
@@ -279,7 +276,7 @@ class TestIntegrate:
         # the running error sum drifts by rounding over ~2000 panel updates;
         # here it fell below tol while the exact sum had not, which raised
         alpha, lo = 2.1789295087231055, 591.625
-        exact = lo ** (1.0 - alpha) / (alpha - 1.0)
+        exact = float(ref.tail_integral(Pareto(alpha), lo))
         val = integrate(unit_map(lambda x: x ** -alpha, lo), 0.0, 1.0, tol=5e-13 * exact)
         assert val == pytest.approx(exact, rel=1e-13, abs=0.0)
 
@@ -533,55 +530,8 @@ class TestVectorizedIntegrand:
         # it on array panels is the quadrature of per-node scalar calls
         piece = (float(d.quantile(0.3)), float(d.quantile(0.7)))
         got = integrate(on_array(d.sf), *piece, tol=1e-13)
-        ref = integrate(lambda xs: [d.sf(x) for x in xs], *piece, tol=1e-13)
-        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
-
-
-def mpmath_pareto_mean(alpha: float, n: int, j: int) -> float:
-    """E M_n^j of Pareto(alpha), Gamma(n+1) Gamma(j - 1/a)/(Gamma(j) Gamma(n+1 - 1/a)),
-    at 40 digits."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        b = 1 / mp.mpf(alpha)
-        return float(mp.exp(mp.loggamma(n + 1) + mp.loggamma(j - b) - mp.loggamma(j)
-                            - mp.loggamma(n + 1 - b)))
-
-
-LOG_SPACE_UNIT_TAIL = pytest.mark.xfail(
-    strict=True, reason="ROADMAP direction 3: the log-space unit tail at n <= 1000 "
-    "puts these up to 9.5e-13 off, the mass walk within 4.2e-14")
-
-
-class TestTailMap:
-    """The map of the half-line above T = -loc/scale to [0, 1) in
-    ``distributions._order_statistics_mean``, on real models:
-    x = T + (1-t)^(-q) - 1, q = max(1, gamma/(1-gamma)), with the support's
-    lower end a breakpoint."""
-
-    @pytest.mark.parametrize("n, j", [
-        pytest.param(n, j, marks=LOG_SPACE_UNIT_TAIL if (n, j) == (1000, 1) else ())
-        for n in (2, 10, 100, 1000, 10 ** 5) for j in (1, 2, 3) if j <= n])
-    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.656, 2.0, 2.5, 3.0])
-    def test_pareto_means_against_gamma_ratios(self, alpha, n, j):
-        # the tail index gamma/j runs from 0.95 (q = 19) down to 1/9 (q = 1)
-        assert order_statistic_mean(Pareto(alpha), n, j) == pytest.approx(
-            mpmath_pareto_mean(alpha, n, j), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("n", [1, 2, 10, 100, 10 ** 5])
-    @pytest.mark.parametrize("alpha", [1.2, 1.656, 2.5])
-    @pytest.mark.parametrize("m, s", [(0.5, 1.0), (2.0, 1.0), (1.0, 10.0), (10.0, 1.0)])
-    def test_shifted_frechet_against_expected_max(self, m, s, alpha, n):
-        # T = -m/s lies below the lower end 0 of the standard member: the map
-        # of that end is a breakpoint, and E M_n is max-stable in closed form
-        d = Frechet(m, s, alpha)
-        assert order_statistic_mean(d, n, 1) == pytest.approx(expected_max(d, n), rel=1e-13,
-                                                              abs=0.0)
-
-    def test_points_split_finite_domain(self):
-        # |x - 1/3| has its kink off every dyadic panel edge
-        val = integrate(lambda xs: [abs(x - 1.0 / 3.0) for x in xs], 0.0, 1.0,
-                        tol=1e-14, points=(1.0 / 3.0, 5.0))
-        assert val == pytest.approx(5.0 / 18.0, rel=1e-14, abs=0.0)
+        per_node = integrate(lambda xs: [d.sf(x) for x in xs], *piece, tol=1e-13)
+        assert got == pytest.approx(per_node, rel=1e-14, abs=0.0)
 
 
 class TestMaximize1d:

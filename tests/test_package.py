@@ -76,6 +76,14 @@ def test_no_scipy_without_a_special_function(code):
     assert modules_after(code, "scipy") == []
 
 
+def test_references_load_no_evpricing_module():
+    # the oracles of tier-1 are independent of the code they check
+    tests = Path(__file__).resolve().parent
+    code = f"import sys\nsys.path.insert(0, {str(tests)!r})\nimport references"
+    assert modules_after(code, "references") == ["references"]
+    assert modules_after(code, "evpricing") == []
+
+
 def test_no_runtime_module_imports_scipy():
     importers = set()
     for path in SRC.glob("*.py"):

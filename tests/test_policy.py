@@ -1,11 +1,10 @@
-import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 import evpricing.distributions as distributions
 import evpricing.kernel as kernel
@@ -36,27 +35,18 @@ from evpricing.distributions import _binomial_tails, conditional_mean_above
 from evpricing.kernel import SCAN_POINTS
 from evpricing.policy import _fixed_price_values
 
-from conftest import mpmath_capped_tails
+import references as ref
 
 
-def closed_conditional_mean(d, T):
-    """Algebraic conditional means for the three reference models."""
-    if isinstance(d, Pareto):
-        a = d.alpha
-        return a / (a - 1.0) * max(T, 1.0)
-    if isinstance(d, Exponential):
-        return max(T, 0.0) + 1.0 / d.rate
-    if isinstance(d, Uniform):
-        return (d.b + max(T, d.a)) / 2.0
-    raise AssertionError(f"no closed form for {d!r}")
+def reference_best(d, n: int, k: int, bracket) -> tuple[float, float]:
+    """(T, value) at the maximum of the reference fixed-price value: the root of
+    its derivative in the bracket, by mpmath at 30 digits."""
+    with mp.workdps(30):
+        def value(T):
+            return ref.fixed_price_value(d, n, k, T)
 
-
-def enumeration_value(d, n, k, T):
-    """Oracle: enumerate binomial exceedance counts with exact combinatorics."""
-    p = float(d.sf(T))
-    expected_min = sum(min(k, c) * math.comb(n, c) * p ** c * (1.0 - p) ** (n - c)
-                       for c in range(n + 1))
-    return closed_conditional_mean(d, T) * expected_min
+        T = mp.findroot(lambda T: mp.diff(value, T), bracket, solver="illinois")
+        return float(T), float(value(T))
 
 
 class TestFixedPriceExact:
@@ -84,7 +74,7 @@ class TestFixedPriceExact:
         for d in nonneg_models:
             T = float(d.quantile(q))
             got = fixed_price_value_exact(d, n, k, T)
-            assert got == pytest.approx(enumeration_value(d, n, k, T), abs=1e-8)
+            assert got == pytest.approx(float(ref.fixed_price_value(d, n, k, T)), abs=1e-8)
 
     def test_value_vanishes_toward_upper_endpoint(self):
         d = Pareto(2.0)
@@ -169,37 +159,7 @@ class TestFixedPriceGrid:
 
 
 class TestProphetValue:
-    def test_uniform_top_of_three(self):
-        assert prophet_value(Uniform(0.0, 1.0), 3, 1) == pytest.approx(0.75, abs=1e-8)
-
-    def test_uniform_everything(self):
-        assert prophet_value(Uniform(0.0, 1.0), 2, 2) == pytest.approx(1.0, abs=1e-8)
-
-    def test_exponential_harmonic(self):
-        assert prophet_value(Exponential(1.0), 2, 1) == pytest.approx(1.5, abs=1e-8)
-
-    def test_pareto_order_statistic_closed_form(self):
-        # E(M_n^j) = Gamma(j - 1/a) Gamma(n+1) / (Gamma(j) Gamma(n+1-1/a))
-        n, alpha = 6, 2.0
-        expected = 0.0
-        for j in (1, 2):
-            expected += math.exp(math.lgamma(j - 1 / alpha) + math.lgamma(n + 1)
-                                 - math.lgamma(j) - math.lgamma(n + 1 - 1 / alpha))
-        assert prophet_value(Pareto(alpha), n, 2) == pytest.approx(expected, rel=1e-7)
-
-    def test_pareto_prophet_to_rounding(self):
-        # with the Gauss-Kronrod tables rounded to 15 decimals this was 3.0e-15
-        # low; with the nearest doubles of the rule it is 6.8e-17 off
-        assert prophet_value(Pareto(2.0), 100, 3) == pytest.approx(
-            float(mpmath_pareto_prophet(2.0, 100, 3)), rel=5e-16, abs=0.0)
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 3: the log-space unit tail "
-                       "puts it 5.6e-13 off, the mass walk 3.0e-15; "
-                       "bench/golden/converge-pareto.out pins its bits")
-    def test_pareto_unit_prophet_at_n_1000(self):
-        # Gamma(1001) Gamma(1/2) / Gamma(1000.5) = 56.056918840616006
-        assert prophet_value(Pareto(2.0), 1000, 1) == pytest.approx(
-            float(mpmath_pareto_prophet(2.0, 1000, 1)), rel=1e-14, abs=0.0)
+    """The values are in tests/test_oracle_table.py; this checks the one integral."""
 
     @pytest.mark.parametrize("n", [9, 1000, 1001, 2000])
     def test_one_integral_matches_sum_of_means(self, nonneg_models, n):
@@ -209,69 +169,28 @@ class TestProphetValue:
             loop = sum(order_statistic_mean(d, n, j) for j in range(1, 6))
             assert prophet_value(d, n, 5) == pytest.approx(loop, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [5000, 10 ** 5, 10 ** 6])
-    @pytest.mark.parametrize("k", [10, 100, 200, 300])
-    def test_uniform_boundary_layer_closed_form(self, n, k):
-        # E(M_n^j) = (n + 1 - j)/(n + 1); E min(k, Bin(n, sf)) bends where
-        # n*sf is 1 to k, within k/n of the upper end, for every k
-        exact = k - k * (k + 1) / (2.0 * (n + 1))
-        assert prophet_value(Uniform(0.0, 1.0), n, k) == pytest.approx(exact, rel=1e-13,
-                                                                       abs=0.0)
-
-
-@functools.lru_cache(maxsize=None)
-def mpmath_pareto_prophet(alpha: float, n: int, k: int):
-    """sum_{j=1..k} Gamma(j-1/a) Gamma(n+1) / (Gamma(j) Gamma(n+1-1/a)) at 40 digits,
-    once per point however many tests check it."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        g = 1 / mp.mpf(alpha)
-        return mp.fsum(mp.gamma(j - g) * mp.gamma(n + 1) / (mp.gamma(j) * mp.gamma(n + 1 - g))
-                       for j in range(1, k + 1))
-
 
 class TestKUnitMpmath:
     """k > 1, where E min(k, Bin(n, p)) walks the binomial masses at every n.
-    The parametrized bands were set for the routes the walk replaced: the
-    log-space sum up to n = 1000 (off by 4.9e-13 there) and scipy's betainc
-    above (4.4e-15 and 6.3e-14).  ``test_walk_band`` holds both values to
-    5e-14, at least 10x the walk's worst error over these points: 3.6e-15
-    for the prophet value and 2.3e-15 for the policy value."""
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-13), (5000, 1e-13)])
-    @pytest.mark.parametrize("alpha", [1.656, 2.0, 3.0])
-    def test_pareto_prophet(self, alpha, n, rel, k):
-        oracle = float(mpmath_pareto_prophet(alpha, n, k))
-        assert prophet_value(Pareto(alpha), n, k) == pytest.approx(oracle, rel=rel, abs=0.0)
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    @pytest.mark.parametrize("n,rel", [(50, 1e-11), (1000, 1e-11), (1001, 1e-12), (5000, 1e-12)])
-    @pytest.mark.parametrize("alpha", [2.0, 3.0])
-    def test_pareto_policy_value(self, alpha, n, rel, k):
-        # E(X | X > T) = a T/(a-1) above 1; T at n sf(T) = c
-        d = Pareto(alpha)
-        for c in (0.5, 2.0, 8.0):
-            T = (n / c) ** (1.0 / alpha)
-            oracle = alpha / (alpha - 1.0) * T * float(
-                mpmath_capped_tails(n, 1, k, float(d.sf(T))))
-            assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=rel, abs=0.0)
+    The prophet and policy values are held to 5e-14, at least 10x the walk's
+    worst error over these points: 3.6e-15 for the prophet value and 2.3e-15
+    for the policy value.  The routes the walk replaced were off by 4.9e-13
+    (the log-space sum up to n = 1000) and 6.3e-14 (scipy's betainc above)."""
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("n", [50, 1000, 1001, 5000])
     def test_walk_band(self, n, k):
         for alpha in (1.656, 2.0, 3.0):
-            oracle = float(mpmath_pareto_prophet(alpha, n, k))
-            assert prophet_value(Pareto(alpha), n, k) == pytest.approx(oracle, rel=5e-14,
-                                                                       abs=0.0)
+            d = Pareto(alpha)
+            assert prophet_value(d, n, k) == pytest.approx(
+                float(ref.order_statistic_means(d, n, 1, k)), rel=5e-14, abs=0.0)
         for alpha in (2.0, 3.0):
             d = Pareto(alpha)
             for c in (0.5, 2.0, 8.0):
+                # T at n sf(T) = c
                 T = (n / c) ** (1.0 / alpha)
-                oracle = alpha / (alpha - 1.0) * T * float(
-                    mpmath_capped_tails(n, 1, k, float(d.sf(T))))
-                assert fixed_price_value_exact(d, n, k, T) == pytest.approx(oracle, rel=5e-14,
-                                                                            abs=0.0)
+                assert fixed_price_value_exact(d, n, k, T) == pytest.approx(
+                    float(ref.fixed_price_value(d, n, k, T)), rel=5e-14, abs=0.0)
 
 
 class TestKUnitProperties:
@@ -340,26 +259,22 @@ class TestBestFixedPrice:
         assert res.threshold == pytest.approx(1.0, abs=1e-4)
         assert res.ratio == pytest.approx(1.0, abs=1e-5)
 
-    def test_uniform_against_dense_grid_oracle(self):
-        # oracle: closed-form value maximized over a dense threshold grid
-        n = 50
-        ts = np.linspace(1e-6, 1.0 - 1e-9, 200001)
-        vals = (1.0 + ts) / 2.0 * (1.0 - ts ** n)
-        i = int(np.argmax(vals))
-        prophet = n / (n + 1.0)
-        res = best_fixed_price(Uniform(0.0, 1.0), n, 1)
-        assert res.fp_value == pytest.approx(float(vals[i]), abs=1e-7)
-        assert res.ratio == pytest.approx(float(vals[i]) / prophet, abs=1e-6)
-        assert res.threshold == pytest.approx(float(ts[i]), abs=1e-3)
+    def test_uniform_against_mpmath_oracle(self):
+        d, n = Uniform(0.0, 1.0), 50
+        T, value = reference_best(d, n, 1, (0.5, 0.999))
+        res = best_fixed_price(d, n, 1)
+        assert res.fp_value == pytest.approx(value, abs=1e-7)
+        assert res.ratio == pytest.approx(value / float(ref.expected_max(d, n)), abs=1e-6)
+        assert res.threshold == pytest.approx(T, abs=1e-3)
 
-    def test_located_uniform_against_dense_grid_oracle(self):
+    def test_located_uniform_against_mpmath_oracle(self):
         # the search runs in standard units, and its value carries the
         # location back: (T + 101)/2 * (1 - (T - 100)^50) on [100, 101]
-        ts = np.linspace(100.0, 101.0, 2_000_001)
-        vals = (ts + 101.0) / 2.0 * (1.0 - (ts - 100.0) ** 50)
-        res = best_fixed_price(Uniform(100.0, 101.0), 50, 1)
-        assert res.fp_value == pytest.approx(float(vals.max()), rel=1e-12, abs=0.0)
-        assert res.threshold == pytest.approx(float(ts[np.argmax(vals)]), abs=1e-5)
+        d = Uniform(100.0, 101.0)
+        T, value = reference_best(d, 50, 1, (100.5, 100.999))
+        res = best_fixed_price(d, 50, 1)
+        assert res.fp_value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert res.threshold == pytest.approx(T, abs=1e-5)
 
     def test_invariants_hold(self, nonneg_models):
         for d in nonneg_models:
@@ -374,32 +289,14 @@ class TestBestFixedPrice:
     @pytest.mark.parametrize("n, recorded", [(10 ** 4, 0.8875870999760),
                                              (10 ** 5, 0.9038779065262)])
     def test_exponential_ratio_against_mpmath_oracle(self, n, recorded):
-        # oracle: max_T (T+1)(1 - (1-e^-T)^n) / H_n, the exact single-unit
-        # value over the expected maximum, at its stationary point in
-        # mpmath at 30 digits; the bracket [1, 2 log n] holds the sign change
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            value = lambda T: (T + 1) * -mp.expm1(n * mp.log1p(-mp.exp(-T)))
-            T = mp.findroot(lambda T: mp.diff(value, T), (1, 2 * mp.log(n)),
-                            solver="anderson")
-            oracle = float(value(T) / mp.harmonic(n))
+        # the exact single-unit value over the expected maximum H_n, at the
+        # stationary point in the bracket [1, 2 log n]
+        d = Exponential(1.0)
+        _, value = reference_best(d, n, 1, (1, 2 * math.log(n)))
+        oracle = value / float(ref.harmonic(n))
         assert oracle == pytest.approx(recorded, abs=1e-12)
-        res = best_fixed_price(Exponential(1.0), n, 1)
+        res = best_fixed_price(d, n, 1)
         assert res.ratio == pytest.approx(oracle, abs=1e-9)
-
-
-def pareto_top_k_mean(alpha: float, n: int, k: int) -> float:
-    """Closed-form sum of the top-k Pareto order-statistic means."""
-    return sum(math.exp(math.lgamma(j - 1 / alpha) + math.lgamma(n + 1)
-                        - math.lgamma(j) - math.lgamma(n + 1 - 1 / alpha))
-               for j in range(1, k + 1))
-
-
-def pareto_fixed_price_value(alpha: float, n: int, k: int, T: float) -> float:
-    """Closed-form alpha T/(alpha-1) times E min(k, Bin(n, T^-alpha))."""
-    p = min(1.0, max(T, 1.0) ** -alpha)
-    tails = sum(float(special.betainc(j, n - j + 1, p)) for j in range(1, k + 1))
-    return alpha / (alpha - 1.0) * max(T, 1.0) * tails
 
 
 class TestHeavyTailThresholdSearch:
@@ -407,15 +304,16 @@ class TestHeavyTailThresholdSearch:
 
     @pytest.mark.parametrize("n", [100, 10 ** 4])
     def test_pareto_1_3_against_closed_forms(self, n):
-        alpha, k = 1.3, 3
-        res = best_fixed_price(Pareto(alpha), n, k)
-        assert res.prophet_value == pytest.approx(pareto_top_k_mean(alpha, n, k), rel=1e-9)
+        d, k = Pareto(1.3), 3
+        res = best_fixed_price(d, n, k)
+        assert res.prophet_value == pytest.approx(float(ref.order_statistic_means(d, n, 1, k)),
+                                                  rel=1e-9)
         assert res.fp_value == pytest.approx(
-            pareto_fixed_price_value(alpha, n, k, res.threshold), rel=1e-9)
+            float(ref.fixed_price_value(d, n, k, res.threshold)), rel=1e-9)
         # no threshold on a quantile grid does better
         for q in np.linspace(0.0, 1.0 - 1e-6, 121):
-            T = (1.0 - q) ** (-1.0 / alpha)
-            assert pareto_fixed_price_value(alpha, n, k, T) <= res.fp_value * (1 + 1e-9)
+            T = (1.0 - q) ** (-1.0 / d.alpha)
+            assert float(ref.fixed_price_value(d, n, k, T)) <= res.fp_value * (1 + 1e-9)
         assert 0.0 < res.ratio < 1.0
 
 
@@ -425,18 +323,15 @@ class TestMidSizeMarkets:
 
     @pytest.mark.parametrize("n", [10 ** 8, 10 ** 9])
     def test_pareto_against_closed_forms(self, n):
-        alpha, k = 2.0, 3
-        res = best_fixed_price(Pareto(alpha), n, k)
-        # the closed form of pareto_top_k_mean at 40 digits: in doubles its
-        # lgamma(n + 1) - lgamma(n + 1/2) loses 2.8e-6 relative at n = 1e9
-        prophet = float(mpmath_pareto_prophet(alpha, n, k))
-        assert res.prophet_value == pytest.approx(prophet, rel=1e-9)
-        oracle = (alpha / (alpha - 1.0) * res.threshold
-                  * float(mpmath_capped_tails(n, 1, k, res.threshold ** -alpha)))
-        assert res.fp_value == pytest.approx(oracle, rel=1e-9)
+        d, k = Pareto(2.0), 3
+        res = best_fixed_price(d, n, k)
+        assert res.prophet_value == pytest.approx(float(ref.order_statistic_means(d, n, 1, k)),
+                                                  rel=1e-9)
+        assert res.fp_value == pytest.approx(
+            float(ref.fixed_price_value(d, n, k, res.threshold)), rel=1e-9)
         # the ratio tends to the large-market guarantee phi_3(2) = 0.810153218561,
         # 0.26/n above it at both sizes
-        assert res.ratio == pytest.approx(phi_k(alpha, k).value, abs=1.0 / n)
+        assert res.ratio == pytest.approx(phi_k(d.alpha, k).value, abs=1.0 / n)
 
 
 class TestNaNThresholds:

@@ -1,12 +1,12 @@
 """The unit of valuation: every result is a ratio, so none may depend on it.
 
 Each model is loc + scale*Z for the standard member Z of ``_standard``.  The
-checks here are closed forms at scales far from 1, fixed probes, and the
-metamorphic relation X -> c*X (Chen et al., "Metamorphic testing", ACM CSUR
-2018): the functionals with a unit scale by c, and the ratios stay put.
+checks here are fixed probes and the metamorphic relation X -> c*X (Chen et
+al., "Metamorphic testing", ACM CSUR 2018): the functionals with a unit scale
+by c, and the ratios stay put.  The closed forms at scales 1e-8 and 1e8 are in
+tests/test_oracle_table.py.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -36,54 +36,6 @@ SCALES = [1e-8, 1.0, 1e8]
 FRECHET_ALPHA = 2.5
 
 
-@functools.lru_cache(maxsize=None)
-def harmonic(n: int):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        return mp.harmonic(n)
-
-
-class TestExpectedMaxAtScale:
-    """E max of n draws against closed forms at scales 1e-8, 1 and 1e8."""
-
-    @pytest.mark.parametrize("n", [1, 10, 10 ** 3, 10 ** 6])
-    @pytest.mark.parametrize("c", SCALES)
-    def test_exponential_harmonic(self, c, n):
-        # H_n/rate
-        rate = 1.0 / c
-        assert expected_max(Exponential(rate), n) == pytest.approx(
-            float(harmonic(n) / rate), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("n", [1, 10, 10 ** 3, 10 ** 6])
-    @pytest.mark.parametrize("c", SCALES)
-    def test_uniform(self, c, n):
-        # c*n/(n + 1)
-        assert expected_max(Uniform(0.0, c), n) == pytest.approx(
-            c * n / (n + 1.0), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("n", [1, 10, 10 ** 3, 10 ** 6])
-    @pytest.mark.parametrize("c", SCALES)
-    def test_frechet_max_stability(self, c, n):
-        # the max of n is Frechet(0, s*n^(1/alpha), alpha), of mean s*Gamma(1 - 1/alpha)*n^(1/alpha)
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            a = mp.mpf(FRECHET_ALPHA)
-            exact = float(c * mp.gamma(1 - 1 / a) * mp.mpf(n) ** (1 / a))
-        assert expected_max(Frechet(0.0, c, FRECHET_ALPHA), n) == pytest.approx(
-            exact, rel=1e-13, abs=0.0)
-
-
-def gumbel_conditional_mean(loc: float, scale: float, T: float) -> float:
-    """T + int_T^inf sf / sf(T) at 40 digits, in the model's own units."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        def sf(x):
-            return -mp.expm1(-mp.exp(-(x - loc) / scale))
-        T = mp.mpf(T)
-        cuts = [T, *(T + c * scale for c in (1, 10, 100)), mp.inf]
-        return float(T + mp.quad(sf, cuts) / sf(T))
-
-
 class TestScaleProbes:
     """Fixed cases that took the unit of valuation for 1."""
 
@@ -99,13 +51,6 @@ class TestScaleProbes:
         # phi(s) = s - 1/rate: the preimage of 0 is 1/rate, 1e-13 above the lower end
         assert virtual_tail_ratio(Exponential(1e13), 0.0) == pytest.approx(
             math.exp(-1.0), rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("q", [0.01, 0.3])
-    def test_gumbel_conditional_mean(self, q):
-        d = Gumbel(0.0, 1e-4)
-        T = float(d.quantile(q))
-        assert conditional_mean_above(d, T) == pytest.approx(
-            gumbel_conditional_mean(0.0, 1e-4, T), rel=1e-13, abs=0.0)
 
 
 def test_benchmark_and_readme_models_are_standard_members():
