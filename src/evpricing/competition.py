@@ -8,15 +8,22 @@ complexity at market size n is the least m with G_m >= E max(M_n, 0) for the
 maximum M_n of n draws (``expected_max``, a closed form per kind, which is
 I(0) = G_1 at n = 1), found by bisection in the nondecreasing G_m and reported
 as m/n next to the closed form (1 - gamma) * Gamma(1 - gamma)^(1/gamma).
+
+Amortization is automatic per model: the values G_0..G_N computed so far for
+each model in this process are kept once (``_KNOWN``), and every extension on
+their path copies them and steps only past their end.  The memo lives as long
+as the model and holds the longest sequence requested.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, expected_max
+from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, _index, expected_max
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .kernel import _lgamma_ratio
 
@@ -31,12 +38,20 @@ __all__ = [
     "expected_max_approx",
 ]
 
+#: The canonical G_0..G_N of each model computed so far in this process, released
+#: with the model.  Equal models share an entry: they differ at most in the sign
+#: of a zero parameter, which changes no step.
+_KNOWN: weakref.WeakKeyDictionary[DistributionModel, list[float]] = weakref.WeakKeyDictionary()
+_KNOWN_LOCK = threading.Lock()
+
+
 @dataclass
 class PolicySequence:
     """Append-only dynamic-programming values G_0..G_N for one model.
 
     Single writer: extension mutates the list in place; reading an already
-    computed prefix from other threads is safe.
+    computed prefix from other threads is safe.  Sequences of one model share
+    the per-model memo of ``extend_policy``, which is locked.
     """
 
     model: DistributionModel
@@ -46,6 +61,9 @@ class PolicySequence:
         if self.model.evt_index().gamma >= 1:
             raise DivergenceError(
                 "policy sequence diverges: the model has an infinite mean")
+        if not isinstance(self.values, list):
+            raise DomainError(
+                f"policy sequence values must be a list, got {type(self.values).__name__}")
         if not self.values or self.values[0] != 0.0:
             raise DomainError("policy sequence must start at G_0 = 0")
 
@@ -62,15 +80,37 @@ def extend_policy(seq: PolicySequence, up_to: int,
 
     A step is ``_tail_integral(g)`` bit for bit, scale times the model's ``_tail``,
     read once: the sequence's model was checked for a finite mean when it was made.
+    A step reads only the last value, so when that value is the model's known
+    one at its index (``_KNOWN``, bit for bit) the known continuation is copied,
+    and only the steps past its end are taken and appended to it.  A sequence
+    whose last value is not the known one (-0.0 for 0.0, or a changed value) is
+    stepped without the memo.
     """
-    if up_to < 0:
-        raise DomainError(f"extend_policy requires up_to >= 0, got {up_to}")
+    up_to = _index(up_to, "extend_policy requires an integer up_to >= 0", 0)
     values = seq.values
+    if len(values) > up_to or not values[-1] < target:
+        return seq
+    i = len(values) - 1
+    with _KNOWN_LOCK:
+        known = _KNOWN.setdefault(seq.model, [0.0])
+        on_path = (i < len(known) and isinstance(values[i], float)
+                   and values[i].hex() == known[i].hex())
+        if on_path:
+            # G is nondecreasing (a step adds I(g) >= 0): copy through the
+            # first value >= target, as the steps would stop there
+            stop = min(up_to + 1, len(known))
+            stop = min(stop, bisect_left(known, target, i + 1, stop) + 1)
+            values += known[i + 1:stop]
+    start = len(values)
     tail, scale = seq.model._tail, seq.model._reduced[1]
     g = values[-1]
     while len(values) <= up_to and g < target:
         g += scale * tail(g)
         values.append(g)
+    if on_path and len(values) > start:
+        # another writer may have gone further meanwhile, with the same values
+        with _KNOWN_LOCK:
+            known += values[len(known):]
     return seq
 
 
@@ -105,11 +145,12 @@ def empirical_competition_complexity(d: DistributionModel, n: int,
                                      ) -> CompetitionRecord:
     """Least m with G_m >= E max(M_n, 0) (M_n: max of n draws), as a CompetitionRecord.
 
-    Pass a PolicySequence to amortize the dynamic-programming extension
-    across calls with increasing n; it must belong to the same model.
+    Amortization is automatic per model: the values computed for the model in
+    this process are copied, not stepped again (see ``extend_policy``); the memo
+    lives as long as the model and holds the longest sequence requested.  A
+    sequence passed as seq must belong to the same model.
     """
-    if n < 1:
-        raise DomainError(f"requires n >= 1, got {n}")
+    n = _index(n, "requires an integer n >= 1", 1)
     gamma = d.evt_index().gamma
     if seq is None:
         seq = PolicySequence(d)

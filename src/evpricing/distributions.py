@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -830,12 +831,23 @@ def _harmonic(n: int) -> float:
     return math.fsum(terms)
 
 
+def _index(value: int, requirement: str, low: int) -> int:
+    """value as an int >= low, else DomainError naming the requirement: ints and
+    numpy integers pass; floats, NaN and inf among them, do not."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = None
+    if i is None or i < low:
+        raise DomainError(f"{requirement}, got {value!r}")
+    return i
+
+
 def expected_max(d: DistributionModel, n: int) -> float:
     """E max(M_n, 0), M_n the max of n i.i.d. draws: the closed form ``_expected_max``
     of each kind; at n = 1 the tail integral I(0), which is G_1 of
     :mod:`evpricing.competition`."""
-    if n < 1:
-        raise DomainError(f"expected_max requires n >= 1, got {n}")
+    n = _index(n, "expected_max requires an integer n >= 1", 1)
     if d.evt_index().gamma >= 1:
         raise DivergenceError(f"infinite mean: {d!r} has tail index gamma >= 1")
     return d._tail_integral(0.0) if n == 1 else d._expected_max(n)

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -175,13 +179,18 @@ class TestRunningTail:
             assert resumed.values == fresh.values
 
 
-def old_step_values(d, steps: int) -> list[float]:
-    """G_0..G_steps by the step g += d._tail_integral(g), one call per step."""
-    values, g = [0.0], 0.0
-    for _ in range(steps):
+def old_step_values(d, steps: int, start=(0.0,), target: float = math.inf) -> list[float]:
+    """start continued by the step g += d._tail_integral(g), one call per step,
+    through index steps or the first value >= target; no memo."""
+    values, g = list(start), start[-1]
+    while len(values) <= steps and g < target:
         g += d._tail_integral(g)
         values.append(g)
     return values
+
+
+def hexes(values: list[float]) -> list[str]:
+    return [v.hex() for v in values]
 
 
 def scan_m_star(d, n: int, seq: PolicySequence):
@@ -246,6 +255,149 @@ class TestDpLoop:
         # the cap is ceil(10 n theoretical_cc(-1)) = 2000 steps
         assert len(seq.values) == 2001
         assert empirical_competition_complexity(PLATEAU, 30, seq=seq).m_star == 58
+
+
+class TestKnownValues:
+    """extend_policy copies the values known for the model and steps only past
+    them; every G_m stays the memo-free step's, bit for bit."""
+
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_cold_then_warm(self, d):
+        reference = hexes(old_step_values(d, 400))
+        competition._KNOWN.pop(d, None)
+        assert hexes(extend_policy(PolicySequence(d), 300).values) == reference[:301]
+        assert hexes(competition._KNOWN[d]) == reference[:301]
+        # copied through 300 and stepped past it, then copied alone
+        assert hexes(extend_policy(PolicySequence(d), 400).values) == reference
+        assert hexes(extend_policy(PolicySequence(d), 200).values) == reference[:201]
+        assert hexes(competition._KNOWN[d]) == reference
+
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_stepwise_values(self, d):
+        competition._KNOWN.pop(d, None)
+        seq = PolicySequence(d)
+        for m in range(1, 301):
+            seq.value(m)
+        assert hexes(seq.values) == hexes(old_step_values(d, 300))
+
+    @pytest.mark.parametrize("tampered", [None, 10, 49], ids=["resumed", "middle", "last"])
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_preset_prefix(self, d, tampered):
+        # a changed value before the last one stays on the memo's path, as a
+        # step reads only the last value; a changed last value leaves it
+        extend_policy(PolicySequence(d), 300)
+        prefix = old_step_values(d, 49)
+        if tampered is not None:
+            prefix[tampered] = math.nextafter(prefix[tampered], math.inf)
+        got = extend_policy(PolicySequence(d, values=list(prefix)), 300).values
+        assert hexes(got) == hexes(old_step_values(d, 300, prefix))
+        known = competition._KNOWN[d]
+        assert hexes(known) == hexes(old_step_values(d, len(known) - 1))
+
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_stop_at_target(self, d):
+        reference = old_step_values(d, 300)
+        extend_policy(PolicySequence(d), 300)
+        for target in (reference[1], reference[40], math.nextafter(reference[40], math.inf),
+                       reference[300], math.inf, math.nan):
+            got = extend_policy(PolicySequence(d), 300, target=target).values
+            assert hexes(got) == hexes(old_step_values(d, 300, target=target))
+
+    @pytest.mark.parametrize("d", DP_MODELS + [PLATEAU], ids=repr)
+    def test_negative_zero_start(self, d):
+        extend_policy(PolicySequence(d), 300)
+        got = extend_policy(PolicySequence(d, values=[-0.0]), 300).values
+        assert got[0].hex() == "-0x0.0p+0"
+        assert hexes(got) == hexes(old_step_values(d, 300, [-0.0]))
+
+    @pytest.mark.parametrize("plus, minus", [
+        (Uniform(0.0, 1.0), Uniform(-0.0, 1.0)), (Uniform(-1.0, 0.0), Uniform(-1.0, -0.0)),
+        (Frechet(0.0, 1.0, 2.5), Frechet(-0.0, 1.0, 2.5)),
+        (Frechet(0.0, 2.0, 2.5), Frechet(-0.0, 2.0, 2.5)),
+        (Gumbel(0.0, 1.0), Gumbel(-0.0, 1.0)), (Gumbel(0.0, 2.0), Gumbel(-0.0, 2.0)),
+    ], ids=repr)
+    def test_equal_models_share_an_entry(self, plus, minus):
+        # equal models share one memo entry: each must step as the other does
+        assert plus == minus and hash(plus) == hash(minus)
+        for first, second in ((plus, minus), (minus, plus)):
+            competition._KNOWN.pop(first, None)
+            extend_policy(PolicySequence(first), 300)
+            got = extend_policy(PolicySequence(second), 400).values
+            assert hexes(got) == hexes(old_step_values(second, 400))
+            assert hexes(competition._KNOWN[first]) == hexes(old_step_values(first, 400))
+
+    def test_entry_released_with_the_model(self):
+        d = Pareto(2.71875)
+        empirical_competition_complexity(d, 50)
+        assert Pareto(2.71875) in competition._KNOWN
+        del d
+        gc.collect()
+        assert Pareto(2.71875) not in competition._KNOWN
+
+    def test_concurrent_writers(self):
+        # four sequences of one model extended at once, in small steps with a
+        # short switch interval, so that the writers to the memo interleave
+        d = Exponential(0.8125)
+        reference = hexes(old_step_values(d, 2000))
+        competition._KNOWN.pop(d, None)
+        lengths = (500, 2000, 1000, 1500)
+        seqs = [PolicySequence(d) for _ in lengths]
+        barrier = threading.Barrier(len(lengths))
+
+        def work(seq, up_to):
+            barrier.wait(timeout=30)
+            for m in range(0, up_to + 1, 7):
+                extend_policy(seq, m)
+            extend_policy(seq, up_to)
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(seqs, lengths)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seq, up_to in zip(seqs, lengths):
+            assert hexes(seq.values) == reference[:up_to + 1]
+        assert hexes(competition._KNOWN[d]) == reference
+
+    @pytest.mark.parametrize("d", DP_MODELS, ids=repr)
+    def test_each_value_stepped_once(self, d):
+        # without seq, n = 1..200 take max m* steps in all, not the sum of the
+        # m*; the one more tail evaluation is expected_max(d, 1) = I(0)
+        calls = []
+
+        class Counting(type(d)):
+            def _tail(self, t, *args):
+                calls.append(t)
+                return super()._tail(t, *args)
+
+        counting = Counting(**{f.name: getattr(d, f.name) for f in fields(d)})
+        m_stars = [empirical_competition_complexity(counting, n).m_star for n in range(1, 201)]
+        assert len(calls) <= max(m_stars) + 1 < sum(m_stars)
+
+
+@pytest.mark.parametrize("call", [
+    expected_max, empirical_competition_complexity,
+    lambda d, n: extend_policy(PolicySequence(d), n), lambda d, n: PolicySequence(d).value(n),
+], ids=["expected_max", "empirical_competition_complexity", "extend_policy", "value"])
+@pytest.mark.parametrize("d", DP_MODELS, ids=repr)
+def test_sizes_are_integers(d, call):
+    # operator.index: numpy integers pass, floats (whole, NaN, inf) and the rest do not
+    assert call(d, np.int64(3)) == call(d, 3)
+    for n in (10.5, 2.0, math.nan, math.inf, "3", None):
+        with pytest.raises(DomainError, match="integer"):
+            call(d, n)
+
+
+@pytest.mark.parametrize("values", [(0.0,), np.zeros(1)], ids=["tuple", "array"])
+def test_sequence_values_are_a_list(values):
+    with pytest.raises(DomainError, match="must be a list"):
+        PolicySequence(Pareto(2.0), values=values)
 
 
 class TestExpectedMax:
