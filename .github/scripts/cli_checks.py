@@ -17,7 +17,9 @@ the upper end; at alpha = 0.7 the density is infinite at that end.  On the
 narrow shapes, whose mass is about 1/alpha wide, competition --n 20 must
 print the m_star that a 40-digit DP gives.  ``installed`` also checks that
 theory-mode thresholds reduce to the standard member: on Uniform(100, 101)
-each printed threshold lies in the support [100, 101].
+each printed threshold lies in the support [100, 101].  It then checks the
+paper's light-tailed claim on a support below 0: converge on Gumbel(0, 1)
+prints ratios in (0, 1) that rise strictly with n.
 
 bench/ is only read.  Exits 1 if any check fails.
 """
@@ -52,6 +54,9 @@ NARROW = {"frechet:m=0,s=1,alpha=1000": 35, "pareto:alpha=1e4": 34,
 
 THEORY = ["converge", "--dist", "uniform:a=100,b=101", "--k", "1",
           "--n-grid", "10,100", "--mode", "theory", "--u", "0.05"]
+
+GUMBEL = ["converge", "--dist", "gumbel:loc=0,scale=1", "--k", "1",
+          "--n-grid", "10,100,10000"]
 
 
 def stdout(cmd: list[str], argv: list[str], **kwargs) -> bytes:
@@ -97,6 +102,12 @@ def main(mode: str) -> int:
             thresholds = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
             if not thresholds or not all(100.0 <= t <= 101.0 for t in thresholds):
                 print(f"{label} {' '.join(THEORY)}: thresholds {thresholds}")
+                failed += 1
+            out = stdout(cmd, GUMBEL).decode()
+            ratios = [float(row.split(",")[5]) for row in out.splitlines()[1:]]
+            rising = all(a < b for a, b in zip(ratios, ratios[1:]))
+            if not (len(ratios) == 3 and rising and 0.0 < ratios[0] and ratios[-1] < 1.0):
+                print(f"{label} {' '.join(GUMBEL)}: ratios {ratios}")
                 failed += 1
     return int(failed > 0)
 

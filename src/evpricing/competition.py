@@ -23,9 +23,9 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, _index, expected_max
+from .distributions import EULER_MASCHERONI, DistributionModel, EvtFamily, expected_max
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .kernel import _lgamma_ratio
+from .kernel import _index, _lgamma_ratio
 
 __all__ = [
     "PolicySequence",
@@ -180,8 +180,7 @@ def cc_family_bounds(family: EvtFamily) -> tuple[float, float]:
 
 def quantile_policy_approx(d: DistributionModel, n: int) -> float:
     """Quantile approximation F^{-1}(1 - (1 - gamma)/(n + 1)) of G_n."""
-    if n < 1:
-        raise DomainError(f"quantile_policy_approx requires n >= 1, got {n}")
+    n = _index(n, "quantile_policy_approx requires n >= 1, an integer", 1)
     gamma = d.evt_index().gamma
     if gamma >= 1:
         raise DomainError(f"approximation requires gamma < 1, got {gamma}")
@@ -191,8 +190,7 @@ def quantile_policy_approx(d: DistributionModel, n: int) -> float:
 def expected_max_approx(d: DistributionModel, n: int) -> float:
     """Family-specific closed approximation of E(max of n draws), on the
     standard member Z of ``_standard``: loc + scale * E_Z."""
-    if n < 1:
-        raise DomainError(f"expected_max_approx requires n >= 1, got {n}")
+    n = _index(n, "expected_max_approx requires n >= 1, an integer", 1)
     ev = d.evt_index()
     gamma = ev.gamma
     if gamma >= 1:

@@ -15,7 +15,8 @@ not grow with n, for Pareto, BoundedPower, Uniform and Exponential.  The means
 of the order statistics, the prophet's among them, are this module's one
 quadrature: the integral from 0 of their summed survival functions, mapped to
 a finite bracket, with its options picked in one place
-(``_order_statistics_mean``).
+(``_order_statistics_mean``).  Like the expected maximum, they are means of
+max(M, 0) on every support.
 
 Each kind's ``_sf``, ``_cdf`` and ``_pdf`` are scalar ``math`` code, and the
 public ``sf``, ``cdf`` and ``pdf`` map it over an array, so one arithmetic path
@@ -29,15 +30,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import (EULER_MASCHERONI, _EPS, _alternating_series, _capped_sum, _lgamma_ratio,
-                     _upper_gamma, find_root, integrate)
+from .kernel import (EULER_MASCHERONI, _EPS, _alternating_series, _capped_sum, _index,
+                     _lgamma_ratio, _upper_gamma, find_root, integrate)
 
 __all__ = [
     "EvtFamily",
@@ -707,23 +707,31 @@ def _binomial_tails(n: int, j: int, k: int, p: list[float]) -> list[float]:
     return [walked(x) for x in p]
 
 
-def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> float:
-    """P(M_n^j > T) = P(Bin(n, sf(T)) >= j): the j-th largest of n draws exceeds T."""
-    if not 1 <= j <= n:
-        raise DomainError(f"order statistic requires 1 <= j <= n, got j={j}, n={n}")
+def _check_n_k(n: int, k: int, T: float = 0.0, name: str = "k") -> tuple[int, int]:
+    """(n, k) as ints with 1 <= k <= n (``_index``): a number of draws and a rank
+    or unit count among them, called name; a NaN threshold T is rejected too
+    (+-inf are legal)."""
     if math.isnan(T):
         raise DomainError("threshold T is NaN")
+    n = _index(n, "requires n >= 1, an integer", 1)
+    return n, _index(k, f"requires 1 <= {name} <= n = {n}, an integer", 1, n)
+
+
+def order_statistic_tail(d: DistributionModel, n: int, j: int, T: float) -> float:
+    """P(M_n^j > T) = P(Bin(n, sf(T)) >= j): the j-th largest of n draws exceeds T."""
+    n, j = _check_n_k(n, j, T, "j")
     return _binomial_tails(n, j, j, [d.sf(T)])[0]
 
 
 def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> float:
-    """sum_{i=j..k} E(M_n^i) = int_0^{omega_1} S(u) du for the summed tails
-    S = sum_{i=j..k} P(Bin(n, sf) >= i), by quadrature.  S falls like sf^j, so
-    its tail index is gamma/j, and the integral diverges (DivergenceError) when
-    gamma/j >= 1.
+    """sum_{i=j..k} E max(M_n^i, 0) = int_0^{omega_1} S(u) du for the summed tails
+    S = sum_{i=j..k} P(Bin(n, sf) >= i) and the checked ranks 1 <= j <= k <= n,
+    by quadrature: E(M_n^i) itself on a nonnegative support, 0 on one at or below
+    0.  S falls like sf^j, so its tail index is gamma/j, and the integral
+    diverges (DivergenceError) when gamma/j >= 1.
 
     Reduced to the standard member Z of ``_standard``: scale times Z's integral
-    from T = -loc/scale, at or below Z's lower end, where S is k - j + 1.  T and
+    from T = -loc/scale, the image of 0; below Z's lower end S is k - j + 1.  T and
     tol below are in standard units, and the target is an absolute
     1e-12*max(1, |T|)*(k - j + 1) or 1e-12 relative, whichever is looser.
 
@@ -737,10 +745,6 @@ def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> floa
     NaN and error inf, if the map leaves the double range before the tail is
     resolved (gamma close to 1: Pareto maxima at alpha = 1.01).
     """
-    if not 1 <= j <= k <= n:
-        raise DomainError(f"order statistics require 1 <= j <= k <= n, got j={j}, k={k}, n={n}")
-    if d.support.lo < 0:
-        raise DomainError("order_statistic_mean requires nonnegative support")
     gamma = d.evt_index().gamma / j
     if gamma >= 1:
         raise DivergenceError(
@@ -758,10 +762,13 @@ def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> floa
     # and its edge.  So the support's lower end is a breakpoint when T is
     # below it.  On a bounded support the summed tails of the top k of n draws
     # fall from k to 0 and bend where n*sf is 1 to k, within a quantile width
-    # of about k/n below omega_1: the ladder 1 - c/n, c = 4^i < n, splits it.
+    # of about k/n below omega_1: the ladder of quantiles 1 - c/n, c = 4^i < n,
+    # written in c/n so that 1 - c/n is never rounded, splits it.
     if math.isfinite(hi):
-        ladder = [4 ** i for i in range(int(n).bit_length()) if 4 ** i < n]
-        points = [lo] + [float(z.quantile(1.0 - c / n)) for c in ladder]
+        if T >= hi:  # the support lies at or below 0
+            return 0.0
+        ladder = [4 ** i for i in range(n.bit_length()) if 4 ** i < n]
+        points = [lo] + [-math.expm1(math.log(c / n) / z.alpha) for c in ladder]
         return scale * integrate(S, T, hi, tol=tol, rtol=1e-12, points=points)
     q = max(1.0, gamma / (1.0 - gamma))
 
@@ -787,7 +794,9 @@ def _order_statistics_mean(d: DistributionModel, n: int, j: int, k: int) -> floa
 
 
 def order_statistic_mean(d: DistributionModel, n: int, j: int) -> float:
-    """E(M_n^j) = integral over t >= 0 of P(M_n^j > t)."""
+    """E max(M_n^j, 0) = integral over t >= 0 of P(M_n^j > t): E(M_n^j) on a
+    nonnegative support, and the convention of ``expected_max`` on every other."""
+    n, j = _check_n_k(n, j, name="j")
     return _order_statistics_mean(d, n, j, j)
 
 
@@ -829,18 +838,6 @@ def _harmonic(n: int) -> float:
         terms += [b * (y ** -p - x ** -p)
                   for b, p in ((1.0 / 12.0, 2), (-1.0 / 120.0, 4), (1.0 / 252.0, 6))]
     return math.fsum(terms)
-
-
-def _index(value: int, requirement: str, low: int) -> int:
-    """value as an int >= low, else DomainError naming the requirement: ints and
-    numpy integers pass; floats, NaN and inf among them, do not."""
-    try:
-        i = operator.index(value)
-    except TypeError:
-        i = None
-    if i is None or i < low:
-        raise DomainError(f"{requirement}, got {value!r}")
-    return i
 
 
 def expected_max(d: DistributionModel, n: int) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import Frechet
 from .errors import DomainError, IngestError
 from .guarantees import phi_1_closed, u_star
-from .kernel import maximize_1d
+from .kernel import _index, maximize_1d
 from .policy import theory_threshold
 
 __all__ = [
@@ -135,8 +135,7 @@ def per_bidder_max(bids: Iterable[BidRecord]) -> list[float]:
 
 def _hill_from_sorted(v: np.ndarray, k: int) -> float:
     n = len(v)
-    if not 2 <= k < n:
-        raise DomainError(f"hill_estimate requires 2 <= k < n, got k={k}, n={n}")
+    k = _index(k, f"hill_estimate requires 2 <= k <= n - 1 = {n - 1}, an integer", 2, n - 1)
     ref = v[n - k - 1]
     top = v[n - k:]
     if ref <= 0 or np.any(top <= 0):
@@ -162,9 +161,8 @@ def hill_stability_scan(values: Sequence[float],
 
     No automatic selection is made; the table is for the operator.
     """
-    k_lo, k_hi = k_range
-    if k_lo > k_hi:
-        raise DomainError(f"empty k range [{k_lo}, {k_hi}]")
+    k_lo = _index(k_range[0], "hill_stability_scan requires an integer k_lo >= 2", 2)
+    k_hi = _index(k_range[1], f"hill_stability_scan requires an integer k_hi >= {k_lo}", k_lo)
     v = np.sort(np.asarray(values, dtype=float))
     return [(k, _hill_from_sorted(v, k)) for k in range(k_lo, k_hi + 1)]
 
@@ -264,8 +262,7 @@ def guarantee_report(fit: FitResult, n: int,
     if not fit.alpha_hat > 1:
         raise DomainError(
             f"guarantee needs alpha_hat > 1, got {fit.alpha_hat} (infinite mean)")
-    if n < 2:
-        raise DomainError(f"market size n must be >= 2, got {n}")
+    n = _index(n, "guarantee_report requires n >= 2, an integer", 2)
     model = Frechet(fit.m_hat, fit.s_hat, fit.alpha_hat)
     u = u_star(fit.alpha_hat)
     threshold = theory_threshold(model, n, u)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError
-from .kernel import _capped_sum, _mass_walk, find_root, lambert_w_minus1, maximize_1d
+from .kernel import _capped_sum, _index, _mass_walk, find_root, lambert_w_minus1, maximize_1d
 
 if TYPE_CHECKING:
     from .distributions import DistributionModel
@@ -94,6 +94,7 @@ def phi_k(alpha: float, k: int) -> GuaranteeResult:
     is the paper's x_k, with x_k^-2 in [k, k + 1].
     """
     _check_alpha(alpha)
+    k = _index(k, "the k-unit guarantee requires k >= 1, an integer", 1)
     if k == 1:
         return GuaranteeResult(1, alpha, phi_1_closed(alpha), u_star(alpha))
     x, value = _stationary_point(alpha, k)
@@ -108,8 +109,6 @@ def _stationary_point(alpha: float, k: int) -> tuple[float, float]:
     negative below the root, positive above.  The bracket [k, k + 1], which
     holds the root at alpha = 2, doubles outward until the sign changes.
     """
-    if k < 1:
-        raise DomainError(f"the k-unit guarantee requires k >= 1, got {k}")
 
     def condition(y: float) -> float:
         masses, tail = _mass_walk(-y, lambda m: y / (m + 1), k + 1)
@@ -158,8 +157,7 @@ def minimize_phi_1() -> tuple[float, float]:
 
 def sqrt_bound(k: int) -> float:
     """Universal k-unit floor 1 - 1/sqrt(2 pi k)."""
-    if k < 1:
-        raise DomainError(f"sqrt_bound requires k >= 1, got {k}")
+    k = _index(k, "sqrt_bound requires k >= 1, an integer", 1)
     return 1.0 - 1.0 / math.sqrt(2.0 * math.pi * k)
 
 
@@ -194,8 +192,7 @@ def guarantee_value(d: DistributionModel, k: int) -> float:
     Frechet-type models route through phi_k; Gumbel-type and bounded-support
     models achieve 1 with no optimization.
     """
-    if k < 1:
-        raise DomainError(f"the k-unit guarantee requires k >= 1, got {k}")
+    k = _index(k, "the k-unit guarantee requires k >= 1, an integer", 1)
     # imported here so that the guarantee functions above never load the models
     from .distributions import EvtFamily
     ev = d.evt_index()

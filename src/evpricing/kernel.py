@@ -1,7 +1,7 @@
 """Special functions in Python (a walk over the masses of a Poisson or binomial
 law, W_{-1}, the zeta series of lgamma(1 - g)/g near g = 0, and the series and
-continued fraction behind the closed-form tail integrals) and generic
-one-dimensional numerical routines.
+continued fraction behind the closed-form tail integrals), generic
+one-dimensional numerical routines and the one rule for a count, ``_index``.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from typing import Callable, Sequence
 
@@ -52,6 +53,19 @@ EULER_MASCHERONI = 0.5772156649015329
 _ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
          1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
          1.000994575127818, 1.0004941886041194, 1.000246086553308)
+
+
+def _index(value: int, requirement: str, low: int, high: float = math.inf) -> int:
+    """value as an int in [low, high], else DomainError naming the requirement:
+    ints and numpy integers pass; floats, NaN and inf among them, do not.  Every
+    count of the public API (market sizes, ranks, units, Hill's k) goes through it."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = None
+    if i is None or not low <= i <= high:
+        raise DomainError(f"{requirement}, got {value!r}")
+    return i
 
 
 def _mass_walk(log_p0: float, ratio: Callable[[int], float],

@@ -19,11 +19,12 @@ from .distributions import (
     DistributionModel,
     EvtFamily,
     _binomial_tails,
+    _check_n_k,
     _conditional_means,
     _order_statistics_mean,
 )
 from .errors import DomainError
-from .kernel import maximize_1d
+from .kernel import _index, maximize_1d
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +62,7 @@ class PolicyEvaluation:
     The ratio fp_value / prophet_value is derived here, the one place it is
     computed.  The policy can never beat the offline benchmark; the
     constructor allows a small slack for quadrature noise on near-tie
-    evaluations.
+    evaluations.  n and k are kept as the ints of ``_check_n_k``.
     """
 
     n: int
@@ -76,32 +77,25 @@ class PolicyEvaluation:
             raise DomainError(f"prophet value {self.prophet_value} is not positive and "
                               "finite; the welfare ratio is undefined")
         object.__setattr__(self, "ratio", self.fp_value / self.prophet_value)
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        for name, value in zip(("n", "k"), _check_n_k(self.n, self.k)):
+            object.__setattr__(self, name, value)
         if not -1e-12 <= self.ratio <= 1.0 + 1e-6:
             raise DomainError(f"ratio {self.ratio} outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """At least 100 replications, the floor of ``monte_carlo_evaluate``, and a
+    64-bit seed; both are integers."""
+
     replications: int
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise DomainError("seed must fit in an unsigned 64-bit integer")
-
-
-def _check_n_k(n: int, k: int, T: float = 0.0) -> None:
-    """Reject n or k below 1, k above n, and a NaN threshold T (+-inf are legal)."""
-    if k < 1 or n < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if k > n:
-        raise DomainError(f"k={k} exceeds the number of buyers n={n}")
-    if math.isnan(T):
-        raise DomainError("threshold T is NaN")
+        object.__setattr__(self, "replications", _index(
+            self.replications, "SimulationConfig requires replications >= 100, an integer", 100))
+        object.__setattr__(self, "seed", _index(
+            self.seed, "SimulationConfig requires an integer 0 <= seed < 2**64", 0, 2 ** 64 - 1))
 
 
 def _fixed_price_values(d: DistributionModel, n: int, k: int, Ts: list[float]) -> list[float]:
@@ -115,13 +109,14 @@ def _fixed_price_values(d: DistributionModel, n: int, k: int, Ts: list[float]) -
 
 def fixed_price_value_exact(d: DistributionModel, n: int, k: int, T: float) -> float:
     """Expected welfare of the threshold-T policy with n buyers and k units."""
-    _check_n_k(n, k, T)
+    n, k = _check_n_k(n, k, T)
     return _fixed_price_values(d, n, k, [T])[0]
 
 
 def prophet_value(d: DistributionModel, n: int, k: int) -> float:
-    """Offline benchmark E(top-k sum), one integral over t >= 0 of E min(k, Bin(n, sf(t)))."""
-    _check_n_k(n, k)
+    """Offline benchmark E sum_{i<=k} max(M_n^i, 0), the top-k sum that does not
+    sell below 0: one integral over t >= 0 of E min(k, Bin(n, sf(t)))."""
+    n, k = _check_n_k(n, k)
     return _order_statistics_mean(d, n, 1, k)
 
 
@@ -131,7 +126,7 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     golden-section steps on single thresholds.  It runs on the x of
     T = loc + scale*x (``_standard``), on the value over scale: the tolerance,
     a width in x, and the spread the scan compares with it are unit-free."""
-    _check_n_k(n, k)
+    n, k = _check_n_k(n, k)
     prophet = prophet_value(d, n, k)
     loc, scale, z = d._reduced
     lo = (max(d.support.lo, 0.0) - loc) / scale
@@ -184,16 +179,14 @@ def monte_carlo_evaluate(d: DistributionModel, n: int, k: int, T: float,
     derive from (seed, replication index), so a given (seed, replications)
     pair is bitwise reproducible.  Blocks run in order on the calling thread.
     """
-    _check_n_k(n, k, T)
-    if cfg.replications < 100:
-        raise DomainError("monte_carlo_evaluate requires >= 100 replications")
+    n, k = _check_n_k(n, k, T)
     reps = cfg.replications
     parts = [_simulate_block(d, n, k, T, cfg.seed, b, min(_MC_BLOCK, reps - b * _MC_BLOCK))
              for b in range((reps + _MC_BLOCK - 1) // _MC_BLOCK)]
     import numpy as np
     payoffs = np.concatenate(parts)
     mean = float(payoffs.mean())
-    stderr = float(payoffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    stderr = float(payoffs.std(ddof=1) / math.sqrt(reps))
     return mean, stderr
 
 
@@ -203,10 +196,9 @@ def convergence_table(d: DistributionModel, k: int, n_grid: Sequence[int],
     """Finite-n trace of the welfare ratio along an increasing market-size grid."""
     if not n_grid:
         raise DomainError("n_grid must be nonempty")
+    n_grid = [_check_n_k(n, k)[0] for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    if k > min(n_grid):
-        raise DomainError(f"k={k} exceeds the smallest n in the grid")
     if mode == "theory" and u is None:
         raise DomainError("theory mode needs the limit ratio u")
     rows = []

@@ -17,12 +17,15 @@ ch. 2-3, with M_n^i the i-th largest of n draws:
 - ``expected_max``: E max(M_n, 0), which on nonnegative support is E M_n^1
   below; Frechet and Gumbel are max-stable, so M_n is of the same kind and
   E max(M_n, 0) is its I(0);
-- ``order_statistic_means``: sum_{i=j..k} E M_n^i.  With V_(i) the i-th
+- ``order_statistic_means``: sum_{i=j..k} E max(M_n^i, 0), which on
+  nonnegative support is sum_{i=j..k} E M_n^i.  With V_(i) the i-th
   smallest of n uniforms, M_n^i is the upper quantile of V_(i), and
   E V_(i)^c = Gamma(n+1) Gamma(i+c)/(Gamma(i) Gamma(n+1+c)): c = -1/a for
   Pareto and 1/a for BoundedPower; H_n - H_{i-1} for Exponential;
-  (n + 1 - i)/(n + 1) for Uniform; Frechet only at j = k = 1 on nonnegative
-  support, as E max(M_n, 0);
+  (n + 1 - i)/(n + 1) for Uniform.  Frechet, Gumbel and a Uniform across 0
+  take ``expected_max`` at j = k = 1, and ``order_statistic_means_quad``
+  otherwise: the definition, the integral over t >= 0 of the summed tails
+  P(M_n^i > t), by ``mp.quad``;
 - ``tail_integral``: I(T) = E(X - T)^+, and ``conditional_mean``:
   E(X | X > T) = T + I(T)/sf(T); ``fixed_price_value`` is their product
   with the capped tails at p = sf(T);
@@ -33,6 +36,7 @@ defining integral by ``mp.quad``.
 """
 
 import functools
+import math
 from dataclasses import fields
 
 import mpmath as mp
@@ -87,6 +91,23 @@ def _lower_end(kind, p):
             "BoundedPower": 0}.get(kind, -mp.inf)
 
 
+def _sf_inverse(kind, p, q):
+    """The t with sf(t) = q, for 0 < q < 1."""
+    q = mp.mpf(q)
+    if kind == "Pareto":
+        return q ** (-1 / mp.mpf(p[0]))
+    if kind == "Exponential":
+        return -mp.log(q) / p[0]
+    if kind in ("Uniform", "BoundedPower"):
+        lo, hi, a = _power_law(kind, p)
+        return hi - (hi - lo) * q ** (1 / a)
+    if kind == "Frechet":
+        m, s, a = map(mp.mpf, p)
+        return m + s * (-mp.log1p(-q)) ** (-1 / a)
+    loc, s = map(mp.mpf, p)
+    return loc - s * mp.log(-mp.log1p(-q))
+
+
 @functools.cache
 def capped_tails(n: int, j: int, k: int, p):
     """sum_{i=j..k} P(Bin(n, p) >= i) at DPS + 10 digits: each tail is
@@ -97,7 +118,7 @@ def capped_tails(n: int, j: int, k: int, p):
 
 def _tail_sum(n, j, k, p):
     """``capped_tails`` at the caller's precision."""
-    pmf = [mp.binomial(n, m) * p ** m * (1 - p) ** (n - m) for m in range(k)]
+    pmf = [math.comb(n, m) * p ** m * (1 - p) ** (n - m) for m in range(k)]
     return mp.fsum(1 - mp.fsum(pmf[:i]) for i in range(j, k + 1))
 
 
@@ -151,10 +172,10 @@ def order_statistic_means(d, n: int, j: int, k: int):
 
 @_at_dps
 def _order_statistic_means(kind, p, n, j, k):
-    if kind == "Frechet":
-        if (j, k) != (1, 1) or p[0] < 0:
-            raise ValueError("Frechet has a closed form for the max on nonnegative support only")
-        return _expected_max(kind, p, n)
+    if kind in ("Frechet", "Gumbel") or _lower_end(kind, p) < 0:
+        if (j, k) == (1, 1):
+            return _expected_max(kind, p, n)
+        return _order_statistic_means_quad(kind, p, n, j, k)
     if kind == "Pareto":
         return mp.fsum(mp.exp(_log_moment(n, i, -1 / mp.mpf(p[0]))) for i in range(j, k + 1))
     if kind == "BoundedPower":
@@ -164,6 +185,25 @@ def _order_statistic_means(kind, p, n, j, k):
         return mp.fsum(mp.harmonic(n) - mp.harmonic(i - 1) for i in range(j, k + 1)) / p[0]
     a, b = map(mp.mpf, p)
     return mp.fsum(b - (b - a) * i / (mp.mpf(n) + 1) for i in range(j, k + 1))
+
+
+def order_statistic_means_quad(d, n: int, j: int, k: int):
+    """sum_{i=j..k} E max(M_n^i, 0) = int_0^inf sum_{i=j..k} P(Bin(n, sf(t)) >= i) dt."""
+    return _order_statistic_means_quad(*spec(d), n, j, k)
+
+
+@functools.cache
+def _order_statistic_means_quad(kind, p, n, j, k):
+    # At 30 digits, within 1e-21 of the closed forms in under half the time of
+    # 50; split at the support's ends and where n sf(t) = c, around which the
+    # tails bend.
+    with mp.workdps(30):
+        hi = _power_law(kind, p)[1] if kind in ("Uniform", "BoundedPower") else mp.inf
+        bends = [_sf_inverse(kind, p, mp.mpf(c) / n) for c in (1e-3, 0.1, 1, 10, 1e3) if c < n]
+        cuts = sorted({mp.mpf(t) for t in (0, _lower_end(kind, p), *bends) if 0 <= t < hi})
+        if not cuts:
+            return mp.mpf(0)
+        return mp.quad(lambda t: _tail_sum(n, j, k, _sf(kind, p, t)), cuts + [hi])
 
 
 def _frechet_tail(T, m, s, a):

@@ -171,7 +171,7 @@ def test_non_finite_result_is_computation_error(capsys, monkeypatch, bad):
     monkeypatch.setattr(evpricing.policy, "monte_carlo_evaluate",
                         lambda d, n, k, t, cfg: (bad, 0.0))
     code, out, err = run_cli(capsys, "simulate", "--dist", "pareto:alpha=2", "--n", "20",
-                             "--k", "3", "--t", "2", "--reps", "10")
+                             "--k", "3", "--t", "2", "--reps", "100")
     assert (code, out) == (1, "")
     assert err == f"error: mean is {bad}, which JSON cannot represent\n"
 

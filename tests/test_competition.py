@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import sys
@@ -27,11 +28,25 @@ from evpricing import (
     empirical_competition_complexity,
     expected_max,
     expected_max_approx,
+    FitResult,
+    SimulationConfig,
+    best_fixed_price,
+    convergence_table,
     extend_policy,
+    fixed_price_value_exact,
+    guarantee_report,
+    guarantee_value,
+    hill_estimate,
+    hill_stability_scan,
     integrate,
     kennedy_kertz_nu,
+    monte_carlo_evaluate,
     order_statistic_mean,
+    order_statistic_tail,
+    phi_k,
+    prophet_value,
     quantile_policy_approx,
+    sqrt_bound,
     theoretical_cc,
 )
 from evpricing.competition import EULER_MASCHERONI
@@ -381,17 +396,73 @@ class TestKnownValues:
         assert len(calls) <= max(m_stars) + 1 < sum(m_stars)
 
 
-@pytest.mark.parametrize("call", [
-    expected_max, empirical_competition_complexity,
-    lambda d, n: extend_policy(PolicySequence(d), n), lambda d, n: PolicySequence(d).value(n),
-], ids=["expected_max", "empirical_competition_complexity", "extend_policy", "value"])
-@pytest.mark.parametrize("d", DP_MODELS, ids=repr)
-def test_sizes_are_integers(d, call):
-    # operator.index: numpy integers pass, floats (whole, NaN, inf) and the rest do not
-    assert call(d, np.int64(3)) == call(d, 3)
-    for n in (10.5, 2.0, math.nan, math.inf, "3", None):
+#: A Hill sample of 20 Pareto(2) quantiles, and a fit of the README's shape.
+HILL_SAMPLE = [(1.0 - (i - 0.5) / 20) ** -0.5 for i in range(1, 21)]
+FIT = FitResult(0.0, 100.0, 2.5, 10, 0.0, 400)
+
+#: Every count argument of the public API: a call of a model d at the count v,
+#: its other counts 5 (the Hill scan's ends 2 and 5) and a threshold of 0.5.
+MODEL_COUNTS = {
+    "expected_max": expected_max,
+    "empirical_competition_complexity": empirical_competition_complexity,
+    "extend_policy": lambda d, v: extend_policy(PolicySequence(d), v),
+    "value": lambda d, v: PolicySequence(d).value(v),
+    "order_statistic_tail-n": lambda d, v: order_statistic_tail(d, v, 1, 0.5),
+    "order_statistic_tail-j": lambda d, v: order_statistic_tail(d, 5, v, 0.5),
+    "order_statistic_mean-n": lambda d, v: order_statistic_mean(d, v, 1),
+    "order_statistic_mean-j": lambda d, v: order_statistic_mean(d, 5, v),
+    "fixed_price_value_exact-n": lambda d, v: fixed_price_value_exact(d, v, 1, 0.5),
+    "fixed_price_value_exact-k": lambda d, v: fixed_price_value_exact(d, 5, v, 0.5),
+    "prophet_value-n": lambda d, v: prophet_value(d, v, 1),
+    "prophet_value-k": lambda d, v: prophet_value(d, 5, v),
+    "best_fixed_price-n": lambda d, v: best_fixed_price(d, v, 1),
+    "best_fixed_price-k": lambda d, v: best_fixed_price(d, 5, v),
+    "monte_carlo_evaluate-n": lambda d, v: monte_carlo_evaluate(d, v, 1, 0.5, SimulationConfig(100)),
+    "monte_carlo_evaluate-k": lambda d, v: monte_carlo_evaluate(d, 5, v, 0.5, SimulationConfig(100)),
+    "convergence_table-k": lambda d, v: convergence_table(d, v, [5, 10]),
+    "convergence_table-n_grid": lambda d, v: convergence_table(d, 1, [v, 10]),
+    "quantile_policy_approx": quantile_policy_approx,
+    "expected_max_approx": expected_max_approx,
+    "guarantee_value": guarantee_value,
+}
+COUNTS = {
+    "phi_k": lambda v: phi_k(2.0, v),
+    "sqrt_bound": sqrt_bound,
+    "hill_estimate": lambda v: hill_estimate(HILL_SAMPLE, v),
+    "hill_stability_scan-k_lo": lambda v: hill_stability_scan(HILL_SAMPLE, (v, 5)),
+    "hill_stability_scan-k_hi": lambda v: hill_stability_scan(HILL_SAMPLE, (2, v)),
+    "guarantee_report": lambda v: guarantee_report(FIT, v),
+}
+COUNT_CALLS = ([pytest.param(functools.partial(call, d), id=f"{d!r}-{name}")
+                for name, call in MODEL_COUNTS.items() for d in DP_MODELS]
+               + [pytest.param(call, id=name) for name, call in COUNTS.items()])
+
+
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_sizes_are_integers(call):
+    # one rule, kernel._index: numpy integers pass, floats (whole, NaN, inf)
+    # and the rest do not
+    assert call(np.int64(3)) == call(3)
+    for v in (10.5, 3.0, 1e6, math.nan, math.inf, "3", None):
         with pytest.raises(DomainError, match="integer"):
-            call(d, n)
+            call(v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: order_statistic_tail(d, 3, 4, 0.5), lambda d: order_statistic_mean(d, 3, 4),
+    lambda d: fixed_price_value_exact(d, 3, 4, 0.5), lambda d: prophet_value(d, 3, 4),
+    lambda d: best_fixed_price(d, 3, 4),
+    lambda d: monte_carlo_evaluate(d, 3, 4, 0.5, SimulationConfig(100)),
+    lambda d: convergence_table(d, 4, [3, 10]),
+    lambda d: hill_estimate(HILL_SAMPLE, 20), lambda d: hill_stability_scan(HILL_SAMPLE, (3, 2)),
+    lambda d: hill_stability_scan(HILL_SAMPLE, (2, 20)),
+], ids=["order_statistic_tail", "order_statistic_mean", "fixed_price_value_exact",
+        "prophet_value", "best_fixed_price", "monte_carlo_evaluate", "convergence_table",
+        "hill_estimate", "hill_stability_scan-k_lo", "hill_stability_scan-k_hi"])
+def test_ranks_are_within_their_count(call):
+    # a rank or unit count above n, Hill's k at the sample size, and j > k
+    with pytest.raises(DomainError, match="integer"):
+        call(Pareto(2.0))
 
 
 @pytest.mark.parametrize("values", [(0.0,), np.zeros(1)], ids=["tuple", "array"])

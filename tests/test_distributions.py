@@ -18,6 +18,7 @@ from evpricing import (
     SpecStringError,
     Uniform,
     conditional_mean_above,
+    expected_max,
     integrate,
     order_statistic_mean,
     order_statistic_tail,
@@ -419,9 +420,13 @@ class TestOrderStatisticMean:
         # second moment order statistic of the same model is fine
         assert order_statistic_mean(Pareto(0.9), 5, 2) > 0
 
-    def test_negative_support_rejected(self):
-        with pytest.raises(DomainError):
-            order_statistic_mean(Gumbel(0.0, 1.0), 3, 1)
+    def test_negative_support_is_the_mean_above_0(self):
+        # E max(M_n^j, 0), the convention of expected_max (ROADMAP direction 8);
+        # the table holds the values, this the supports at or below 0
+        d = Gumbel(0.0, 1.0)
+        assert order_statistic_mean(d, 3, 1) == pytest.approx(expected_max(d, 3), rel=1e-14)
+        for d in (Uniform(-2.0, -1.0), Uniform(-1.0, 0.0)):
+            assert order_statistic_mean(d, 5, 2) == 0.0
 
 
 TAIL_ALPHAS = [1.02, 1.2, 1.5, 1.657, 2.0, 2.5, 5.0, 50.0, 1e3, 1e4, 1e5, 1e6]

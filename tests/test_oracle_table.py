@@ -115,6 +115,17 @@ OS_MODELS = ([Pareto(a) for a in ALPHAS[:-1]] + [BoundedPower(1.0, a) for a in A
 OS_NS = (2, 10, 1000, 10 ** 6, 10 ** 12)
 NARROW = (Pareto(1e4), BoundedPower(1.0, 1e4))
 
+#: Supports reaching below 0, where the means are of max(M, 0) (direction 8).
+BELOW_0 = ([Gumbel(0.0, c) for c in SCALES] + [Gumbel(-3.0, 1.0), Gumbel(5.0, 2.0),
+                                                Frechet(-1.0, 1.0, 3.0), Uniform(-1.0, 1.0)])
+BELOW_0_CELLS = ([(d, n, 1) for d in BELOW_0 for n in (1, 10, 1000, 10 ** 6)]
+                 + [(d, n, j) for d in BELOW_0 for n in (10, 10 ** 6) for j in (2, 3)])
+
+#: The log-space unit tail puts these 1.9e-13 to 4.6e-13 off; Uniform(-1, 1)
+#: is 2.6e-14 off.
+BELOW_0_DEFECTS = defect(3, "the log-space unit tail at n <= 1000 is up to 4.6e-13 off",
+                         [(d, 1000, 1) for d in BELOW_0 if d != Uniform(-1.0, 1.0)])
+
 #: The quadrature of ``_order_statistics_mean`` leaves the double range on these
 #: after 0.2 to 0.4 s each; one of them stands for the rest in the table.
 OVERFLOWS = {(Pareto(1.05), 10 ** 12, 2), (Pareto(1.05), 10 ** 12, 3),
@@ -133,6 +144,7 @@ MEAN_DEFECTS = {
              + [(Pareto(a), 10 ** 12, j) for a in (1.657, 2.0) for j in (1, 2, 3)]),
     **defect(2, "the tail map leaves the double range", [(Pareto(1.05), 10 ** 6, 2)],
              raises=ConvergenceError),
+    **BELOW_0_DEFECTS,
 }
 
 MEAN_CELLS = table(
@@ -150,7 +162,8 @@ MEAN_CELLS = table(
     + [(Uniform(0.0, 1.0), n, j) for n, j in ((1, 1), (2, 2), (3, 1), (4, 1), (4, 2), (4, 4),
                                               (7, 1), (9, 3))]
     + [(Uniform(0.0, 1.0), n, j) for n in (5000, 10 ** 4, 10 ** 5, 10 ** 6) for j in (1, 2, 3)]
-    + [(Pareto(2.0), 7, 1), (Pareto(2.0), 1, 1), (Exponential(1.0), 1, 1)],
+    + [(Pareto(2.0), 7, 1), (Pareto(2.0), 1, 1), (Exponential(1.0), 1, 1)]
+    + [(d, n, j) for d, n, j in BELOW_0_CELLS if j <= 2],
     MEAN_DEFECTS)
 
 
@@ -165,8 +178,10 @@ PROPHET_CELLS = table(
     [(Uniform(0.0, 1.0), 3, 1), (Uniform(0.0, 1.0), 2, 2), (Exponential(1.0), 2, 1),
      (Pareto(2.0), 6, 2), (Pareto(2.0), 100, 3), (Pareto(2.0), 1000, 1)]
     # the boundary layer within k/n of the upper end
-    + [(Uniform(0.0, 1.0), n, k) for n in (5000, 10 ** 5, 10 ** 6) for k in (10, 100, 200, 300)],
-    {**defect(3, "the log-space unit tail puts it 5.6e-13 off; "
+    + [(Uniform(0.0, 1.0), n, k) for n in (5000, 10 ** 5, 10 ** 6) for k in (10, 100, 200, 300)]
+    + [(d, n, k) for d, n, k in BELOW_0_CELLS if k != 2],
+    {**BELOW_0_DEFECTS,
+     **defect(3, "the log-space unit tail puts it 5.6e-13 off; "
                  "bench/golden/converge-pareto.out pins its bits", [(Pareto(2.0), 1000, 1)]),
      **defect(2, "the tail map misses a mass about 1/alpha wide: up to 16% low",
               [(d, n, k) for d in NARROW for n in (10, 1000, 10 ** 6, 10 ** 12) for k in (3, 10)]),
@@ -282,6 +297,18 @@ class TestReferences:
         # sum_{i=j..k} E M_n^i = int_0^inf sum_{i=j..k} P(Bin(n, sf) >= i)
         exact = mp.quad(lambda t: ref._tail_sum(n, j, k, ref.sf(d, t)), self.cuts(d, 0))
         self.agree(ref.order_statistic_means(d, n, j, k), exact)
+
+    @pytest.mark.parametrize("d, n, j, k", [
+        (Pareto(2.0), 10, 2, 3), (Exponential(1.0), 10 ** 6, 2, 2), (Uniform(0.0, 1.0), 10, 2, 3),
+        (BoundedPower(1.0, 2.0), 1000, 1, 3), (Gumbel(5.0, 2.0), 1000, 1, 1),
+        (Frechet(-1.0, 1.0, 3.0), 10 ** 6, 1, 1), (Uniform(-1.0, 1.0), 10, 1, 1),
+    ], ids=repr)
+    def test_means_by_quadrature_are_the_closed_forms(self, d, n, j, k):
+        # the definition by mp.quad, the reference of the cells below 0 at j, k >= 2,
+        # against the closed forms: the gamma ratios, H_n and (n + 1 - i)/(n + 1) on
+        # nonnegative support, and E max(M_n, 0) at j = k = 1 on any
+        self.agree(ref.order_statistic_means_quad(d, n, j, k),
+                   ref.order_statistic_means(d, n, j, k))
 
     @pytest.mark.parametrize("T", [-3.0, 0.5, 1.5, 4.0])
     @pytest.mark.parametrize("d", KINDS, ids=repr)

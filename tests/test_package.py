@@ -153,6 +153,13 @@ _SIX_KINDS = ("Pareto(2.0)", "Exponential(1e8)", "Uniform(0.0, 1.0)", "Frechet(0
                  "from evpricing.policy import fixed_price_value_exact\n"
                  "fixed_price_value_exact(Pareto(2.0), 100, 3, 2.5)",
                  id="fixed_price_value_exact"),
+    # the bounded kinds' breakpoints below the upper end, written in c/n
+    pytest.param("from evpricing.distributions import Uniform\n"
+                 "from evpricing.policy import prophet_value\n"
+                 "prophet_value(Uniform(0.0, 1.0), 5000, 3)", id="prophet_value-bounded"),
+    pytest.param("from evpricing.distributions import BoundedPower, order_statistic_mean\n"
+                 "order_statistic_mean(BoundedPower(1.0, 2.0), 2000, 2)",
+                 id="order_statistic_mean-bounded"),
     *(pytest.param("from evpricing.distributions import *\n"
                    "from evpricing.competition import empirical_competition_complexity\n"
                    f"empirical_competition_complexity({model}, 100)",
@@ -168,7 +175,7 @@ def test_other_readme_commands_load_numpy(name):
     # n <= 1000) sum the unit binomial tail in log space with numpy, bits that
     # converge-pareto's golden pins; simulate draws from numpy's Philox stream;
     # fit prints the golden-section s_hat of fit_scale on numpy's sample
-    # moments.  ROADMAP.md's directions 3 and 8 replace the log-space tail and
+    # moments.  ROADMAP.md's directions 3 and 5 replace the log-space tail and
     # fit_scale's search.
     assert "numpy" in modules_after(cli(CLI_COMMANDS[name]), "numpy")
 
