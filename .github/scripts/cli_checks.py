@@ -35,7 +35,7 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 #: The README commands that load no numpy.
-NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition")
+NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition", "fit")
 
 NO_NUMPY = ('import runpy, sys\nsys.modules["numpy"] = None\n'
             'runpy.run_module("evpricing.cli", run_name="__main__")')

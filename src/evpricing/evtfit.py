@@ -3,6 +3,10 @@
 Pipeline: CSV bids -> one valuation per bidder (their highest bid) -> Hill
 estimate of the tail shape from the top-k order statistics -> scale fitted by
 minimizing a two-moment loss -> threshold and guarantee report.
+
+The module uses the standard library only: samples are lists of floats,
+sorted with ``sorted`` and summed with ``math.fsum``, Shewchuk's exact sum
+rounded once, so that a ``fit`` process loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
-
-import numpy as np
 
 from .distributions import Frechet
 from .errors import DomainError, IngestError
@@ -133,29 +135,37 @@ def per_bidder_max(bids: Iterable[BidRecord]) -> list[float]:
     return sorted(best.values())
 
 
-def _hill_from_sorted(v: np.ndarray, k: int) -> float:
+def _finite(values: Iterable[float], who: str) -> list[float]:
+    """values as a list of floats, else DomainError: sorting and the sums
+    below are undefined on NaN and meaningless on inf."""
+    v = [float(x) for x in values]
+    if not all(map(math.isfinite, v)):
+        raise DomainError(f"{who} expects finite values")
+    return v
+
+
+def _hill_from_sorted(v: list[float], k: int) -> float:
     n = len(v)
     k = _index(k, f"hill_estimate requires 2 <= k <= n - 1 = {n - 1}, an integer", 2, n - 1)
     ref = v[n - k - 1]
-    top = v[n - k:]
-    if ref <= 0 or np.any(top <= 0):
+    if ref <= 0:
         raise DomainError("hill_estimate requires the top k+1 values to be positive")
-    gamma_hat = float(np.mean(np.log(top / ref)))
+    gamma_hat = math.fsum(math.log(t / ref) for t in v[n - k:]) / k
     if gamma_hat <= 0:
         raise DomainError("degenerate sample: zero tail index (all top values equal?)")
     return 1.0 / gamma_hat
 
 
-def hill_estimate(values: Sequence[float], k: int) -> float:
+def hill_estimate(values: Iterable[float], k: int) -> float:
     """Tail-shape estimate alpha_hat = 1 / mean of the top-k log-spacings.
 
     values are sorted internally; the reference order statistic is the
     (k+1)-th largest.
     """
-    return _hill_from_sorted(np.sort(np.asarray(values, dtype=float)), k)
+    return _hill_from_sorted(sorted(_finite(values, "hill_estimate")), k)
 
 
-def hill_stability_scan(values: Sequence[float],
+def hill_stability_scan(values: Iterable[float],
                         k_range: tuple[int, int]) -> list[tuple[int, float]]:
     """(k, alpha_hat) rows over an inclusive k interval.
 
@@ -163,22 +173,32 @@ def hill_stability_scan(values: Sequence[float],
     """
     k_lo = _index(k_range[0], "hill_stability_scan requires an integer k_lo >= 2", 2)
     k_hi = _index(k_range[1], f"hill_stability_scan requires an integer k_hi >= {k_lo}", k_lo)
-    v = np.sort(np.asarray(values, dtype=float))
+    v = sorted(_finite(values, "hill_stability_scan"))
     return [(k, _hill_from_sorted(v, k)) for k in range(k_lo, k_hi + 1)]
+
+
+def _moments(v: Sequence[float], ddof: int) -> tuple[float, float]:
+    """Mean and variance sum((x - mean)^2) / (n - ddof), each sum an fsum: the
+    variance is taken about the rounded mean, as numpy's var takes it."""
+    n = len(v)
+    mean = math.fsum(v) / n
+    return mean, math.fsum(d * d for d in (x - mean for x in v)) / (n - ddof)
 
 
 def suggest_hill_k(scan: Sequence[tuple[int, float]]) -> int:
     """Suggested k: center of the window where alpha_hat varies the least.
 
-    A convenience default only; stability is ultimately the operator's call.
+    The first of equal spreads wins.  A convenience default only; stability
+    is ultimately the operator's call.
     """
     if not scan:
         raise DomainError("empty stability scan")
     if len(scan) <= _HILL_WINDOW:
         return scan[len(scan) // 2][0]
-    alphas = np.array([a for _, a in scan])
-    stds = [alphas[i:i + _HILL_WINDOW].std() for i in range(len(scan) - _HILL_WINDOW + 1)]
-    i = int(np.argmin(stds))
+    alphas = [a for _, a in scan]
+    stds = [math.sqrt(_moments(alphas[i:i + _HILL_WINDOW], 0)[1])
+            for i in range(len(scan) - _HILL_WINDOW + 1)]
+    i = min(range(len(stds)), key=stds.__getitem__)
     return scan[i + _HILL_WINDOW // 2][0]
 
 
@@ -194,11 +214,10 @@ def fit_scale(values: Sequence[float], alpha_hat: float) -> tuple[float, float]:
         raise DomainError(
             f"fit_scale requires alpha_hat > 2 (got {alpha_hat}): the variance "
             "term uses Gamma(1 - 2/alpha), which is finite only for alpha > 2")
-    v = np.asarray(values, dtype=float)
+    v = _finite(values, "fit_scale")
     if len(v) < 2:
         raise DomainError("fit_scale needs at least two values")
-    xbar = float(v.mean())
-    s2 = float(v.var(ddof=1))
+    xbar, s2 = _moments(v, 1)
     if xbar <= 0:
         raise DomainError("fit_scale requires a positive sample mean")
     g1 = math.gamma(1.0 - 1.0 / alpha_hat)
@@ -221,7 +240,7 @@ def fit_pipeline(values: Sequence[float], k_hill: int | None = None,
     samples must pass k_hill.  The location is 0, the natural choice for
     nonnegative bid data, unless m_hat is given.
     """
-    v = sorted(float(x) for x in values)
+    v = sorted(_finite(values, "fit_pipeline"))
     n = len(v)
     if n < 5:
         raise DomainError(f"need at least 5 valuations to fit, got {n}")
@@ -280,16 +299,16 @@ def histogram_export(values: Sequence[float],
     """Left-closed bins [i*w, (i+1)*w) from 0 with relative frequencies."""
     if not bin_width > 0:
         raise DomainError(f"bin_width must be positive, got {bin_width}")
-    v = np.asarray(values, dtype=float)
-    if len(v) == 0:
+    v = _finite(values, "histogram_export")
+    if not v:
         return []
-    if not np.isfinite(v).all():
-        raise DomainError("histogram_export expects finite values")
-    if np.any(v < 0):
+    if min(v) < 0:
         raise DomainError("histogram_export expects nonnegative values")
-    idx = np.floor(v / bin_width).astype(int)
-    counts = np.bincount(idx)
+    idx = [math.floor(x / bin_width) for x in v]
+    counts = [0] * (max(idx) + 1)
+    for i in idx:
+        counts[i] += 1
     total = len(v)
-    return [(i * bin_width, (i + 1) * bin_width, float(c) / total)
+    return [(i * bin_width, (i + 1) * bin_width, c / total)
             for i, c in enumerate(counts)]
 

@@ -55,6 +55,14 @@ _MC_BLOCK = 256
 DEFAULT_SEED = 20250214
 
 
+def _defined_prophet(prophet: float) -> float:
+    """prophet, else DomainError: the welfare ratio needs it positive and finite."""
+    if not (0.0 < prophet < math.inf):
+        raise DomainError(f"prophet value {prophet} is not positive and "
+                          "finite; the welfare ratio is undefined")
+    return prophet
+
+
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """One exact evaluation of a fixed-price policy against the prophet.
@@ -73,10 +81,7 @@ class PolicyEvaluation:
     ratio: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.prophet_value < math.inf):
-            raise DomainError(f"prophet value {self.prophet_value} is not positive and "
-                              "finite; the welfare ratio is undefined")
-        object.__setattr__(self, "ratio", self.fp_value / self.prophet_value)
+        object.__setattr__(self, "ratio", self.fp_value / _defined_prophet(self.prophet_value))
         for name, value in zip(("n", "k"), _check_n_k(self.n, self.k)):
             object.__setattr__(self, name, value)
         if not -1e-12 <= self.ratio <= 1.0 + 1e-6:
@@ -125,9 +130,10 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     grid pass of the policy value over the scan of ``maximize_1d``, then
     golden-section steps on single thresholds.  It runs on the x of
     T = loc + scale*x (``_standard``), on the value over scale: the tolerance,
-    a width in x, and the spread the scan compares with it are unit-free."""
+    a width in x, and the spread the scan compares with it are unit-free.
+    A prophet value of 0 (no mass above 0) raises before the search."""
     n, k = _check_n_k(n, k)
-    prophet = prophet_value(d, n, k)
+    prophet = _defined_prophet(prophet_value(d, n, k))
     loc, scale, z = d._reduced
     lo = (max(d.support.lo, 0.0) - loc) / scale
     hi = float(z.quantile(1.0 - _T_SEARCH_TAIL))

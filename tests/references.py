@@ -1,7 +1,7 @@
 """Independent references for tier-1: each quantity that the library computes
-is written here once, in 50-digit mpmath, memoized, and this module imports
-nothing from evpricing.  A model is read only through its class name and its
-dataclass fields, in order:
+is written here once, in 50-digit mpmath or exact rationals, memoized, and
+this module imports nothing from evpricing.  A model is read only through its
+class name and its dataclass fields, in order:
 
     Pareto(alpha)     sf = t^-alpha on [1, inf)
     Exponential(rate) sf = e^(-rate t) on [0, inf)
@@ -29,15 +29,20 @@ ch. 2-3, with M_n^i the i-th largest of n draws:
 - ``tail_integral``: I(T) = E(X - T)^+, and ``conditional_mean``:
   E(X | X > T) = T + I(T)/sf(T); ``fixed_price_value`` is their product
   with the capped tails at p = sf(T);
-- ``harmonic``: H_n.
+- ``harmonic``: H_n;
+- ``hill_alpha``: Hill's tail-shape estimate (Hill, *Ann. Statist.* 3, 1975),
+  1 / mean of log(t / r) over the top k values t, r the (k+1)-th largest;
+- ``sample_moments``: the sample mean and unbiased variance, as fractions.
 
-``tests/test_oracle_table.py::TestReferences`` checks each one against its
-defining integral by ``mp.quad``.
+The last two are their own definitions;
+``tests/test_oracle_table.py::TestReferences`` checks each of the others
+against its defining integral by ``mp.quad``.
 """
 
 import functools
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -270,3 +275,21 @@ def fixed_price_value(d, n: int, k: int, T):
 @_at_dps
 def _fixed_price_value(kind, p, n, k, T):
     return _conditional_mean(kind, p, T) * capped_tails(n, 1, k, _sf(kind, p, T))
+
+
+def hill_alpha(values, k: int):
+    """1 / mean of log(t / r) over the top k values t, r the (k+1)-th largest."""
+    return _hill_alpha(tuple(sorted(values)), k)
+
+
+@_at_dps
+def _hill_alpha(v, k):
+    r = mp.mpf(v[-k - 1])
+    return k / mp.fsum(mp.log(mp.mpf(t) / r) for t in v[-k:])
+
+
+def sample_moments(values) -> tuple[Fraction, Fraction]:
+    """The exact sample mean and unbiased variance of floats."""
+    x = [Fraction(t) for t in values]
+    mean = sum(x) / len(x)
+    return mean, sum((t - mean) ** 2 for t in x) / (len(x) - 1)

@@ -1,8 +1,11 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from evpricing import (
@@ -18,11 +21,17 @@ from evpricing import (
     ingest_bids,
     per_bidder_max,
 )
-from evpricing.evtfit import FitResult, suggest_hill_k
+from evpricing.evtfit import FitResult, _moments, suggest_hill_k
 
-from conftest import ebay_csv_path, philox_uniforms, requires_ebay
+import references as ref
+from conftest import GOLDEN, ebay_csv_path, philox_uniforms, requires_ebay
 
 THREE_ROWS = "bidder_id,bid\nalice,10\nbob,22.5\ncarol,3\n"
+
+#: Bids: 0 or a positive amount well inside the normal range, so that no sum,
+#: square or quotient of the sample moments underflows and each rounding is relative.
+BIDS = st.one_of(st.just(0.0), st.floats(1e-6, 1e9))
+U = Fraction(1, 2 ** 53)
 
 
 def frechet_values(n: int, s: float, alpha: float, seed: int) -> list[float]:
@@ -137,6 +146,24 @@ class TestHillEstimate:
         with pytest.raises(DomainError):
             hill_estimate([0.0, 0.0, 1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("alpha, seed, k", [(2.24, 11, 2), (2.24, 11, 150), (2.6, 5, 49),
+                                                (1.2, 7, 1999), (8.0, 3, 300)])
+    def test_against_mpmath(self, alpha, seed, k):
+        self.check_against_mpmath(frechet_values(2000, 300.0, alpha, seed), k)
+
+    def test_readme_sample_against_mpmath(self):
+        self.check_against_mpmath(per_bidder_max(ingest_bids(GOLDEN / "bids.csv")), 97)
+
+    @staticmethod
+    def check_against_mpmath(values, k):
+        # each log(t / ref) is off by at most u (1 + 2 log(t / ref)), u = 2^-53,
+        # for a log good to 1 ulp; fsum, the division by k and 1/gamma round
+        # once each, so alpha_hat is within u (alpha_hat + 5) relative: below
+        # 1e-15 up to alpha_hat = 4
+        expected = float(ref.hill_alpha(values, k))
+        assert hill_estimate(values, k) == pytest.approx(expected, rel=2 ** -53 * (expected + 5),
+                                                         abs=0.0)
+
 
 class TestStabilityScan:
     def test_two_rows(self):
@@ -158,6 +185,18 @@ class TestStabilityScan:
         scan = hill_stability_scan(values, (20, 200))
         k = suggest_hill_k(scan)
         assert 20 <= k <= 200
+
+    def test_first_of_equal_spreads_wins(self):
+        assert suggest_hill_k([(k, 2.0) for k in range(10, 31)]) == 15
+
+    @pytest.mark.parametrize("seed", [2024, 7, 99])
+    def test_suggestion_matches_numpy_std_argmin(self, seed):
+        # numpy is the oracle here only
+        values = frechet_values(1000, 300.0, 2.24, seed)
+        scan = hill_stability_scan(values, (10, 500))
+        alphas = np.array([a for _, a in scan])
+        stds = [alphas[i:i + 10].std() for i in range(len(scan) - 9)]
+        assert suggest_hill_k(scan) == scan[int(np.argmin(stds)) + 5][0]
 
 
 class TestFitScale:
@@ -196,6 +235,42 @@ class TestFitScale:
     def test_shape_at_most_two_rejected(self):
         with pytest.raises(DomainError, match="variance"):
             fit_scale([1.0, 2.0, 3.0], 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(BIDS, min_size=2, max_size=40))
+    def test_moments_against_exact_rationals(self, values):
+        # the mean is an exact sum rounded once, then divided: two roundings.  The
+        # variance is that of the deviations from the rounded mean, which exceeds
+        # the exact variance by n (xbar - mean)^2 / (n - 1), with five rounding
+        # factors: the deviation's twice in its square, the square's, the exact
+        # sum's and the quotient's.  Over 2e5 random samples the mean came within
+        # 1.2 ulp and the variance within 3.1.
+        n = len(values)
+        xbar, s2 = _moments(values, 1)
+        mean, var = ref.sample_moments(values)
+        assert abs(Fraction(xbar) - mean) <= ((1 + U) ** 2 - 1) * mean
+        about_xbar = var + n * (Fraction(xbar) - mean) ** 2 / (n - 1)
+        assert abs(Fraction(s2) - about_xbar) <= ((1 + U) ** 5 - 1) * about_xbar
+
+
+class TestFiniteSample:
+    """One rule, histogram_export's: a NaN or infinite value raises before any
+    sort or sum."""
+
+    CALLS = {
+        "hill_estimate": lambda v: hill_estimate(v, 3),
+        "hill_stability_scan": lambda v: hill_stability_scan(v, (2, 4)),
+        "fit_scale": lambda v: fit_scale(v, 2.5),
+        "fit_pipeline": lambda v: fit_pipeline(v, k_hill=3),
+        "fit_pipeline-scan": lambda v: fit_pipeline(v),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_non_finite_value_rejected(self, name, bad):
+        values = frechet_values(30, 300.0, 2.6, seed=4) + [bad]
+        with pytest.raises(DomainError, match=f"{name.split('-')[0]} expects finite values"):
+            self.CALLS[name](values)
 
 
 class TestGuaranteeReport:
@@ -248,6 +323,15 @@ class TestHistogram:
         # numpy's cast of inf or NaN to a bin index warned and raised ValueError
         with pytest.raises(DomainError, match="finite"):
             histogram_export([1.0, bad], 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=50),
+           width=st.floats(0.5, 1e3))
+    def test_matches_numpy_floor_and_bincount(self, values, width):
+        # numpy is the oracle here only: at most 2e4 bins
+        counts = np.bincount(np.floor(np.asarray(values) / width).astype(int))
+        assert histogram_export(values, width) == [
+            (i * width, (i + 1) * width, c / len(values)) for i, c in enumerate(counts.tolist())]
 
 
 class TestPipeline:

@@ -130,7 +130,7 @@ def test_readme_command_loads_only_its_modules(name):
 
 
 #: The README commands that run on the standard library alone.
-NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition")
+NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition", "fit")
 
 #: One model of each kind for the numpy-free library calls, one of them rescaled.
 _SIX_KINDS = ("Pareto(2.0)", "Exponential(1e8)", "Uniform(0.0, 1.0)", "Frechet(0.0, 1.0, 2.5)",
@@ -164,6 +164,12 @@ _SIX_KINDS = ("Pareto(2.0)", "Exponential(1e8)", "Uniform(0.0, 1.0)", "Frechet(0
                    "from evpricing.competition import empirical_competition_complexity\n"
                    f"empirical_competition_complexity({model}, 100)",
                    id=f"empirical_competition_complexity-{model}") for model in _SIX_KINDS),
+    # the fit without k_hill: the Hill scan and suggest_hill_k, then the histogram
+    pytest.param("from evpricing.evtfit import fit_pipeline\n"
+                 "fit_pipeline([(1.0 - (i + 0.5) / 200) ** -0.4 for i in range(200)])",
+                 id="fit_pipeline-scan"),
+    pytest.param("from evpricing.evtfit import histogram_export\n"
+                 "histogram_export([100.0, 150.0, 350.0], 200.0)", id="histogram_export"),
 ])
 def test_guarantees_need_no_numpy(code):
     assert modules_after(code, "numpy") == []
@@ -173,10 +179,8 @@ def test_guarantees_need_no_numpy(code):
 def test_other_readme_commands_load_numpy(name):
     # the import floor of these commands is numpy's: both converge runs (k = 1,
     # n <= 1000) sum the unit binomial tail in log space with numpy, bits that
-    # converge-pareto's golden pins; simulate draws from numpy's Philox stream;
-    # fit prints the golden-section s_hat of fit_scale on numpy's sample
-    # moments.  ROADMAP.md's directions 3 and 5 replace the log-space tail and
-    # fit_scale's search.
+    # converge-pareto's golden pins; simulate draws from numpy's Philox stream.
+    # ROADMAP.md's direction 3 replaces the log-space tail.
     assert "numpy" in modules_after(cli(CLI_COMMANDS[name]), "numpy")
 
 

@@ -285,6 +285,15 @@ class TestBestFixedPrice:
         res = best_fixed_price(d, n, 1)
         assert res.ratio == pytest.approx(value / float(ref.expected_max(d, n)), rel=1e-14)
 
+    @pytest.mark.parametrize("d", [Uniform(-2.0, -1.0), Uniform(-3.0, 0.0)],
+                             ids=["below-0", "up-to-0"])
+    def test_zero_prophet_raises_before_the_search(self, d):
+        # no mass above 0: E max(M_n, 0) = 0, and the threshold window
+        # (max(omega_0, 0), F^{-1}(1 - 1e-12)) is empty
+        assert prophet_value(d, 5, 1) == 0.0
+        with pytest.raises(DomainError, match="prophet value 0.0 .* welfare ratio is undefined"):
+            best_fixed_price(d, 5, 1)
+
     def test_invariants_hold(self, nonneg_models):
         for d in nonneg_models:
             res = best_fixed_price(d, 12, 3)
