@@ -15,9 +15,9 @@ are ratios, so competition on a rescaled model must print byte for byte what
 it prints at scale 1, the two bounded kinds included, whose sf is read below
 the upper end; at alpha = 0.7 the density is infinite at that end.  On the
 narrow shapes, whose mass is about 1/alpha wide, competition --n 20 must
-print the m_star that a 40-digit DP gives.  ``installed`` also checks that
+print the m_star that a 40-digit DP gives.  Both settings also check that
 theory-mode thresholds reduce to the standard member: on Uniform(100, 101)
-each printed threshold lies in the support [100, 101].  It then checks the
+each printed threshold lies in the support [100, 101].  They then check the
 paper's light-tailed claim on a support below 0: converge on Gumbel(0, 1)
 prints ratios in (0, 1) that rise strictly with n.
 
@@ -35,7 +35,8 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 #: The README commands that load no numpy.
-NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition", "fit")
+NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "converge-pareto",
+              "converge-exp", "competition", "fit")
 
 NO_NUMPY = ('import runpy, sys\nsys.modules["numpy"] = None\n'
             'runpy.run_module("evpricing.cli", run_name="__main__")')
@@ -97,18 +98,17 @@ def main(mode: str) -> int:
             if f'"m_star": {m_star}' not in out:
                 print(f"{label} {' '.join(args)}: {out}")
                 failed += 1
-        if mode == "installed":
-            out = stdout(cmd, THEORY).decode()
-            thresholds = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
-            if not thresholds or not all(100.0 <= t <= 101.0 for t in thresholds):
-                print(f"{label} {' '.join(THEORY)}: thresholds {thresholds}")
-                failed += 1
-            out = stdout(cmd, GUMBEL).decode()
-            ratios = [float(row.split(",")[5]) for row in out.splitlines()[1:]]
-            rising = all(a < b for a, b in zip(ratios, ratios[1:]))
-            if not (len(ratios) == 3 and rising and 0.0 < ratios[0] and ratios[-1] < 1.0):
-                print(f"{label} {' '.join(GUMBEL)}: ratios {ratios}")
-                failed += 1
+        out = stdout(cmd, THEORY).decode()
+        thresholds = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
+        if not thresholds or not all(100.0 <= t <= 101.0 for t in thresholds):
+            print(f"{label} {' '.join(THEORY)}: thresholds {thresholds}")
+            failed += 1
+        out = stdout(cmd, GUMBEL).decode()
+        ratios = [float(row.split(",")[5]) for row in out.splitlines()[1:]]
+        rising = all(a < b for a, b in zip(ratios, ratios[1:]))
+        if not (len(ratios) == 3 and rising and 0.0 < ratios[0] and ratios[-1] < 1.0):
+            print(f"{label} {' '.join(GUMBEL)}: ratios {ratios}")
+            failed += 1
     return int(failed > 0)
 
 

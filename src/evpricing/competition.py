@@ -179,17 +179,22 @@ def cc_family_bounds(family: EvtFamily) -> tuple[float, float]:
 
 
 def quantile_policy_approx(d: DistributionModel, n: int) -> float:
-    """Quantile approximation F^{-1}(1 - (1 - gamma)/(n + 1)) of G_n."""
+    """Quantile approximation F^{-1}(1 - (1 - gamma)/(n + 1)) of G_n: the t with
+    sf(t) = (1 - gamma)/(n + 1), so that 1 - c/n is never rounded."""
     n = _index(n, "quantile_policy_approx requires n >= 1, an integer", 1)
     gamma = d.evt_index().gamma
     if gamma >= 1:
         raise DomainError(f"approximation requires gamma < 1, got {gamma}")
-    return float(d.quantile(1.0 - (1.0 - gamma) / (n + 1.0)))
+    s = (1.0 - gamma) / (n + 1.0)
+    if s > 1.0:
+        raise DomainError(f"quantile level 1 - {s} of quantile_policy_approx is below 0")
+    return d._inverse_sf(s)
 
 
 def expected_max_approx(d: DistributionModel, n: int) -> float:
     """Family-specific closed approximation of E(max of n draws), on the
-    standard member Z of ``_standard``: loc + scale * E_Z."""
+    standard member Z of ``_standard``: loc + scale * E_Z.  Each quantile
+    F^{-1}(1 - c/n) is the t with sf(t) = c/n, so that 1 - c/n is never rounded."""
     n = _index(n, "expected_max_approx requires n >= 1, an integer", 1)
     ev = d.evt_index()
     gamma = ev.gamma
@@ -199,9 +204,9 @@ def expected_max_approx(d: DistributionModel, n: int) -> float:
     if loc != 0.0 or scale != 1.0:
         return loc + scale * expected_max_approx(z, n)
     if ev.family is EvtFamily.FRECHET:
-        return math.gamma(1.0 - gamma) * float(d.quantile(1.0 - 1.0 / n))
+        return math.gamma(1.0 - gamma) * d._isf(1.0 / n)
     if ev.family is EvtFamily.GUMBEL:
-        return float(d.quantile(1.0 - math.exp(-EULER_MASCHERONI) / n))
+        return d._isf(math.exp(-EULER_MASCHERONI) / n)
     hi = d.support.hi
-    return hi - math.gamma(1.0 - gamma) * (hi - float(d.quantile(1.0 - 1.0 / n)))
+    return hi - math.gamma(1.0 - gamma) * (hi - d._isf(1.0 / n))
 

@@ -18,12 +18,12 @@ a finite bracket, with its options picked in one place
 (``_order_statistics_mean``).  Like the expected maximum, they are means of
 max(M, 0) on every support.
 
-Each kind's ``_sf``, ``_cdf`` and ``_pdf`` are scalar ``math`` code, and the
-public ``sf``, ``cdf`` and ``pdf`` map it over an array, so one arithmetic path
-gives every number that is not simulated.  numpy is imported only inside the
-functions that work on arrays: the quantiles, which ``simulate`` draws through,
-the array branch of ``sf``, ``cdf`` and ``pdf``, the log-space unit binomial
-tail and the monotonicity probe of ``virtual_tail_ratio``.
+Each kind's ``_sf``, ``_cdf``, ``_pdf`` and inverse survival function ``_isf``
+are scalar ``math`` code, and the public ``sf``, ``cdf`` and ``pdf`` map it
+over an array, so one arithmetic path gives every number that is not
+simulated.  numpy is imported only inside the functions that work on arrays:
+the quantiles, which ``simulate`` draws through, the array branch of ``sf``,
+``cdf`` and ``pdf``, and the monotonicity probe of ``virtual_tail_ratio``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConvergenceError, DivergenceError, DomainError, SpecStringError
-from .kernel import (EULER_MASCHERONI, _EPS, _alternating_series, _capped_sum, _index,
-                     _lgamma_ratio, _upper_gamma, find_root, integrate)
+from .kernel import (EULER_MASCHERONI, _EPS, _alternating_series, _capped_sum, _index, _lgam,
+                     _lgamma_ratio, _pairwise_sum, _upper_gamma, find_root, integrate)
 
 __all__ = [
     "EvtFamily",
@@ -118,8 +118,8 @@ class DistributionModel(ABC):
     standard member Z of ``_standard``, a unit that this class alone maps.
     Each kind writes Z's arithmetic: ``_cdf``, ``_sf``, ``_pdf`` and the tail
     integral ``_tail`` in scalar ``math`` at a float t through ``_standardize``
-    (or, below a bounded kind's upper end, ``_PowerBelowTop._below``), and the
-    array ``_quantile``,
+    (or, below a bounded kind's upper end, ``_PowerBelowTop._below``), its
+    inverse ``_isf`` at a survival level s, the array ``_quantile``,
     ``_normalizing_constants`` and ``_ENDS`` of Z, and the closed form
     ``_expected_max`` of E max(M_n, 0).  Each field must be finite, those in
     ``_POSITIVE`` positive.
@@ -167,6 +167,9 @@ class DistributionModel(ABC):
 
     @abstractmethod
     def _quantile(self, q: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _isf(self, s: float) -> float: ...
 
     @abstractmethod
     def _tail(self, t: float) -> float: ...
@@ -221,6 +224,13 @@ class DistributionModel(ABC):
             z = self._quantile(q)
             return z if loc == 0.0 and scale == 1.0 else loc + scale * z
 
+    def _inverse_sf(self, s: float) -> float:
+        """The t with sf(t) = s, for a float s in (0, 1] (the lower end at s = 1):
+        loc + scale*(Z's ``_isf``)."""
+        loc, scale, _ = self._reduced
+        z = self._isf(s)
+        return z if loc == 0.0 and scale == 1.0 else loc + scale * z
+
     def _tail_integral(self, T: float) -> float:
         """I(T) = E(X - T)^+ at a float T: scale times Z's ``_tail``."""
         if self.evt_index().gamma >= 1:
@@ -268,6 +278,9 @@ class Pareto(DistributionModel):
     def _quantile(self, q):
         return (1.0 - q) ** (-1.0 / self.alpha)
 
+    def _isf(self, s):
+        return s ** (-1.0 / self.alpha)
+
     def _tail(self, t):
         a = self.alpha
         return (1.0 - t) + 1.0 / (a - 1.0) if t < 1.0 else t ** (1.0 - a) / (a - 1.0)
@@ -310,6 +323,9 @@ class Exponential(DistributionModel):
     def _quantile(self, q):
         import numpy as np
         return -np.log1p(-q)
+
+    def _isf(self, s):
+        return -math.log(s)
 
     def _tail(self, t):
         z = self._standardize(t)
@@ -371,6 +387,9 @@ class _PowerBelowTop(DistributionModel):
         import numpy as np
         return -np.expm1(np.log1p(-q) / self.alpha)
 
+    def _isf(self, s):
+        return -math.expm1(math.log(s) / self.alpha)
+
     def _tail(self, t):
         # w^(a+1)/(a+1) on the support, plus w - 1 below it
         w, a = self._below(t), self.alpha
@@ -414,6 +433,9 @@ class Uniform(_PowerBelowTop):
     def _quantile(self, q):
         # a new array, never the caller's q
         return 0.0 + q
+
+    def _isf(self, s):
+        return 1.0 - s
 
     def _standard(self):
         return self.a, self.b - self.a, Uniform(0.0, 1.0)
@@ -475,6 +497,10 @@ class Frechet(DistributionModel):
     def _quantile(self, q):
         import numpy as np
         return np.where(q == 0.0, 0.0, (-np.log(q)) ** (-1.0 / self.alpha))
+
+    def _isf(self, s):
+        # s = 1 at the lower end, where log1p(-s) is -inf
+        return (-math.log1p(-s)) ** (-1.0 / self.alpha) if s < 1.0 else 0.0
 
     def _tail(self, t, x=None):
         # with x = z^-alpha: a series in x, or E Z - z + E(z - Z)^+ (DLMF 8.9.2).
@@ -541,6 +567,9 @@ class Gumbel(DistributionModel):
         import numpy as np
         # 0.0 - x, not -x: +0.0 where -log(q) rounds to 1
         return 0.0 - np.log(-np.log(q))
+
+    def _isf(self, s):
+        return 0.0 - math.log(-math.log1p(-s)) if s < 1.0 else -math.inf
 
     def _tail(self, t):
         # Ein(x) at x = e^-z, the b = 0 case of Frechet's forms (DLMF 6.6.4)
@@ -635,68 +664,47 @@ def parse_distribution(spec: str) -> DistributionModel:
         raise SpecStringError(f"{kind}: {exc}") from None
 
 
-# Cephes lgam (Moshier, "Methods and Programs for Mathematical Functions",
-# 1989), as scipy.special.gammaln evaluates it: log Gamma(x) = (x - 1/2) log x
-# - x + log sqrt(2 pi) + A(1/x^2)/x from x = 13 up, A of degree 4 below 1000
-# and the first three Stirling terms from there.
-_LS2PI = 0.91893853320467274178
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
-           7.93650340457716943945E-4, -2.77777777730099687205E-3,
-           8.33333333333331927722E-2)
-
-
-def _lgam(m: int) -> float:
-    """log m! = log Gamma(m + 1), equal bit for bit to scipy's gammaln(m + 1).
-
-    Scalar ``math.log`` throughout: numpy's SIMD log may round differently."""
-    if m < 12:
-        return math.log(math.factorial(m))
-    x = m + 1.0
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    a0, a1, a2, a3, a4 = _LGAM_A
-    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
-
-
-@functools.cache
-def _log_factorials() -> np.ndarray:
-    """log m! for m = 0.._DIRECT_BINOMIAL_MAX_N, read-only, made on first use."""
-    import numpy as np
-    table = np.array([_lgam(m) for m in range(_DIRECT_BINOMIAL_MAX_N + 1)])
-    table.flags.writeable = False
-    return table
-
-
 @functools.lru_cache(maxsize=64)
-def _binomial_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, log C(n, m)) for m = 1..n, read-only: the part of the log-space unit
-    tail P(Bin(n, p) >= 1) that does not depend on p, made once per n."""
-    import numpy as np
-    lf = _log_factorials()
-    m = np.arange(1, n + 1)
-    log_coef = lf[n] - lf[m] - lf[n - m]
-    for arr in (m, log_coef):
-        arr.flags.writeable = False
-    return m, log_coef
+def _log_binomials(n: int) -> tuple[float, ...]:
+    """log C(n, m) = lf[n] - lf[m] - lf[n - m], lf = ``_lgam``, for m = 0..n: the
+    part of the log-space unit tail that does not depend on p, made once per n."""
+    lf = [_lgam(m) for m in range(n + 1)]
+    return tuple(lf[n] - lf[m] - lf[n - m] for m in range(n + 1))
 
 
 def _binomial_tails(n: int, j: int, k: int, p: list[float]) -> list[float]:
     """sum_{i=j..k} P(Bin(n, p) >= i) at each sf value of the list p: P(M_n^j > t)
     at k = j and E min(k, Bin(n, p)) at j = 1, by a walk over the masses of each p.
-    The unit tail P(Bin >= 1) at n <= _DIRECT_BINOMIAL_MAX_N is the sum of
-    P(Bin = m) over m >= 1 in log space instead, one numpy pass over the list."""
+
+    The unit tail P(Bin >= 1) at n <= _DIRECT_BINOMIAL_MAX_N is instead
+    min(1, sum_{m=1..n} exp(log C(n, m) + m log p + (n - m) log1p(-p))), each
+    term formed and the sum taken as one numpy row would, over only the terms
+    around the mode clip(floor((n + 1) p), 1, n) within e^-60 of its own: n
+    terms below that move the sum by less than 1e-23 relative."""
     if j == k == 1 and n <= _DIRECT_BINOMIAL_MAX_N:
-        import numpy as np
-        p = np.array(p, dtype=float)
-        inner = (p > 0.0) & (p < 1.0)
-        q = np.where(inner, p, 0.5)[..., None]
-        m, log_coef = _binomial_terms(n)
-        logs = log_coef + m * np.log(q) + (n - m) * np.log1p(-q)
-        sums = np.minimum(1, np.exp(logs).sum(axis=-1))
-        return np.where(inner, sums, np.where(p >= 1.0, 1.0, 0.0)).tolist()
+        coef = _log_binomials(n)
+
+        def summed(x: float) -> float:
+            if not 0.0 < x < 1.0:
+                return 1.0 if x >= 1.0 else 0.0
+            l1, l2 = math.log(x), math.log1p(-x)
+            mode = min(max(math.floor((n + 1) * x), 1), n)
+            cut = coef[mode] + mode * l1 + (n - mode) * l2 - 60.0
+
+            def side(ms: range) -> list[float]:
+                out = []
+                for m in ms:
+                    e = coef[m] + m * l1 + (n - m) * l2
+                    if e < cut:
+                        break
+                    out.append(e)
+                return out
+
+            below = side(range(mode - 1, 0, -1))
+            terms = [math.exp(e) for e in below[::-1] + side(range(mode, n + 1))]
+            return min(1.0, _pairwise_sum(terms, mode - len(below), 1, n))
+
+        return [summed(x) for x in p]
 
     def walked(x: float) -> float:
         if not 0.0 < x < 1.0:
@@ -860,7 +868,7 @@ def _conditional_means(d: DistributionModel, Ts: list[float]) -> list[float]:
     proportion to |T|.  I(T) is the closed form ``_tail_integral`` at each T.
     """
     lo = d.support.lo
-    floor = float(d.quantile(2.0 ** -53)) if lo == -math.inf else lo
+    floor = d._inverse_sf(1.0 - 2.0 ** -53) if lo == -math.inf else lo
     T = [floor if t < floor else t for t in Ts]
     s = [d._sf(t) for t in T]
     if not s[-1] > 0.0:

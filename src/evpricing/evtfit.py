@@ -45,6 +45,9 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 #: Consecutive k over which suggest_hill_k compares the spread of Hill estimates.
 _HILL_WINDOW = 10
 
+#: histogram_export writes at most this many bins, floor(max/bin_width) + 1.
+_MAX_HISTOGRAM_BINS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class BidRecord:
@@ -296,7 +299,8 @@ def guarantee_report(fit: FitResult, n: int,
 
 def histogram_export(values: Sequence[float],
                      bin_width: float) -> list[tuple[float, float, float]]:
-    """Left-closed bins [i*w, (i+1)*w) from 0 with relative frequencies."""
+    """Left-closed bins [i*w, (i+1)*w) from 0 with relative frequencies, at most
+    _MAX_HISTOGRAM_BINS of them."""
     if not bin_width > 0:
         raise DomainError(f"bin_width must be positive, got {bin_width}")
     v = _finite(values, "histogram_export")
@@ -304,6 +308,9 @@ def histogram_export(values: Sequence[float],
         return []
     if min(v) < 0:
         raise DomainError("histogram_export expects nonnegative values")
+    if not max(v) / bin_width < _MAX_HISTOGRAM_BINS:
+        raise DomainError(f"histogram_export needs more than {_MAX_HISTOGRAM_BINS} bins "
+                          f"of width {bin_width} to reach {max(v)}")
     idx = [math.floor(x / bin_width) for x in v]
     counts = [0] * (max(idx) + 1)
     for i in idx:

@@ -1,7 +1,8 @@
 """Special functions in Python (a walk over the masses of a Poisson or binomial
-law, W_{-1}, the zeta series of lgamma(1 - g)/g near g = 0, and the series and
-continued fraction behind the closed-form tail integrals), generic
-one-dimensional numerical routines and the one rule for a count, ``_index``.
+law, W_{-1}, the zeta series of lgamma(1 - g)/g near g = 0, the series and
+continued fraction behind the closed-form tail integrals, and log m! as scipy
+evaluates it), numpy's pairwise summation order, generic one-dimensional
+numerical routines and the one rule for a count, ``_index``.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
@@ -182,6 +183,54 @@ def _upper_gamma(b: float, x: float) -> float:
         if abs(c * d - 1.0) <= _EPS:
             break
     return prefactor * h
+
+
+# Cephes lgam (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989), as scipy.special.gammaln evaluates it: log Gamma(x) = (x - 1/2) log x
+# - x + log sqrt(2 pi) + A(1/x^2)/x from x = 13 up, A of degree 4 below 1000
+# and the first three Stirling terms from there.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+
+
+def _lgam(m: int) -> float:
+    """log m! = log Gamma(m + 1), equal bit for bit to scipy's gammaln(m + 1).
+
+    Scalar ``math.log`` throughout: numpy's SIMD log may round differently."""
+    if m < 12:
+        return math.log(math.factorial(m))
+    x = m + 1.0
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+def _pairwise_sum(terms: list[float], a: int, lo: int, n: int) -> float:
+    """numpy's pairwise sum (Higham, SIAM J. Sci. Comput. 14, 1993) of the n
+    entries from position lo of a row that holds terms from position a on and
+    +0.0 elsewhere, whose zeros change no bit and are skipped: eight running
+    accumulators up to 128 entries, then a plain loop over the last n % 8 (all
+    n below 8); above 128, halves split at n//2 rounded down to a multiple of 8."""
+    b = a + len(terms)
+    if lo >= b or lo + n <= a:
+        return 0.0
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms, a, lo, half) + _pairwise_sum(terms, a, lo + half, n - half)
+    end = lo + n - n % 8 if n >= 8 else lo
+    r = [0.0] * 8
+    for i in range(max(lo, a), min(end, b)):
+        r[(i - lo) % 8] += terms[i - a]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(max(end, a), min(lo + n, b)):
+        res += terms[i - a]
+    return res
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule (positive

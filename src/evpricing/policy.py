@@ -5,8 +5,9 @@ to the first min(k, #exceedances) buyers above a threshold T earns, in
 expectation, E(X | X > T) times the summed tail probabilities of the top-k
 order statistics.  Its two factors live in :mod:`evpricing.distributions`,
 each one grid pass over the thresholds, so this module takes no quadrature.
-The thresholds and values are lists of floats; only the Monte Carlo harness
-imports numpy.
+The thresholds and values are lists of floats, and the threshold search window
+ends at the scalar inverse survival function ``_isf``, so only the Monte Carlo
+harness imports numpy.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ __all__ = [
     "convergence_table",
 ]
 
-#: Threshold search never goes beyond this quantile level: the policy value
-#: is numerically zero past it.
-_T_SEARCH_TAIL = 1e-12
+#: Threshold search never goes beyond the quantile at 1 - 1e-12: the policy
+#: value is numerically zero past it.  This is that quantile's survival level
+#: as rounded, 1 - (1 - 1e-12), not 1e-12: the window end fixes the scan grid,
+#: and with it the argmaxes that converge prints.
+_T_SEARCH_TAIL = 1.0 - (1.0 - 1e-12)
 
 #: Threshold search width in standard units, relative to max(1, 1e-3 * upper end).
 _T_SEARCH_TOL = 1e-9
@@ -136,7 +139,7 @@ def best_fixed_price(d: DistributionModel, n: int, k: int) -> PolicyEvaluation:
     prophet = _defined_prophet(prophet_value(d, n, k))
     loc, scale, z = d._reduced
     lo = (max(d.support.lo, 0.0) - loc) / scale
-    hi = float(z.quantile(1.0 - _T_SEARCH_TAIL))
+    hi = z._isf(_T_SEARCH_TAIL)
     x_star, fp = maximize_1d(
         lambda xs: [v / scale for v in _fixed_price_values(d, n, k, [loc + scale * x for x in xs])],
         lo, hi, tol=_T_SEARCH_TOL * max(1.0, hi * 1e-3))

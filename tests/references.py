@@ -30,6 +30,9 @@ ch. 2-3, with M_n^i the i-th largest of n draws:
   E(X | X > T) = T + I(T)/sf(T); ``fixed_price_value`` is their product
   with the capped tails at p = sf(T);
 - ``harmonic``: H_n;
+- ``plug_in_approximations``: the quantile policy F^{-1}(1 - (1 - gamma)/(n+1))
+  of the DP and the closed approximation of E M_n of Kennedy & Kertz's form,
+  each at its exact survival level;
 - ``hill_alpha``: Hill's tail-shape estimate (Hill, *Ann. Statist.* 3, 1975),
   1 / mean of log(t / r) over the top k values t, r the (k+1)-th largest;
 - ``sample_moments``: the sample mean and unbiased variance, as fractions.
@@ -96,6 +99,11 @@ def _lower_end(kind, p):
             "BoundedPower": 0}.get(kind, -mp.inf)
 
 
+def sf_inverse(d, q):
+    """The t with sf(t) = q, for 0 < q < 1, at the caller's precision."""
+    return _sf_inverse(*spec(d), q)
+
+
 def _sf_inverse(kind, p, q):
     """The t with sf(t) = q, for 0 < q < 1."""
     q = mp.mpf(q)
@@ -147,6 +155,35 @@ def _ein_exp(z):
         return mp.euler - z
     x = mp.exp(-z)
     return x * mp.hyp2f2(1, 1, 2, 2, -x) if x < 1 else mp.e1(x) + mp.log(x) + mp.euler
+
+
+def plug_in_approximations(d, n: int):
+    """(quantile policy, expected-maximum approximation) of n draws, at the exact
+    survival levels: the t with sf(t) = (1 - gamma)/(n + 1), and, with the
+    quantile x = t at level 1/n (e^-euler_gamma/n for gamma = 0) and the lower
+    end m of a Frechet-type kind (0 for Pareto), m + Gamma(1 - gamma)(x - m),
+    x itself, or hi - Gamma(1 - gamma)(hi - x) at the upper end hi of a
+    bounded kind."""
+    return _plug_in_approximations(*spec(d), n)
+
+
+@_at_dps
+def _plug_in_approximations(kind, p, n):
+    if kind in ("Pareto", "Frechet"):
+        gamma = 1 / mp.mpf(p[-1])
+    elif kind in ("Uniform", "BoundedPower"):
+        gamma = -1 / _power_law(kind, p)[2]
+    else:
+        gamma = mp.mpf(0)
+    policy = _sf_inverse(kind, p, (1 - gamma) / (n + 1))
+    if gamma == 0:
+        return policy, _sf_inverse(kind, p, mp.exp(-mp.euler) / n)
+    x, factor = _sf_inverse(kind, p, mp.mpf(1) / n), mp.gamma(1 - gamma)
+    if gamma > 0:
+        m = mp.mpf(p[0]) if kind == "Frechet" else 0
+        return policy, m + factor * (x - m)
+    hi = _power_law(kind, p)[1]
+    return policy, hi - factor * (hi - x)
 
 
 def expected_max(d, n: int):

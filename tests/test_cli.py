@@ -17,7 +17,7 @@ from evpricing import (
 )
 from evpricing.cli import main
 
-from conftest import philox_uniforms
+from conftest import GOLDEN, philox_uniforms
 
 
 def run_cli(capsys, *argv):
@@ -372,6 +372,15 @@ class TestFitCmd:
         with pytest.raises(SystemExit) as info:
             main(["fit"])
         assert info.value.code == 2
+
+    def test_bin_count_over_the_cap_is_computation_error(self, capsys, tmp_path):
+        hist = tmp_path / "hist.csv"
+        code, out, err = run_cli(capsys, "fit", "--input", str(GOLDEN / "bids.csv"),
+                                 "--k-hill", "97", "--bin-width", "1e-3",
+                                 "--histogram-output", str(hist))
+        assert code == 1 and out == "" and not hist.exists()
+        assert err == ("error: histogram_export needs more than 1000000 bins of width "
+                       "0.001 to reach 3801.4\n")
 
     def test_side_outputs_written(self, capsys, tmp_path, synthetic_csv):
         hist = tmp_path / "hist.csv"

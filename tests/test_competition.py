@@ -699,6 +699,34 @@ def test_approximations_need_one_draw(approx, n):
         approx(Pareto(2.0), n)
 
 
+#: One model of each kind, most of them off the unit, for the plug-in forms.
+APPROX_MODELS = [Pareto(2.0), Pareto(1.2), Exponential(2.5), Uniform(1.0, 4.0),
+                 Frechet(-1.0, 2.0, 3.0), Frechet(0.0, 1.0, 1.657), Gumbel(2.0, 0.5),
+                 BoundedPower(5.0, 0.7), BoundedPower(1.0, 30.0)]
+
+
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 6, 10 ** 12, 10 ** 15])
+@pytest.mark.parametrize("d", APPROX_MODELS, ids=repr)
+def test_plug_in_approximations_against_mpmath(d, n):
+    # each quantile is the t with sf(t) = c/n, so no level 1 - c/n is rounded;
+    # through quantile(1 - c/n), Pareto(2) at n = 1e15 was 5.1% off
+    policy, emax = ref.plug_in_approximations(d, n)
+    assert quantile_policy_approx(d, n) == pytest.approx(float(policy), rel=1e-14, abs=0.0)
+    assert expected_max_approx(d, n) == pytest.approx(float(emax), rel=1e-14, abs=0.0)
+
+
+def test_expected_max_approx_at_one_draw():
+    # the level 1/n is 1, the lower end m of Frechet(m, s, alpha)
+    assert expected_max_approx(Frechet(-1.0, 2.0, 3.0), 1) == -1.0
+
+
+def test_quantile_policy_level_below_zero():
+    # BoundedPower(1, 0.3) at n = 2: the level 1 - (1 + 1/0.3)/3 is below 0
+    with pytest.raises(DomainError, match="below 0"):
+        quantile_policy_approx(BoundedPower(1.0, 0.3), 2)
+    assert quantile_policy_approx(BoundedPower(1.0, 0.3), 4) > 0.0
+
+
 class TestExpectedMaxApprox:
     def test_pareto_within_one_percent(self):
         d = Pareto(2.0)

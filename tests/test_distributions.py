@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,9 +30,8 @@ from evpricing import (
 from evpricing.distributions import (
     EvtIndex,
     _binomial_tails,
-    _binomial_terms,
     _conditional_means,
-    _log_factorials,
+    _log_binomials,
     _unit,
 )
 
@@ -136,6 +136,33 @@ class TestModelBasics:
 def test_cdf_inverts_quantile(d, q):
     # worst seen: 6.8e-13 on BoundedPower(5, 0.7) at q = 1 - 1e-9
     assert abs(float(d.cdf(d.quantile(q))) - q) <= 1e-12
+
+
+#: Each kind's standard member, at shapes on both sides of 1.
+STANDARD_MEMBERS = [Pareto(1.5), Pareto(30.0), Exponential(1.0), Uniform(0.0, 1.0),
+                    Frechet(0.0, 1.0, 0.7), Frechet(0.0, 1.0, 2.5), Gumbel(0.0, 1.0),
+                    BoundedPower(1.0, 0.7), BoundedPower(1.0, 30.0)]
+
+
+@pytest.mark.parametrize("z", STANDARD_MEMBERS, ids=repr)
+def test_isf_against_closed_form(z):
+    # Z's scalar inverse survival function against the closed-form inverse at
+    # 30 digits.  The band is 2e-16 per unit of 1 + |log t|: the rounded
+    # exponent -1/alpha carries its error into t times log t (1.7e-14 relative
+    # for Pareto(1.5) at s = 1e-200), and Gumbel's t passes 0 at s = 1 - 1/e.
+    for s in (1e-200, 1e-15, 1e-6, 0.01, 0.3, 0.5, 1.0 - 1.0 / math.e, 0.9,
+              1.0 - 1e-9, 1.0 - 2.0 ** -53):
+        with mp.workdps(30):
+            t = float(ref.sf_inverse(z, s))
+        band = 2e-16 * max(1.0, abs(t)) * (1.0 + abs(math.log(max(abs(t), 1.0))))
+        assert abs(z._isf(s) - t) <= band, s
+
+
+@pytest.mark.parametrize("z", STANDARD_MEMBERS, ids=repr)
+def test_isf_at_one_is_the_lower_end(z):
+    # the level 1/n of expected_max_approx at n = 1; log1p(-1) is -inf there,
+    # so Frechet and Gumbel name their end
+    assert z._isf(1.0) == z.support.lo
 
 
 class TestEvtIndexType:
@@ -361,7 +388,9 @@ class TestBinomialWalkMpmath:
 
 
 class TestBinomialTerms:
-    """The p-free part of the log-space unit tail is made once per n."""
+    """The p-free part of the log-space unit tail, log C(n, m), is made once
+    per n; each p sums only the terms within e^-60 of the largest, in numpy's
+    pairwise order."""
 
     @pytest.mark.parametrize("n, j, k", [(1, 1, 1), (10, 1, 1), (100, 1, 1), (1000, 1, 1)])
     def test_tails_bit_equal_to_uncached_sum(self, n, j, k):
@@ -378,18 +407,29 @@ class TestBinomialTerms:
         got = _binomial_tails(n, j, k, p.tolist())
         assert list(map(float.hex, got)) == list(map(float.hex, expected.tolist()))
 
-    def test_log_factorials_bit_equal_to_gammaln(self):
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 1000),
+           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_window_equals_sum_of_all_terms(self, n, p):
+        # all n terms, math.exp of the same exponents, summed by numpy's
+        # pairwise order for one contiguous row
+        coef, l1, l2 = _log_binomials(n), math.log(p), math.log1p(-p)
+        terms = [math.exp(coef[m] + m * l1 + (n - m) * l2) for m in range(1, n + 1)]
+        full = min(1.0, float(np.array(terms).sum()))
+        assert abs(_binomial_tails(n, 1, 1, [p])[0] - full) <= 2 * math.ulp(full)
+
+    def test_log_binomials_bit_equal_to_gammaln(self):
         from scipy.special import gammaln
-        table = _log_factorials()
-        x = np.arange(1, len(table) + 1)
-        assert x[-1] == 1001
-        assert table.view(np.int64).tolist() == gammaln(x).view(np.int64).tolist()
+        n = 1000
+        m = np.arange(n + 1)
+        expected = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+        assert list(map(float.hex, _log_binomials(n))) == list(map(float.hex, expected.tolist()))
 
     def test_only_the_small_unit_tail_is_summed_in_log_space(self, monkeypatch):
         from evpricing import distributions as dist_mod
         seen = []
-        terms = dist_mod._binomial_terms
-        monkeypatch.setattr(dist_mod, "_binomial_terms", lambda n: seen.append(n) or terms(n))
+        coef = dist_mod._log_binomials
+        monkeypatch.setattr(dist_mod, "_log_binomials", lambda n: seen.append(n) or coef(n))
         p = [1e-3, 0.3]
         for n in (1, 10, 1000, 1001, 10 ** 6):
             for j, k in ((1, 1), (1, 2), (2, 2), (3, 3), (1, 10)):
@@ -398,12 +438,11 @@ class TestBinomialTerms:
         assert seen == [1, 10, 1000]
 
     def test_cached_and_read_only(self):
-        first = _binomial_terms(50)
-        assert _binomial_terms(50) is first
-        for arr in first:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        first = _log_binomials(50)
+        assert _log_binomials(50) is first
+        assert len(first) == 51
+        with pytest.raises(TypeError):
+            first[0] = 0.0
 
 
 class TestOrderStatisticMean:

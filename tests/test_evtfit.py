@@ -324,6 +324,17 @@ class TestHistogram:
         with pytest.raises(DomainError, match="finite"):
             histogram_export([1.0, bad], 1.0)
 
+    @pytest.mark.parametrize("values, width", [([1e300], 1.0), ([1.0], 1e-320),
+                                                ([1e6], 1e-3), ([1e6], 1.0)])
+    def test_bin_count_capped(self, values, width):
+        # floor(max/w) + 1 bins above 1e6, or not finite, were an untyped
+        # OverflowError or a list of up to 1e9 counts
+        with pytest.raises(DomainError, match="more than 1000000 bins"):
+            histogram_export(values, width)
+
+    def test_bin_count_at_the_cap(self):
+        assert len(histogram_export([999999.0], 1.0)) == 10 ** 6
+
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=50),
            width=st.floats(0.5, 1e3))

@@ -655,6 +655,24 @@ class TestScanGrid:
         assert kernel._TINY == np.finfo(float).tiny
 
 
+def test_lgam_bit_equal_to_gammaln():
+    from scipy.special import gammaln
+    expected = gammaln(np.arange(1, 1002)).tolist()
+    assert list(map(float.hex, map(kernel._lgam, range(1001)))) == list(map(float.hex, expected))
+
+
+class TestPairwiseSum:
+    @settings(max_examples=300, deadline=None)
+    @given(terms=st.lists(st.floats(0.0, 1e20), max_size=40), n=st.integers(0, 1100),
+           data=st.data())
+    def test_bit_equal_to_numpy_row_sum(self, terms, n, data):
+        # a row of n entries from position 1 that holds terms from position a
+        # on, wholly or partly inside it, and +0.0 elsewhere
+        a = data.draw(st.integers(-len(terms), n + 2))
+        row = [terms[i - a] if 0 <= i - a < len(terms) else 0.0 for i in range(1, n + 1)]
+        assert kernel._pairwise_sum(terms, a, 1, n).hex() == float(np.array(row).sum()).hex()
+
+
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 1.0, 0.0, 2.0, tol=1e-10) == pytest.approx(1.0, abs=1e-10)

@@ -130,7 +130,8 @@ def test_readme_command_loads_only_its_modules(name):
 
 
 #: The README commands that run on the standard library alone.
-NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "competition", "fit")
+NUMPY_FREE = ("guarantees", "phi1-min", "adaptivity-gap", "evaluate", "converge-pareto",
+              "converge-exp", "competition", "fit")
 
 #: One model of each kind for the numpy-free library calls, one of them rescaled.
 _SIX_KINDS = ("Pareto(2.0)", "Exponential(1e8)", "Uniform(0.0, 1.0)", "Frechet(0.0, 1.0, 2.5)",
@@ -160,6 +161,16 @@ _SIX_KINDS = ("Pareto(2.0)", "Exponential(1e8)", "Uniform(0.0, 1.0)", "Frechet(0
     pytest.param("from evpricing.distributions import BoundedPower, order_statistic_mean\n"
                  "order_statistic_mean(BoundedPower(1.0, 2.0), 2000, 2)",
                  id="order_statistic_mean-bounded"),
+    # the threshold search of converge: the log-space unit tail at n <= 1000 and
+    # the window end from the scalar inverse survival function
+    *(pytest.param("from evpricing.distributions import *\n"
+                   "from evpricing.policy import best_fixed_price\n"
+                   f"best_fixed_price({model}, 1000, 1)",
+                   id=f"best_fixed_price-{model}") for model in _SIX_KINDS),
+    *(pytest.param("from evpricing.distributions import *\n"
+                   f"d = {model}\n"
+                   "order_statistic_tail(d, 1000, 1, d._inverse_sf(3e-3))",
+                   id=f"order_statistic_tail-{model}") for model in _SIX_KINDS),
     *(pytest.param("from evpricing.distributions import *\n"
                    "from evpricing.competition import empirical_competition_complexity\n"
                    f"empirical_competition_complexity({model}, 100)",
@@ -177,10 +188,8 @@ def test_guarantees_need_no_numpy(code):
 
 @pytest.mark.parametrize("name", sorted(set(CLI_COMMANDS) - set(NUMPY_FREE)))
 def test_other_readme_commands_load_numpy(name):
-    # the import floor of these commands is numpy's: both converge runs (k = 1,
-    # n <= 1000) sum the unit binomial tail in log space with numpy, bits that
-    # converge-pareto's golden pins; simulate draws from numpy's Philox stream.
-    # ROADMAP.md's direction 3 replaces the log-space tail.
+    # the import floor of this command is numpy's: simulate draws from numpy's
+    # Philox stream
     assert "numpy" in modules_after(cli(CLI_COMMANDS[name]), "numpy")
 
 
